@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use wazabee::msk::{correspondence_table, despread_msk_block_packed, despread_msk_block_scalar};
 use wazabee_dot154::Dot154Modem;
-use wazabee_dsp::correlate::{find_pattern, find_pattern_scalar};
+use wazabee_dsp::correlate::find_pattern_scalar;
 use wazabee_dsp::packed::find_pattern_packed;
 use wazabee_dsp::PackedBits;
 
@@ -56,16 +56,6 @@ fn correlate_benches(c: &mut Criterion) {
     g.bench_function("scalar", |b| {
         b.iter(|| {
             find_pattern_scalar(
-                std::hint::black_box(&planted),
-                std::hint::black_box(&short_pattern),
-                0,
-                2,
-            )
-        })
-    });
-    g.bench_function("shim", |b| {
-        b.iter(|| {
-            find_pattern(
                 std::hint::black_box(&planted),
                 std::hint::black_box(&short_pattern),
                 0,

@@ -15,12 +15,7 @@
 //! `--out`.
 //!
 //! Run with:
-//! `cargo run --release -p wazabee-bench --bin stream_throughput [--smoke] [--out PATH] [--engine planar|reference|both]`
-//!
-//! `--engine planar` / `--engine reference` run exactly one decode engine so
-//! the end-of-run stage profile attributes `dsp.*` self-time to that engine
-//! alone (both engines share stage names); the default `both` also re-streams
-//! through the f64 reference engine and reports `simd_speedup`.
+//! `cargo run --release -p wazabee-bench --bin stream_throughput [--smoke] [--out PATH]`
 
 use std::time::Instant;
 
@@ -88,37 +83,9 @@ fn stream_all(
     results
 }
 
-/// Same capture through the retained interleaved-`f64` reference engine —
-/// the pre-SIMD per-lane path — for the `simd_speedup` row.
-fn stream_all_reference(
-    rx: &WazaBeeRx<BleModem>,
-    buf: &[Iq],
-) -> Vec<Result<wazabee_dot154::ReceivedPpdu, wazabee::WazaBeeError>> {
-    let mut stream = rx.stream_reference();
-    let mut results = Vec::new();
-    for chunk in buf.chunks(CHUNK_SAMPLES) {
-        results.extend(stream.push(chunk));
-    }
-    results.extend(stream.finish());
-    results
-}
-
-/// Which decode engine(s) the run exercises. `Both` (the default) times the
-/// planar engine and then re-streams through the f64 reference for the
-/// `simd_speedup` row; the single-engine modes exist so the stage profiler
-/// sees exactly one engine's spans — the two share `dsp.*` stage names, so a
-/// mixed run cannot attribute self-time to either path.
-#[derive(PartialEq, Clone, Copy)]
-enum Engine {
-    Planar,
-    Reference,
-    Both,
-}
-
 fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_stream_throughput.json".to_string();
-    let mut engine = Engine::Both;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -130,19 +97,8 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--engine" => match args.next().as_deref() {
-                Some("planar") => engine = Engine::Planar,
-                Some("reference") => engine = Engine::Reference,
-                Some("both") => engine = Engine::Both,
-                other => {
-                    eprintln!("--engine takes planar|reference|both (got {other:?})");
-                    std::process::exit(2);
-                }
-            },
             other => {
-                eprintln!(
-                    "usage: stream_throughput [--smoke] [--out PATH] [--engine planar|reference|both]   (got {other:?})"
-                );
+                eprintln!("usage: stream_throughput [--smoke] [--out PATH]   (got {other:?})");
                 std::process::exit(2);
             }
         }
@@ -181,37 +137,13 @@ fn main() {
         buf.len()
     );
     let start = Instant::now();
-    let results = if engine == Engine::Reference {
-        stream_all_reference(&rx, &buf)
-    } else {
-        stream_all(&rx, &buf)
-    };
+    let results = stream_all(&rx, &buf);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let recovered = results
         .iter()
         .filter(|r| r.as_ref().is_ok_and(|f| f.fcs_ok()))
         .count();
     let frames_per_sec = frames as f64 / secs;
-
-    let (ref_frames_per_sec, simd_speedup) = if engine == Engine::Both {
-        eprintln!("re-streaming through the f64 reference engine ...");
-        let ref_start = Instant::now();
-        let ref_results = stream_all_reference(&rx, &buf);
-        let ref_secs = ref_start.elapsed().as_secs_f64().max(1e-9);
-        let ref_recovered = ref_results
-            .iter()
-            .filter(|r| r.as_ref().is_ok_and(|f| f.fcs_ok()))
-            .count();
-        if ref_recovered != recovered {
-            eprintln!(
-                "warning: reference engine recovered {ref_recovered} frames vs planar {recovered}"
-            );
-        }
-        let ref_fps = frames as f64 / ref_secs;
-        (ref_fps, frames_per_sec / ref_fps)
-    } else {
-        (f64::NAN, f64::NAN)
-    };
 
     // Resync ablation fixture: a decoy burst in front of three clean frames.
     // `with_resync` streams the whole fixture; `without_resync` models the
@@ -225,11 +157,7 @@ fn main() {
         let ppdu = Ppdu::new(append_fcs(&[0xF0 | k, 0x0D, 1, 2])).unwrap();
         fixture.extend(zigbee.transmit(&ppdu));
     }
-    let fixture_results = if engine == Engine::Reference {
-        stream_all_reference(&rx, &fixture)
-    } else {
-        stream_all(&rx, &fixture)
-    };
+    let fixture_results = stream_all(&rx, &fixture);
     let with_resync = fixture_results
         .iter()
         .filter(|r| r.as_ref().is_ok_and(|f| f.fcs_ok()))
@@ -240,26 +168,11 @@ fn main() {
         "stream: {recovered}/{frames} frames recovered in {secs:.3} s = {frames_per_sec:.1} frames/sec ({} attempts)",
         results.len()
     );
-    if engine == Engine::Both {
-        println!(
-            "reference engine: {ref_frames_per_sec:.1} frames/sec -> simd_speedup {simd_speedup:.2}x"
-        );
-    }
     println!("fixture: {with_resync}/3 frames with resync, {without_resync}/3 without");
 
-    // Hand-formatted JSON: the vendored serde derive is a no-op shim. The
-    // reference rows are null in single-engine profiling runs — only the
-    // default dual-engine run measures a speedup.
-    let (ref_fps_json, speedup_json) = if engine == Engine::Both {
-        (
-            format!("{ref_frames_per_sec:.3}"),
-            format!("{simd_speedup:.3}"),
-        )
-    } else {
-        ("null".to_string(), "null".to_string())
-    };
+    // Hand-formatted JSON: the vendored serde derive is a no-op shim.
     let json = format!(
-        "{{\n  \"bench\": \"stream_throughput\",\n  \"smoke\": {smoke},\n  \"stream\": {{\n    \"frames\": {frames},\n    \"recovered\": {recovered},\n    \"chunk_samples\": {CHUNK_SAMPLES},\n    \"seconds\": {secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3},\n    \"reference_frames_per_sec\": {ref_fps_json},\n    \"simd_speedup\": {speedup_json}\n  }},\n  \"fixture\": {{\n    \"frames\": 3,\n    \"recovered_with_resync\": {with_resync},\n    \"recovered_without_resync\": {without_resync}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"stream_throughput\",\n  \"smoke\": {smoke},\n  \"stream\": {{\n    \"frames\": {frames},\n    \"recovered\": {recovered},\n    \"chunk_samples\": {CHUNK_SAMPLES},\n    \"seconds\": {secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3}\n  }},\n  \"fixture\": {{\n    \"frames\": 3,\n    \"recovered_with_resync\": {with_resync},\n    \"recovered_without_resync\": {without_resync}\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");

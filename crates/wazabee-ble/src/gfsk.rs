@@ -280,69 +280,6 @@ impl GfskReceiver {
         }
         best
     }
-
-    /// Like [`GfskReceiver::capture`], but resumes the pattern search at bit
-    /// `start_bit` of each sample phase's demodulated stream — the resume
-    /// entry point behind the modems' `receive_raw_from`.
-    ///
-    /// Selection also differs deliberately: instead of the globally
-    /// fewest-errors phase, it locks onto the *earliest* sync event, as an
-    /// always-armed hardware correlator would. Among the phases whose first
-    /// match lands within one bit of the earliest (the same physical sync
-    /// event seen at adjacent sample phases), the fewest errors win; ties go
-    /// to the lower phase, then the earlier index — adjacent phases see the
-    /// same event one bit early, so preferring the earlier *index* would
-    /// systematically lock a misaligned phase. A resumed scan therefore
-    /// depends only on the stream at and after `start_bit`, never on how a
-    /// later, stronger match might compare — re-arming one bit past a bad
-    /// sync hit walks the buffer event by event.
-    pub fn capture_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        let sps = self.params.samples_per_symbol;
-        let sync_packed = PackedBits::from_bits(sync);
-        let lanes: Vec<(Vec<u8>, Option<PatternMatch>)> = (0..sps)
-            .map(|offset| {
-                let bits = demodulate_aligned(&self.params, samples, offset);
-                let stream = PackedBits::from_bits(&bits);
-                let m = find_pattern_packed(&stream, &sync_packed, start_bit, max_sync_errors);
-                (bits, m)
-            })
-            .collect();
-        let i_min = lanes.iter().filter_map(|(_, m)| m.map(|pm| pm.index)).min();
-        let capture = i_min.and_then(|i_min| {
-            lanes
-                .iter()
-                .enumerate()
-                .filter_map(|(offset, (bits, m))| m.map(|pm| (offset, bits, pm)))
-                .filter(|&(_, _, pm)| pm.index <= i_min + 1)
-                .min_by_key(|&(offset, _, pm)| (pm.errors, offset, pm.index))
-                .map(|(offset, bits, pm)| {
-                    let start = pm.index + sync.len();
-                    let end = (start + capture_bits).min(bits.len());
-                    RawCapture {
-                        bits: bits[start..end].to_vec(),
-                        sync_errors: pm.errors,
-                        sample_offset: offset,
-                        sync_bit_index: pm.index,
-                    }
-                })
-        });
-        match &capture {
-            Some(c) => {
-                wazabee_telemetry::counter!("ble.sync.hit").inc();
-                wazabee_telemetry::value_histogram!("ble.sync_errors", 0.0, 33.0)
-                    .record(c.sync_errors as f64);
-            }
-            None => wazabee_telemetry::counter!("ble.sync.miss").inc(),
-        }
-        capture
-    }
 }
 
 #[cfg(test)]
@@ -456,40 +393,6 @@ mod tests {
             assert_eq!(capture.bits, payload, "cut {cut}");
             assert_eq!(capture.sync_errors, 0);
         }
-    }
-
-    #[test]
-    fn capture_from_resumes_past_an_earlier_sync() {
-        // Two occurrences of the sync pattern with distinct payloads; a scan
-        // resumed one bit past the first sync index must lock onto the second.
-        let p = params();
-        let sync = random_bits(40, 32);
-        let payload_a = random_bits(41, 48);
-        let payload_b = random_bits(42, 48);
-        let mut bits = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        bits.extend_from_slice(&sync);
-        bits.extend_from_slice(&payload_a);
-        bits.extend_from_slice(&sync);
-        bits.extend_from_slice(&payload_b);
-        bits.push(0);
-        let tx = modulate(&p, &bits);
-        let rx = GfskReceiver::new(p);
-
-        let first = rx
-            .capture_from(&tx, 0, &sync, 0, payload_a.len())
-            .expect("first sync");
-        assert_eq!(first.bits, payload_a);
-
-        let second = rx
-            .capture_from(&tx, first.sync_bit_index + 1, &sync, 0, payload_b.len())
-            .expect("second sync");
-        assert_eq!(second.bits, payload_b);
-        assert!(second.sync_bit_index > first.sync_bit_index);
-
-        // Resuming past the last occurrence finds nothing.
-        assert!(rx
-            .capture_from(&tx, second.sync_bit_index + 1, &sync, 0, 8)
-            .is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use wazabee_dsp::iq::Iq;
 
 use crate::channel::{BleChannel, BlePhy};
-use crate::gfsk::{modulate, GfskParams, GfskReceiver, RawCapture};
+use crate::gfsk::{modulate, GfskParams, GfskReceiver};
 use crate::packet::BlePacket;
 
 /// A BLE physical-layer modem.
@@ -133,42 +133,6 @@ impl BleModem {
         }
         packet
     }
-
-    /// Captures raw demodulated bits after an arbitrary sync pattern — the
-    /// diverted receive path of WazaBee (paper §IV-D: access address set to
-    /// the MSK image of the 802.15.4 preamble, CRC check off, length maxed).
-    ///
-    /// Single-shot shim over [`BleModem::receive_raw_from`] starting at bit 0.
-    pub fn receive_raw(
-        &self,
-        samples: &[Iq],
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        self.receive_raw_from(samples, 0, sync, max_sync_errors, capture_bits)
-    }
-
-    /// Like [`BleModem::receive_raw`], but resumes the sync search at bit
-    /// `start_bit` of the demodulated stream — re-arming one bit past a
-    /// failed sync hit walks a multi-frame capture event by event instead of
-    /// surrendering the buffer to the first match.
-    pub fn receive_raw_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        GfskReceiver::new(self.params).capture_from(
-            samples,
-            start_bit,
-            sync,
-            max_sync_errors,
-            capture_bits,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -247,8 +211,8 @@ mod tests {
 
     #[test]
     fn raw_paths_compose() {
-        // transmit_raw + receive_raw round-trip arbitrary bits — the exact
-        // plumbing WazaBee builds on.
+        // transmit_raw + a raw GFSK capture round-trip arbitrary bits after
+        // an arbitrary sync pattern — the exact plumbing WazaBee builds on.
         let m = modem();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let sync: Vec<u8> = (0..32).map(|_| rng.gen_range(0..=1)).collect();
@@ -258,7 +222,9 @@ mod tests {
         bits.extend_from_slice(&payload);
         bits.push(0);
         let iq = m.transmit_raw(&bits);
-        let cap = m.receive_raw(&iq, &sync, 2, payload.len()).unwrap();
+        let cap = GfskReceiver::new(*m.params())
+            .capture(&iq, &sync, 2, payload.len())
+            .unwrap();
         assert_eq!(cap.bits, payload);
     }
 

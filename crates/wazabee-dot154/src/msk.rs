@@ -111,24 +111,11 @@ pub fn msk_correspondence_table_packed() -> &'static [u32; 16] {
 }
 
 /// Finds the symbol whose MSK image is closest (Hamming) to a received
-/// 31-bit block; returns `(symbol, distance)`.
-///
-/// A thin shim over [`closest_symbol_msk_packed`]: the block is packed into
-/// a `u32` and matched with sixteen XOR + `count_ones` operations. The
-/// scalar byte-per-bit reference survives as [`closest_symbol_msk_scalar`].
-///
-/// # Panics
-///
-/// Panics if `bits` is not exactly 31 entries long.
-pub fn closest_symbol_msk(bits: &[u8]) -> (u8, usize) {
-    assert_eq!(bits.len(), 31, "expected a 31-bit internal MSK block");
-    closest_symbol_msk_packed(wazabee_dsp::packed::pack_u32(bits))
-}
-
-/// Packed despreading against the waveform-exact MSK images: `block` holds
-/// the 31 received bits LSB-first (bit 31 must be clear); returns
-/// `(symbol, distance)`. This runs per received symbol on the hot receive
-/// path — sixteen XOR + `count_ones` against the cached packed table.
+/// 31-bit block; returns `(symbol, distance)`. `block` holds the 31 received
+/// bits LSB-first (bit 31 must be clear). This runs per received symbol on
+/// the hot receive path — sixteen XOR + `count_ones` against the cached
+/// packed table. The scalar byte-per-bit reference survives as
+/// [`closest_symbol_msk_scalar`].
 pub fn closest_symbol_msk_packed(block: u32) -> (u8, usize) {
     let table = msk_correspondence_table_packed();
     let mut best = (0u8, usize::MAX);
@@ -142,7 +129,8 @@ pub fn closest_symbol_msk_packed(block: u32) -> (u8, usize) {
 }
 
 /// The scalar byte-per-bit reference implementation of
-/// [`closest_symbol_msk`], kept for property tests and micro-benchmarks.
+/// [`closest_symbol_msk_packed`], kept for property tests and
+/// micro-benchmarks.
 ///
 /// # Panics
 ///
@@ -245,7 +233,8 @@ mod tests {
             for k in 0..budget {
                 img[(k * 5) % 31] ^= 1;
             }
-            assert_eq!(closest_symbol_msk(&img).0, s, "symbol {s}");
+            let packed = closest_symbol_msk_packed(wazabee_dsp::packed::pack_u32(&img));
+            assert_eq!(packed.0, s, "symbol {s}");
         }
     }
 
@@ -257,7 +246,7 @@ mod tests {
             let mut img = pn_msk_image(s);
             for flips in 0..6usize {
                 assert_eq!(
-                    closest_symbol_msk(&img),
+                    closest_symbol_msk_packed(wazabee_dsp::packed::pack_u32(&img)),
                     closest_symbol_msk_scalar(&img),
                     "symbol {s} after {flips} flips"
                 );

@@ -6,9 +6,8 @@
 //! so the simulator exposes it as a first-class operation.
 
 use crate::bits::hamming;
-use crate::packed::PackedBits;
 
-/// A match produced by [`find_pattern`].
+/// A match produced by [`crate::packed::find_pattern_packed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternMatch {
     /// Index in the haystack where the pattern starts.
@@ -17,47 +16,9 @@ pub struct PatternMatch {
     pub errors: usize,
 }
 
-/// Finds the first alignment of `pattern` inside `stream` with at most
-/// `max_errors` bit mismatches, scanning from `start`.
-///
-/// Returns `None` when no alignment qualifies.
-///
-/// This is a thin shim over the word-packed sliding-register correlator in
-/// [`crate::packed`]: the stream and pattern are packed once (O(n)), then
-/// searched at a handful of word operations per alignment instead of one
-/// byte operation per pattern bit. Callers holding a [`PackedBits`] stream
-/// should call [`crate::packed::find_pattern_packed`] directly and skip the
-/// packing. The scalar reference survives as [`find_pattern_scalar`].
-///
-/// # Examples
-///
-/// ```
-/// use wazabee_dsp::correlate::find_pattern;
-/// let stream = [0, 0, 1, 0, 1, 1, 0];
-/// let m = find_pattern(&stream, &[1, 0, 1], 0, 0).unwrap();
-/// assert_eq!(m.index, 2);
-/// assert_eq!(m.errors, 0);
-/// ```
-pub fn find_pattern(
-    stream: &[u8],
-    pattern: &[u8],
-    start: usize,
-    max_errors: usize,
-) -> Option<PatternMatch> {
-    if pattern.is_empty() || stream.len() < pattern.len() {
-        return None;
-    }
-    crate::packed::find_pattern_packed(
-        &PackedBits::from_bits(stream),
-        &PackedBits::from_bits(pattern),
-        start,
-        max_errors,
-    )
-}
-
-/// The scalar byte-per-bit reference implementation of [`find_pattern`]:
-/// O(n·m), kept for property tests and micro-benchmarks against the packed
-/// fast path.
+/// The scalar byte-per-bit reference implementation of
+/// [`crate::packed::find_pattern_packed`]: O(n·m), kept for property tests
+/// and micro-benchmarks against the packed fast path.
 pub fn find_pattern_scalar(
     stream: &[u8],
     pattern: &[u8],
@@ -77,24 +38,8 @@ pub fn find_pattern_scalar(
     None
 }
 
-/// Finds the best (fewest-errors) alignment of `pattern` in `stream`,
-/// regardless of error count. Returns `None` only when the stream is shorter
-/// than the pattern or the pattern is empty.
-///
-/// Like [`find_pattern`], a shim over the packed kernels; the scalar
-/// reference survives as [`best_pattern_match_scalar`].
-pub fn best_pattern_match(stream: &[u8], pattern: &[u8]) -> Option<PatternMatch> {
-    if pattern.is_empty() || stream.len() < pattern.len() {
-        return None;
-    }
-    crate::packed::best_pattern_match_packed(
-        &PackedBits::from_bits(stream),
-        &PackedBits::from_bits(pattern),
-    )
-}
-
 /// The scalar byte-per-bit reference implementation of
-/// [`best_pattern_match`].
+/// [`crate::packed::best_pattern_match_packed`].
 pub fn best_pattern_match_scalar(stream: &[u8], pattern: &[u8]) -> Option<PatternMatch> {
     if pattern.is_empty() || stream.len() < pattern.len() {
         return None;
@@ -149,6 +94,28 @@ pub fn argmax(values: &[f64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::{best_pattern_match_packed, find_pattern_packed, PackedBits};
+
+    /// Runs the packed correlator on byte-per-bit inputs, checked against
+    /// the scalar twin.
+    fn find_pattern(
+        stream: &[u8],
+        pattern: &[u8],
+        start: usize,
+        max_errors: usize,
+    ) -> Option<PatternMatch> {
+        let packed = find_pattern_packed(
+            &PackedBits::from_bits(stream),
+            &PackedBits::from_bits(pattern),
+            start,
+            max_errors,
+        );
+        assert_eq!(
+            packed,
+            find_pattern_scalar(stream, pattern, start, max_errors)
+        );
+        packed
+    }
 
     #[test]
     fn exact_match_found() {
@@ -192,7 +159,13 @@ mod tests {
     #[test]
     fn best_match_minimises_errors() {
         let stream = [1, 0, 0, 1, 1, 1, 0, 1];
-        let b = best_pattern_match(&stream, &[1, 1, 1, 1]).unwrap();
+        let pattern = [1, 1, 1, 1];
+        let b = best_pattern_match_packed(
+            &PackedBits::from_bits(&stream),
+            &PackedBits::from_bits(&pattern),
+        )
+        .unwrap();
+        assert_eq!(Some(b), best_pattern_match_scalar(&stream, &pattern));
         assert_eq!(b.index, 2); // earliest of the 1-error alignments
         assert_eq!(b.errors, 1);
     }

@@ -230,6 +230,27 @@ pub fn pack_u64(bits: &[u8]) -> u64 {
 /// shift + XOR + `count_ones` per stream bit, independent of pattern
 /// length); longer patterns compare whole 64-bit words per alignment with
 /// early exit once the error budget is blown.
+///
+/// # Examples
+///
+/// ```
+/// use wazabee_dsp::correlate::find_pattern_scalar;
+/// use wazabee_dsp::packed::find_pattern_packed;
+/// use wazabee_dsp::PackedBits;
+///
+/// let stream = [0, 0, 1, 0, 1, 1, 0];
+/// let pattern = [1, 0, 1];
+/// let m = find_pattern_packed(
+///     &PackedBits::from_bits(&stream),
+///     &PackedBits::from_bits(&pattern),
+///     0,
+///     0,
+/// )
+/// .unwrap();
+/// assert_eq!(m.index, 2);
+/// assert_eq!(m.errors, 0);
+/// assert_eq!(Some(m), find_pattern_scalar(&stream, &pattern, 0, 0));
+/// ```
 pub fn find_pattern_packed(
     stream: &PackedBits,
     pattern: &PackedBits,

@@ -6,7 +6,7 @@
 //! quality, which this model reproduces through a shorter sync correlator.
 
 use wazabee_ble::channel::BlePhy;
-use wazabee_ble::gfsk::{modulate, GfskParams, GfskReceiver, RawCapture};
+use wazabee_ble::gfsk::{modulate, GfskParams, GfskReceiver};
 use wazabee_dsp::iq::Iq;
 
 use crate::packet::EsbPacket;
@@ -76,40 +76,6 @@ impl EsbModem {
         bits.extend_from_slice(&capture.bits);
         EsbPacket::from_air_bits(&bits, 5)
     }
-
-    /// Captures raw bits after an arbitrary sync pattern — the diverted
-    /// receive path (address register reprogrammed, CRC off).
-    ///
-    /// Single-shot shim over [`EsbModem::receive_raw_from`] starting at bit 0.
-    pub fn receive_raw(
-        &self,
-        samples: &[Iq],
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        self.receive_raw_from(samples, 0, sync, max_sync_errors, capture_bits)
-    }
-
-    /// Like [`EsbModem::receive_raw`], but resumes the sync search at bit
-    /// `start_bit` of the demodulated stream, so scanning can continue past
-    /// a previously consumed sync index.
-    pub fn receive_raw_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        GfskReceiver::new(self.params).capture_from(
-            samples,
-            start_bit,
-            sync,
-            max_sync_errors,
-            capture_bits,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -157,8 +123,8 @@ mod tests {
         bits.extend_from_slice(&sync);
         bits.extend_from_slice(&payload);
         bits.push(0);
-        let cap = m
-            .receive_raw(&m.transmit_raw(&bits), &sync, 0, payload.len())
+        let cap = GfskReceiver::new(*m.params())
+            .capture(&m.transmit_raw(&bits), &sync, 0, payload.len())
             .unwrap();
         assert_eq!(cap.bits, payload);
     }

@@ -59,7 +59,9 @@ fn bad(msg: String) -> io::Error {
 /// Returns `Ok(None)` on a clean EOF *at a record boundary* (treated by the
 /// server like [`Record::End`]). EOF inside a record, an unknown tag, an
 /// oversized length prefix, a ragged sample payload or a non-UTF-8 hello all
-/// surface as `InvalidData`/`UnexpectedEof` errors.
+/// surface as `InvalidData`/`UnexpectedEof` errors. Everything the header
+/// alone decides (tag, length cap, whole samples) is checked before the
+/// payload is allocated or read.
 pub fn read_record(r: &mut impl Read) -> io::Result<Option<Record>> {
     let mut tag = [0u8; 1];
     // EOF before the tag byte is a clean end of stream.
@@ -71,6 +73,12 @@ pub fn read_record(r: &mut impl Read) -> io::Result<Option<Record>> {
             Err(e) => return Err(e),
         }
     }
+    let format = match tag[0] {
+        TAG_HELLO | TAG_END => None,
+        TAG_SAMPLES_CF32 => Some(SampleFormat::Cf32),
+        TAG_SAMPLES_U8 => Some(SampleFormat::U8Offset128),
+        other => return Err(bad(format!("unknown record tag {other:#04x}"))),
+    };
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let len = u32::from_le_bytes(len4) as usize;
@@ -79,29 +87,23 @@ pub fn read_record(r: &mut impl Read) -> io::Result<Option<Record>> {
             "record length {len} exceeds the {MAX_RECORD_LEN}-byte cap"
         )));
     }
+    if let Some(f) = format {
+        if !len.is_multiple_of(f.bytes_per_sample()) {
+            return Err(bad(format!(
+                "{} payload of {len} bytes is ragged",
+                f.name()
+            )));
+        }
+    }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    match tag[0] {
-        TAG_HELLO => {
-            let name =
-                String::from_utf8(payload).map_err(|_| bad("hello payload is not UTF-8".into()))?;
-            Ok(Some(Record::Hello(name)))
-        }
-        TAG_SAMPLES_CF32 => {
-            if !len.is_multiple_of(SampleFormat::Cf32.bytes_per_sample()) {
-                return Err(bad(format!("cf32 payload of {len} bytes is ragged")));
-            }
-            Ok(Some(Record::Samples(SampleFormat::Cf32, payload)))
-        }
-        TAG_SAMPLES_U8 => {
-            if !len.is_multiple_of(SampleFormat::U8Offset128.bytes_per_sample()) {
-                return Err(bad(format!("u8 payload of {len} bytes is ragged")));
-            }
-            Ok(Some(Record::Samples(SampleFormat::U8Offset128, payload)))
-        }
-        TAG_END => Ok(Some(Record::End)),
-        other => Err(bad(format!("unknown record tag {other:#04x}"))),
-    }
+    Ok(Some(match format {
+        Some(f) => Record::Samples(f, payload),
+        None if tag[0] == TAG_HELLO => Record::Hello(
+            String::from_utf8(payload).map_err(|_| bad("hello payload is not UTF-8".into()))?,
+        ),
+        None => Record::End,
+    }))
 }
 
 fn write_framed(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
@@ -179,6 +181,14 @@ mod tests {
         let mut buf = Vec::new();
         write_framed(&mut buf, 0x7f, &[]).unwrap();
         assert!(read_record(&mut Cursor::new(buf)).is_err());
+
+        // Unknown tag under a maximal length prefix with no payload behind
+        // it: the tag is rejected as invalid before any payload is allocated
+        // or awaited, not reported as a truncated read.
+        let mut buf = vec![0x7f];
+        buf.extend_from_slice(&(MAX_RECORD_LEN as u32).to_le_bytes());
+        let err = read_record(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Hostile length prefix: rejected before any allocation of that size.
         let mut buf = vec![TAG_SAMPLES_CF32];

@@ -105,20 +105,6 @@ pub(crate) fn superpose_planar(
     buf
 }
 
-/// Interleaved shim over [`superpose_planar`], for callers that still want a
-/// `Vec<Iq>` window (the waveform is the planar `f32` superposition widened
-/// back to `f64`).
-#[allow(dead_code)]
-pub(crate) fn superpose(
-    cluster: &[Transmission],
-    gains: &[f64],
-    cluster_start: Instant,
-    cluster_end: Instant,
-    samples_per_us: u64,
-) -> Vec<wazabee_dsp::Iq> {
-    superpose_planar(cluster, gains, cluster_start, cluster_end, samples_per_us).to_interleaved()
-}
-
 /// Mean power over the trailing CCA window `[now - window_us, now]` of the
 /// superposed live spectrum: the energy a CCA measurement integrates.
 /// `gains[k]` scales cluster member `k`, as in [`superpose_planar`].
@@ -219,20 +205,20 @@ mod tests {
         let spu = 2;
         let a = tx(0, 100, 10, spu, 1.0);
         let b = tx(1, 105, 10, spu, 1.0);
-        let buf = superpose(&[a, b], &[1.0, 1.0], Instant(100), Instant(115), spu);
+        let buf = superpose_planar(&[a, b], &[1.0, 1.0], Instant(100), Instant(115), spu);
         assert_eq!(buf.len(), 30 + LEAD_PAD + TAIL_PAD);
         // Disjoint head: amplitude 1; overlap: amplitude 2.
-        assert!((buf[LEAD_PAD].i - 1.0).abs() < 1e-12);
-        assert!((buf[LEAD_PAD + 11].i - 2.0).abs() < 1e-12);
-        assert!((buf[LEAD_PAD + 25].i - 1.0).abs() < 1e-12);
+        assert_eq!(buf.i()[LEAD_PAD], 1.0);
+        assert_eq!(buf.i()[LEAD_PAD + 11], 2.0);
+        assert_eq!(buf.i()[LEAD_PAD + 25], 1.0);
     }
 
     #[test]
     fn gains_scale_each_member() {
         let spu = 2;
         let a = tx(0, 0, 4, spu, 1.0);
-        let buf = superpose(&[a], &[0.5], Instant(0), Instant(4), spu);
-        assert!((buf[LEAD_PAD].i - 0.5).abs() < 1e-12);
+        let buf = superpose_planar(&[a], &[0.5], Instant(0), Instant(4), spu);
+        assert_eq!(buf.i()[LEAD_PAD], 0.5);
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod xbee;
 
 pub use api::{parse_stream, ApiFrame};
 pub use at::{AtCommand, AtStatus};
-pub use network::{AirRecord, IqPhyConfig, PhyMode, ZigbeeNetwork};
+pub use network::{AirRecord, ZigbeeNetwork};
 pub use node::{JoinState, NodeConfig, NodeRole, Reading, XbeeNode};
 pub use xbee::XbeePayload;

@@ -5,10 +5,14 @@
 //! modems of the other crates) can sniff and inject. This mirrors the paper's
 //! testbed (§VI-A): a sensor reporting a counter every two seconds to a
 //! coordinator that acknowledges and displays it.
+//!
+//! Delivery is byte-level: every PSDU reaches every listening node verbatim.
+//! Waveform-level delivery (modulation, superposition, per-listener
+//! demodulation) is `wazabee-sim`'s job.
 
 use wazabee_dot154::mac::MacFrame;
-use wazabee_dot154::{Dot154Channel, Dot154Modem, Ppdu};
-use wazabee_radio::{EventQueue, Instant, Link, LinkConfig, RfFrame};
+use wazabee_dot154::Dot154Channel;
+use wazabee_radio::{EventQueue, Instant};
 
 use crate::node::{NodeConfig, NodeRole, XbeeNode};
 
@@ -27,9 +31,6 @@ pub struct AirRecord {
     /// every radio dropped it — distinguishes "sent but malformed" from
     /// "never sent" in attack experiments.
     pub dropped_bad_psdu: bool,
-    /// In [`PhyMode::Iq`]: how many listening receivers failed to recover
-    /// this frame at the demodulation level.
-    pub phy_failures: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -48,40 +49,6 @@ enum Event {
 
 /// Propagation plus processing delay applied to deliveries, in microseconds.
 const DELIVERY_DELAY_US: u64 = 192; // one 802.15.4 turnaround time
-
-/// How deliveries reach the nodes' radios.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PhyMode {
-    /// Byte-level broadcast: every PSDU reaches every listening node
-    /// verbatim (the original idealised model; default).
-    Ideal,
-    /// PHY-in-the-loop: each delivery is modulated by the real O-QPSK modem,
-    /// pushed through a per-receiver [`Link`] (gain, CFO, timing offset,
-    /// noise), and demodulated by the real receiver — frames now live or die
-    /// on the waveform math.
-    Iq(IqPhyConfig),
-}
-
-/// Configuration of the [`PhyMode::Iq`] delivery path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IqPhyConfig {
-    /// O-QPSK oversampling factor (samples per chip).
-    pub samples_per_chip: usize,
-    /// Impairments applied per receiver on every delivery.
-    pub link: LinkConfig,
-    /// Seed deriving each receiver's deterministic link randomness.
-    pub seed: u64,
-}
-
-impl Default for IqPhyConfig {
-    fn default() -> Self {
-        IqPhyConfig {
-            samples_per_chip: 8,
-            link: LinkConfig::office_3m(),
-            seed: 0x51B7_B33F,
-        }
-    }
-}
 
 /// The network simulator.
 ///
@@ -102,13 +69,7 @@ pub struct ZigbeeNetwork {
     queue: EventQueue<Event>,
     now: Instant,
     log: Vec<AirRecord>,
-    phy: PhyMode,
-    /// The shared O-QPSK modem of the IQ path (present only in `Iq` mode).
-    modem: Option<Dot154Modem>,
-    /// One deterministic link per node, aligned with `nodes` (IQ mode only).
-    links: Vec<Link>,
     bad_psdu_drops: u64,
-    phy_drops: u64,
 }
 
 impl ZigbeeNetwork {
@@ -119,52 +80,13 @@ impl ZigbeeNetwork {
             queue: EventQueue::new(),
             now: Instant(0),
             log: Vec::new(),
-            phy: PhyMode::Ideal,
-            modem: None,
-            links: Vec::new(),
             bad_psdu_drops: 0,
-            phy_drops: 0,
         }
-    }
-
-    /// Creates an empty network delivering through the given PHY mode.
-    pub fn new_with_phy(phy: PhyMode) -> Self {
-        let mut net = ZigbeeNetwork::new();
-        net.set_phy(phy);
-        net
-    }
-
-    /// Switches the delivery PHY. Existing nodes get fresh deterministic
-    /// links; call this before running traffic, not mid-flight.
-    pub fn set_phy(&mut self, phy: PhyMode) {
-        self.phy = phy;
-        match phy {
-            PhyMode::Ideal => {
-                self.modem = None;
-                self.links.clear();
-            }
-            PhyMode::Iq(cfg) => {
-                self.modem = Some(Dot154Modem::new(cfg.samples_per_chip));
-                self.links = (0..self.nodes.len())
-                    .map(|idx| Link::new(cfg.link, cfg.seed ^ (idx as u64).wrapping_mul(0x9E37)))
-                    .collect();
-            }
-        }
-    }
-
-    /// The active PHY mode.
-    pub fn phy(&self) -> PhyMode {
-        self.phy
     }
 
     /// Frames dropped at delivery because the PSDU failed MAC parsing.
     pub fn bad_psdu_drops(&self) -> u64 {
         self.bad_psdu_drops
-    }
-
-    /// Per-receiver demodulation failures accumulated in `Iq` mode.
-    pub fn phy_drops(&self) -> u64 {
-        self.phy_drops
     }
 
     /// The paper's testbed: PAN 0x1234 on channel 14, coordinator 0x0042,
@@ -200,12 +122,6 @@ impl ZigbeeNetwork {
                 .schedule(self.now.plus_ms(ms), Event::Timer { node: idx });
         }
         self.nodes.push(node);
-        if let PhyMode::Iq(cfg) = self.phy {
-            self.links.push(Link::new(
-                cfg.link,
-                cfg.seed ^ (idx as u64).wrapping_mul(0x9E37),
-            ));
-        }
         idx
     }
 
@@ -257,7 +173,6 @@ impl ZigbeeNetwork {
             psdu: psdu.clone(),
             source: None,
             dropped_bad_psdu: false,
-            phy_failures: 0,
         });
         self.queue.schedule(
             self.now.plus_us(DELIVERY_DELAY_US),
@@ -280,7 +195,6 @@ impl ZigbeeNetwork {
             psdu: psdu.clone(),
             source: Some(node_idx),
             dropped_bad_psdu: false,
-            phy_failures: 0,
         });
         self.queue.schedule(
             self.now.plus_us(DELIVERY_DELAY_US),
@@ -291,21 +205,6 @@ impl ZigbeeNetwork {
                 log_index,
             },
         );
-    }
-
-    /// Decodes what receiver `idx` hears when `air` is emitted on `channel`
-    /// in IQ mode: per-link impairments, then the real demodulator.
-    fn iq_receive(
-        &mut self,
-        idx: usize,
-        channel: Dot154Channel,
-        air: &[wazabee_dsp::Iq],
-    ) -> Option<MacFrame> {
-        let modem = self.modem.as_ref().expect("IQ mode has a modem");
-        let rf = RfFrame::new(channel.center_mhz(), air.to_vec(), modem.sample_rate());
-        let heard = self.links[idx].deliver(&rf, channel.center_mhz());
-        let rx = modem.receive(&heard)?;
-        rx.fcs_ok().then(|| MacFrame::from_psdu(&rx.psdu))?
     }
 
     /// Runs the simulation until `deadline` (inclusive of events at it).
@@ -345,39 +244,11 @@ impl ZigbeeNetwork {
                         self.log[log_index].dropped_bad_psdu = true;
                         continue;
                     };
-                    // In IQ mode the frame is modulated once and each
-                    // receiver demodulates its own impaired copy.
-                    let air = match (&self.phy, &self.modem) {
-                        (PhyMode::Iq(_), Some(modem)) => match Ppdu::new(psdu.clone()) {
-                            Ok(ppdu) => Some(modem.transmit(&ppdu)),
-                            Err(_) => {
-                                // Oversized for the PHY: nothing airs.
-                                wazabee_telemetry::counter!("zigbee.net.drop.bad_psdu").inc();
-                                self.bad_psdu_drops += 1;
-                                self.log[log_index].dropped_bad_psdu = true;
-                                continue;
-                            }
-                        },
-                        _ => None,
-                    };
                     for idx in 0..self.nodes.len() {
                         if Some(idx) == skip || self.nodes[idx].config.channel != channel {
                             continue;
                         }
-                        let heard = match &air {
-                            None => Some(frame.clone()),
-                            Some(air) => {
-                                let rx = self.iq_receive(idx, channel, air);
-                                if rx.is_none() {
-                                    wazabee_telemetry::counter!("zigbee.net.drop.phy").inc();
-                                    self.phy_drops += 1;
-                                    self.log[log_index].phy_failures += 1;
-                                }
-                                rx
-                            }
-                        };
-                        let Some(heard) = heard else { continue };
-                        let replies = self.nodes[idx].on_receive(&heard, self.now);
+                        let replies = self.nodes[idx].on_receive(&frame, self.now);
                         for r in replies {
                             self.transmit_from(idx, &r);
                         }
@@ -522,85 +393,6 @@ mod tests {
         let mut net = ZigbeeNetwork::new();
         net.run_until(Instant(12345));
         assert_eq!(net.now(), Instant(12345));
-    }
-}
-
-#[cfg(test)]
-mod iq_phy_tests {
-    use super::*;
-    use crate::xbee::XbeePayload;
-    use wazabee_dot154::mac::FrameType;
-
-    fn iq_testbed(link: LinkConfig) -> ZigbeeNetwork {
-        let mut net = ZigbeeNetwork::paper_testbed();
-        net.set_phy(PhyMode::Iq(IqPhyConfig {
-            samples_per_chip: 8,
-            link,
-            seed: 0xD07_154,
-        }));
-        net
-    }
-
-    #[test]
-    fn default_mode_is_ideal() {
-        assert_eq!(ZigbeeNetwork::new().phy(), PhyMode::Ideal);
-    }
-
-    #[test]
-    fn testbed_runs_over_the_iq_phy() {
-        // The whole XBee stack unmodified, but every delivery now crosses
-        // modulation → office link → demodulation.
-        let mut net = iq_testbed(LinkConfig::office_3m());
-        net.run_until(Instant(0).plus_ms(6_500));
-        let readings = net.coordinator().readings();
-        assert_eq!(readings.len(), 3, "phy_drops={}", net.phy_drops());
-        for (k, r) in readings.iter().enumerate() {
-            assert_eq!(r.value, (k + 1) as u16);
-        }
-        // Data and acks all survived the office link.
-        let acks = net
-            .log()
-            .iter()
-            .filter(|r| MacFrame::from_psdu(&r.psdu).map(|f| f.frame_type) == Some(FrameType::Ack))
-            .count();
-        assert_eq!(acks, 3);
-        assert_eq!(net.phy_drops(), 0);
-    }
-
-    #[test]
-    fn injected_frame_crosses_the_iq_path() {
-        let mut net = iq_testbed(LinkConfig::ideal());
-        let ch14 = Dot154Channel::new(14).unwrap();
-        let fake = MacFrame::data(
-            0x1234,
-            0x0063,
-            0x0042,
-            77,
-            XbeePayload::reading(4242).to_bytes(),
-        );
-        net.inject(ch14, fake.to_psdu());
-        net.run_until(Instant(0).plus_ms(100));
-        let readings = net.coordinator().readings();
-        assert_eq!(readings.len(), 1);
-        assert_eq!(readings[0].value, 4242);
-    }
-
-    #[test]
-    fn hostile_link_shows_up_as_phy_drops() {
-        // At -2 dB SNR the O-QPSK receiver loses frames; the network must
-        // record those as demodulation-level failures, not silently succeed.
-        let link = LinkConfig {
-            snr_db: Some(-2.0),
-            ..LinkConfig::office_3m()
-        };
-        let mut net = iq_testbed(link);
-        net.run_until(Instant(0).plus_ms(8_500));
-        assert!(
-            net.phy_drops() > 0,
-            "noisy link should drop at least one frame"
-        );
-        let marked: u32 = net.log().iter().map(|r| r.phy_failures).sum();
-        assert_eq!(marked as u64, net.phy_drops());
     }
 }
 

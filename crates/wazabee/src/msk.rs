@@ -71,22 +71,9 @@ pub fn correspondence_table_packed() -> &'static [u32; 16] {
 /// 31-bit block (minimum Hamming distance), returning `(symbol, distance)` —
 /// the despreading step of the paper's reception primitive (§IV-D).
 ///
-/// Thin shim over [`despread_msk_block_packed`] — it packs the block and
-/// runs the word-wide comparison (this function runs once per received
-/// symbol, thousands of times per benchmark frame batch).
-///
-/// # Panics
-///
-/// Panics if `bits` is not exactly 31 entries long.
-pub fn despread_msk_block(bits: &[u8]) -> (u8, usize) {
-    assert_eq!(bits.len(), 31, "expected a 31-bit MSK block");
-    despread_msk_block_packed(wazabee_dsp::packed::pack_u32(bits))
-}
-
-/// Packed fast path of [`despread_msk_block`]: `block` holds the 31 MSK bits
-/// LSB-first (bit 31 must be clear). Sixteen XOR + `count_ones` comparisons
-/// against the packed correspondence table; ties resolve to the lowest
-/// symbol value.
+/// `block` holds the 31 MSK bits LSB-first (bit 31 must be clear). Sixteen
+/// XOR + `count_ones` comparisons against the packed correspondence table;
+/// ties resolve to the lowest symbol value.
 pub fn despread_msk_block_packed(block: u32) -> (u8, usize) {
     let table = correspondence_table_packed();
     let mut best = (0u8, usize::MAX);
@@ -99,8 +86,9 @@ pub fn despread_msk_block_packed(block: u32) -> (u8, usize) {
     best
 }
 
-/// Reference scalar implementation of [`despread_msk_block`], retained for
-/// property tests and micro-benchmarks against the packed fast path.
+/// Reference scalar implementation of [`despread_msk_block_packed`] over a
+/// byte-per-bit block, retained for property tests and micro-benchmarks
+/// against the packed fast path.
 ///
 /// # Panics
 ///
@@ -125,6 +113,14 @@ mod tests {
     use proptest::prelude::*;
     use wazabee_dot154::msk::{chips_to_msk, pn_msk_image};
     use wazabee_dot154::pn::pn_sequence;
+
+    /// Despreads a byte-per-bit block through the packed kernel, checked
+    /// against the scalar twin.
+    fn despread_msk_block(bits: &[u8]) -> (u8, usize) {
+        let packed = despread_msk_block_packed(wazabee_dsp::packed::pack_u32(bits));
+        assert_eq!(packed, despread_msk_block_scalar(bits));
+        packed
+    }
 
     #[test]
     fn algorithm1_output_is_31_bits_of_zeros_and_ones() {

@@ -1,59 +1,31 @@
-//! The minimal radio interface the attack needs: raw bit transmit and
-//! pattern-triggered raw capture at 2 Mbit/s.
+//! The minimal radio interface the attack needs: raw bit transmit and raw
+//! FM-discriminator output at 2 Mbit/s.
 //!
 //! Both the BLE LE 2M modem and the Enhanced ShockBurst 2 Mbit/s modem
 //! satisfy it — which is precisely the paper's point: the attack cares only
 //! about the waveform, not the protocol the chip thinks it is speaking.
 
-use wazabee_ble::gfsk::RawCapture;
 use wazabee_ble::BleModem;
 use wazabee_dsp::iq::Iq;
 use wazabee_dsp::IqSlice;
 use wazabee_esb::EsbModem;
 
-/// Raw FSK transmit/capture access, as diverted by WazaBee.
+/// Raw FSK transmit/demodulator access, as diverted by WazaBee.
 pub trait RawFskRadio {
     /// Modulates arbitrary bits with no framing.
     fn transmit_raw(&self, bits: &[u8]) -> Vec<Iq>;
 
-    /// Captures up to `capture_bits` demodulated bits following `sync`
-    /// (tolerating `max_sync_errors` mismatches in the pattern).
-    fn receive_raw(
-        &self,
-        samples: &[Iq],
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture>;
-
-    /// Like [`RawFskRadio::receive_raw`], but resumes the sync search at bit
-    /// `start_bit` of the demodulated stream — the re-arm entry point the
-    /// streaming receiver builds on.
-    fn receive_raw_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture>;
-
-    /// Demodulates a buffer into hard bits with the symbol clock anchored at
-    /// the first sample — callers supply the sample-phase offset by slicing.
-    fn demodulate_raw(&self, samples: &[Iq]) -> Vec<u8>;
-
     /// Appends the FM-discriminator first differences of a planar window to
     /// `out` (`samples.len() − 1` values, radians/sample).
     ///
-    /// This is the planar streaming engine's demodulation contract: hard bit
-    /// `b` of sample-phase lane `o` is the sign of
+    /// This is the streaming engine's demodulation contract: hard bit `b` of
+    /// sample-phase lane `o` is the sign of
     /// `sum(diffs[o + b·sps .. o + (b+1)·sps])`, which for the GFSK modems in
-    /// this workspace is exactly [`RawFskRadio::demodulate_raw`] evaluated at
-    /// every lane at once — the discriminator's first differences do not
-    /// depend on the symbol-clock phase, only the windowing does. A radio
-    /// whose `demodulate_raw` is *not* discriminate-integrate-slice must
-    /// override this to match, or its streamed bits would diverge from its
-    /// one-shot bits.
+    /// this workspace is exactly `wazabee_ble::gfsk::demodulate_aligned` at
+    /// offset `o` — the discriminator's first differences do not depend on
+    /// the symbol-clock phase, only the windowing does. A radio whose
+    /// demodulator is *not* discriminate-integrate-slice must override this
+    /// to match, or its streamed bits would diverge from its one-shot bits.
     fn discriminate_planar_into(&self, samples: IqSlice<'_>, out: &mut Vec<f32>) {
         wazabee_dsp::simd::discriminate_planar_into(samples.i(), samples.q(), out);
     }
@@ -73,38 +45,6 @@ impl RawFskRadio for BleModem {
         BleModem::transmit_raw(self, bits)
     }
 
-    fn receive_raw(
-        &self,
-        samples: &[Iq],
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        BleModem::receive_raw(self, samples, sync, max_sync_errors, capture_bits)
-    }
-
-    fn receive_raw_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        BleModem::receive_raw_from(
-            self,
-            samples,
-            start_bit,
-            sync,
-            max_sync_errors,
-            capture_bits,
-        )
-    }
-
-    fn demodulate_raw(&self, samples: &[Iq]) -> Vec<u8> {
-        wazabee_ble::gfsk::demodulate_aligned(self.params(), samples, 0)
-    }
-
     fn samples_per_symbol(&self) -> usize {
         self.params().samples_per_symbol
     }
@@ -121,38 +61,6 @@ impl RawFskRadio for BleModem {
 impl RawFskRadio for EsbModem {
     fn transmit_raw(&self, bits: &[u8]) -> Vec<Iq> {
         EsbModem::transmit_raw(self, bits)
-    }
-
-    fn receive_raw(
-        &self,
-        samples: &[Iq],
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        EsbModem::receive_raw(self, samples, sync, max_sync_errors, capture_bits)
-    }
-
-    fn receive_raw_from(
-        &self,
-        samples: &[Iq],
-        start_bit: usize,
-        sync: &[u8],
-        max_sync_errors: usize,
-        capture_bits: usize,
-    ) -> Option<RawCapture> {
-        EsbModem::receive_raw_from(
-            self,
-            samples,
-            start_bit,
-            sync,
-            max_sync_errors,
-            capture_bits,
-        )
-    }
-
-    fn demodulate_raw(&self, samples: &[Iq]) -> Vec<u8> {
-        wazabee_ble::gfsk::demodulate_aligned(self.params(), samples, 0)
     }
 
     fn samples_per_symbol(&self) -> usize {

@@ -15,21 +15,18 @@
 //! failures, because demodulation, correlation and despreading all operate
 //! on absolute bit indexes carried across chunk boundaries.
 //!
-//! ## The planar SIMD engine
+//! ## Planar SIMD demodulation
 //!
-//! The stage profiler showed the old per-lane demodulation at ~76 % of decode
-//! self-time in `dsp.discriminate`: every push re-ran a full `f64` polar
-//! discriminator (one libm `atan2` per sample) once per sample-phase lane —
-//! `sps`-fold duplicated work, because the discriminator's first differences
-//! are *lane-independent*. Lane `o`'s soft bit `b` is just the sum of global
-//! differences `diff[o + b·sps .. o + (b+1)·sps]`. The default engine now
-//! keeps samples planar ([`wazabee_dsp::IqBuf`]), extends one shared `f32`
-//! difference cache incrementally per push (each new sample pair is
-//! discriminated exactly once, through the explicit-width SIMD kernel), and
-//! gives every lane its hard bits with a windowed-sum kernel — the sums keep
-//! the old `1/sps` dump scaling out since `sum ≥ 0` decides the bit either
-//! way. [`WazaBeeRx::stream_reference`] still runs the original interleaved
-//! `f64` path; the parity tests pin that both engines decode the same frames.
+//! The discriminator's first differences are *lane-independent*: lane `o`'s
+//! soft bit `b` is just the sum of global differences
+//! `diff[o + b·sps .. o + (b+1)·sps]`. The engine therefore keeps samples
+//! planar ([`wazabee_dsp::IqBuf`]), extends one shared `f32` difference cache
+//! incrementally per push (each new sample pair is discriminated exactly
+//! once, through the explicit-width SIMD kernel), and gives every lane its
+//! hard bits with a windowed-sum kernel — the sums leave the `1/sps` dump
+//! scaling out since `sum ≥ 0` decides the bit either way. Golden decodes in
+//! the integration suite, recorded from the retired per-lane `f64` engine,
+//! pin that this flips no decision.
 
 use std::collections::VecDeque;
 
@@ -101,22 +98,16 @@ pub struct StreamingRx<'a, R> {
     /// Sync pattern length in bits (32 for the diverted access address).
     pattern_len: usize,
     /// Retained planar IQ, trimmed at the front in lockstep with the lanes;
-    /// sample `i` here is absolute sample `base_bits * sps + i`. Empty when
-    /// the reference engine is active.
+    /// sample `i` here is absolute sample `base_bits * sps + i`.
     samples: IqBuf,
-    /// Retained interleaved `f64` IQ for the reference engine; empty when the
-    /// planar engine (the default) is active.
-    ref_samples: Vec<Iq>,
     /// Shared discriminator first differences: `diffs[k]` is the phase step
     /// between retained samples `k` and `k+1`, so every lane's soft bits are
-    /// window sums over this one cache. Maintained by the planar engine only.
+    /// window sums over this one cache.
     diffs: Vec<f32>,
-    /// Scratch for per-lane window sums (planar engine).
+    /// Scratch for per-lane window sums.
     sums_scratch: Vec<f32>,
-    /// Scratch for per-lane hard bits (planar engine).
+    /// Scratch for per-lane hard bits.
     bits_scratch: Vec<u8>,
-    /// Runs the original interleaved `f64` demodulation when set.
-    reference: bool,
     /// Absolute bit index of local bit 0 (same for every lane).
     base_bits: usize,
     lanes: Vec<Lane>,
@@ -133,22 +124,6 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
     /// Opens a chunk-fed streaming receiver over this primitive's radio and
     /// configuration. See [`StreamingRx`].
     pub fn stream(&self) -> StreamingRx<'_, R> {
-        self.stream_engine(false)
-    }
-
-    /// Opens a streaming receiver that demodulates with the original
-    /// interleaved `f64` path (per-lane libm discriminator) instead of the
-    /// planar SIMD engine.
-    ///
-    /// This is the committed-behaviour reference: the parity suite decodes
-    /// identical fixtures through both engines and pins that every recovered
-    /// frame matches, and the throughput benchmarks report the planar
-    /// engine's speedup against it.
-    pub fn stream_reference(&self) -> StreamingRx<'_, R> {
-        self.stream_engine(true)
-    }
-
-    fn stream_engine(&self, reference: bool) -> StreamingRx<'_, R> {
         let pattern = PackedBits::from_bits(self.sync_bits());
         let sps = self.radio().samples_per_symbol();
         let lanes = (0..sps)
@@ -163,11 +138,9 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
             sps,
             pattern_len: pattern.len(),
             samples: IqBuf::new(),
-            ref_samples: Vec::new(),
             diffs: Vec::new(),
             sums_scratch: Vec::new(),
             bits_scratch: Vec::new(),
-            reference,
             base_bits: 0,
             lanes,
             armed: 0,
@@ -184,11 +157,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
     /// internally and re-examined on the next push.
     pub fn push(&mut self, chunk: &[Iq]) -> Vec<Result<ReceivedPpdu, WazaBeeError>> {
         wazabee_telemetry::counter!("wazabee.stream.chunks").inc();
-        if self.reference {
-            self.ref_samples.extend_from_slice(chunk);
-        } else {
-            self.samples.extend_interleaved(chunk);
-        }
+        self.samples.extend_interleaved(chunk);
         self.ingest();
         let out = self.drain(false);
         self.trim();
@@ -204,11 +173,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         chunk: wazabee_dsp::IqSlice<'_>,
     ) -> Vec<Result<ReceivedPpdu, WazaBeeError>> {
         wazabee_telemetry::counter!("wazabee.stream.chunks").inc();
-        if self.reference {
-            self.ref_samples.extend(chunk.to_interleaved());
-        } else {
-            self.samples.extend_slice(chunk);
-        }
+        self.samples.extend_slice(chunk);
         self.ingest();
         let out = self.drain(false);
         self.trim();
@@ -239,7 +204,6 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
     /// engine decodes byte-identically to a fresh one.
     pub fn reset(&mut self) {
         self.samples.clear();
-        self.ref_samples.clear();
         self.diffs.clear();
         self.sums_scratch.clear();
         self.bits_scratch.clear();
@@ -267,10 +231,6 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
     /// Demodulates whatever fresh bits the retained samples now support, per
     /// lane, and runs them through that lane's correlator.
     fn ingest(&mut self) {
-        if self.reference {
-            self.ingest_reference();
-            return;
-        }
         // One shared discriminator pass: each new sample pair contributes
         // exactly one difference, through the radio's planar hook (the SIMD
         // kernel for every modem in this workspace). The `sps` lanes then
@@ -305,39 +265,6 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
             }
             let from = lane.bits.len();
             lane.bits.extend_from_bits(bits);
-            {
-                let _s = wazabee_telemetry::stage!("stream.correlate");
-                for k in from..lane.bits.len() {
-                    let bit = lane.bits.bit(k);
-                    if let Some(pm) = lane.corr.push(bit) {
-                        if pm.index >= armed {
-                            lane.matches.push_back(pm);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The original per-lane interleaved `f64` ingest, kept alive behind
-    /// [`WazaBeeRx::stream_reference`] for parity tests and benchmarks.
-    fn ingest_reference(&mut self) {
-        let sps = self.sps;
-        let armed = self.armed;
-        let samples = &self.ref_samples;
-        let radio = self.rx.radio();
-        for (offset, lane) in self.lanes.iter_mut().enumerate() {
-            // Local sample index of this lane's next undemodulated symbol.
-            let rel = offset + lane.bits.len() * sps;
-            if rel >= samples.len() {
-                continue;
-            }
-            let fresh = {
-                let _s = wazabee_telemetry::stage!("stream.demod");
-                radio.demodulate_raw(&samples[rel..])
-            };
-            let from = lane.bits.len();
-            lane.bits.extend_from_bits(&fresh);
             {
                 let _s = wazabee_telemetry::stage!("stream.correlate");
                 for k in from..lane.bits.len() {
@@ -468,16 +395,10 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         if tr.active() {
             tr.attempt(self.attempts);
             let sample_rate = self.rx.radio().sample_rate();
-            // The planar engine materialises an interleaved view only here,
-            // on the traced path — the hot path never re-interleaves.
-            let widened;
-            let all: &[Iq] = if self.reference {
-                &self.ref_samples
-            } else {
-                widened = self.samples.to_interleaved();
-                &widened
-            };
-            tr.tap_iq(all, sample_rate, None);
+            // An interleaved view is materialised only here, on the traced
+            // path — the hot path never re-interleaves.
+            let all = self.samples.to_interleaved();
+            tr.tap_iq(&all, sample_rate, None);
             // Data-aided CFO over the window starting at the sync hit's own
             // sample — leading silence would dilute a buffer-start mean, and
             // the lane's bit decisions cancel the data's 1/0 imbalance.
@@ -578,16 +499,12 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         }
         self.base_bits += words * 64;
         let drop = words * 64 * self.sps;
-        if self.reference {
-            self.ref_samples.drain(..drop);
-        } else {
-            // The diff cache shifts with the samples: dropping `drop` samples
-            // drops the same count of leading differences (all consumed — the
-            // trimmed region sits behind every lane's demodulated bits), and
-            // `diffs[0]` keeps describing the step between samples 0 and 1.
-            self.samples.drain_front(drop);
-            self.diffs.drain(..drop.min(self.diffs.len()));
-        }
+        // The diff cache shifts with the samples: dropping `drop` samples
+        // drops the same count of leading differences (all consumed — the
+        // trimmed region sits behind every lane's demodulated bits), and
+        // `diffs[0]` keeps describing the step between samples 0 and 1.
+        self.samples.drain_front(drop);
+        self.diffs.drain(..drop.min(self.diffs.len()));
     }
 }
 
@@ -670,32 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_matches_planar_engine() {
-        let modem = Dot154Modem::new(8);
-        let a = ppdu(&[0x11, 0x22, 0x33]);
-        let b = ppdu(&[0x44, 0x55]);
-        let mut air = modem.transmit(&a);
-        air.extend(vec![wazabee_dsp::Iq::ZERO; 901]);
-        air.extend(modem.transmit(&b));
-        let rx = ble_rx();
-        let run = |mut s: super::StreamingRx<'_, BleModem>| {
-            let mut results = Vec::new();
-            for chunk in air.chunks(777) {
-                results.extend(s.push(chunk));
-            }
-            results.extend(s.finish());
-            results
-        };
-        let planar = run(rx.stream());
-        let reference = run(rx.stream_reference());
-        assert_eq!(planar.len(), reference.len());
-        for (p, r) in planar.iter().zip(&reference) {
-            assert_eq!(p, r);
-        }
-        assert_eq!(planar.iter().filter(|r| r.is_ok()).count(), 2);
-    }
-
-    #[test]
     fn reset_engine_decodes_identically_to_fresh() {
         // A recycled engine (decode → flush → reset) must be observationally
         // identical to a freshly opened one: same frames, same typed
@@ -733,16 +624,6 @@ mod tests {
         let want = run(&mut fresh, &second);
         assert_eq!(got, want, "recycled engine must match a fresh engine");
         assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 2);
-
-        // The reference engine recycles identically.
-        let mut ref_recycled = rx.stream_reference();
-        let _ = run(&mut ref_recycled, &modem.transmit(&first));
-        ref_recycled.reset();
-        let mut ref_fresh = rx.stream_reference();
-        assert_eq!(
-            run(&mut ref_recycled, &second),
-            run(&mut ref_fresh, &second)
-        );
     }
 
     #[test]

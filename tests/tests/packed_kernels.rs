@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 use wazabee_bench::table3::{render_table, run_primitive, Primitive, Table3Config};
 use wazabee_chips::{cc1352r1, nrf52832};
-use wazabee_dsp::correlate::{
-    best_pattern_match, best_pattern_match_scalar, find_pattern, find_pattern_scalar,
-};
+use wazabee_dsp::correlate::{best_pattern_match_scalar, find_pattern_scalar};
+use wazabee_dsp::packed::{best_pattern_match_packed, find_pattern_packed};
 use wazabee_dsp::PackedBits;
 
 proptest! {
@@ -30,8 +29,8 @@ proptest! {
         prop_assert_eq!(pa.hamming(&pb), wazabee_dsp::bits::hamming(&a, &b));
     }
 
-    /// The packed correlator (the shim every receive path uses) returns the
-    /// same match — index and error count — as the scalar reference, for
+    /// The packed correlator (the kernel every receive path uses) returns
+    /// the same match — index and error count — as the scalar reference, for
     /// short patterns (sliding register) and long ones (word compare).
     #[test]
     fn prop_find_pattern_matches_scalar(
@@ -40,12 +39,13 @@ proptest! {
         start in 0usize..50,
         max_errors in 0usize..6,
     ) {
+        let (ps, pp) = (PackedBits::from_bits(&stream), PackedBits::from_bits(&pattern));
         prop_assert_eq!(
-            find_pattern(&stream, &pattern, start, max_errors),
+            find_pattern_packed(&ps, &pp, start, max_errors),
             find_pattern_scalar(&stream, &pattern, start, max_errors)
         );
         prop_assert_eq!(
-            best_pattern_match(&stream, &pattern),
+            best_pattern_match_packed(&ps, &pp),
             best_pattern_match_scalar(&stream, &pattern)
         );
     }
@@ -59,10 +59,6 @@ proptest! {
         let packed = wazabee_dsp::packed::pack_u32(&bits);
         prop_assert_eq!(
             wazabee::msk::despread_msk_block_packed(packed),
-            wazabee::msk::despread_msk_block_scalar(&bits)
-        );
-        prop_assert_eq!(
-            wazabee::msk::despread_msk_block(&bits),
             wazabee::msk::despread_msk_block_scalar(&bits)
         );
     }

@@ -14,6 +14,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
 use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::io::SampleFormat;
 use wazabee_dsp::{Iq, IqBuf};
@@ -309,4 +310,75 @@ fn protocol_error_ends_only_the_offending_session() {
     };
     assert_eq!(by_name("corrupt").frames, 0);
     assert_eq!(by_name("clean").frames, 2);
+}
+
+/// Reads records off `bytes` until a clean end or the first error, checking
+/// every sample record the decoder hands out: bounded, whole samples, and
+/// accepted by the sample codec.
+fn drain_wire(bytes: &[u8]) {
+    let mut r = std::io::Cursor::new(bytes);
+    let mut planar = IqBuf::new();
+    while let Ok(Some(record)) = proto::read_record(&mut r) {
+        if let proto::Record::Samples(format, payload) = record {
+            assert!(payload.len() <= proto::MAX_RECORD_LEN);
+            assert_eq!(payload.len() % format.bytes_per_sample(), 0);
+            planar.clear();
+            let n = format.decode(&payload, &mut planar).unwrap();
+            assert_eq!(n, payload.len() / format.bytes_per_sample());
+        }
+    }
+}
+
+/// Builds a record stream from `seeds`: each seed picks a tag (the four
+/// known ones or an arbitrary byte), a body cut from `noise`, and a length
+/// prefix that is honest or hostile (`u32::MAX`, the cap, one past the cap,
+/// or arbitrary). Arbitrary noise follows as a trailer.
+fn framed_wire(seeds: &[u64], noise: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    for &seed in seeds {
+        let tag = match seed % 8 {
+            0 => proto::TAG_HELLO,
+            1..=3 => proto::TAG_SAMPLES_CF32,
+            4 | 5 => proto::TAG_SAMPLES_U8,
+            6 => proto::TAG_END,
+            _ => (seed >> 3) as u8,
+        };
+        let mut body_len = ((seed >> 11) as usize % 4096).min(noise.len() - at);
+        if seed >> 63 == 1 {
+            // Whole cf32 samples, so honest sample records get through.
+            body_len -= body_len % 8;
+        }
+        let body = &noise[at..at + body_len];
+        at += body_len;
+        let cap = proto::MAX_RECORD_LEN as u32;
+        let len = match (seed >> 24) % 10 {
+            0..=5 => body.len() as u32,
+            6 => u32::MAX,
+            7 => cap,
+            8 => cap + 1,
+            _ => (seed >> 32) as u32,
+        };
+        out.push(tag);
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(body);
+    }
+    out.extend_from_slice(&noise[at..]);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The wire decoder never panics on hostile bytes — raw noise of up to
+    /// 64 KiB, or record headers with hostile length prefixes — and every
+    /// sample record it accepts is bounded, whole and decodable.
+    #[test]
+    fn prop_read_record_survives_hostile_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..=65_536),
+        seeds in proptest::collection::vec(any::<u64>(), 0..16),
+    ) {
+        drain_wire(&noise);
+        drain_wire(&framed_wire(&seeds, &noise));
+    }
 }

@@ -152,3 +152,58 @@ proptest! {
         prop_assert_eq!(&chunked, &reference, "chunk size {} diverged", chunk);
     }
 }
+
+/// A burst of non-finite cf32 samples (NaN, ±Inf) between two frames —
+/// what a glitching SDR front-end or a corrupt capture can put on the wire —
+/// must not poison the stream: it decodes to planar as-is, both frames come
+/// out with their own payloads, and the engine keeps committing attempts
+/// after the burst.
+#[test]
+fn non_finite_burst_between_frames_does_not_poison_the_stream() {
+    let zigbee = Dot154Modem::new(SPS);
+    let rx = sniffer();
+    let a = Ppdu::new(append_fcs(&[0xA1, 0x0F, 0x1A])).unwrap();
+    let b = Ppdu::new(append_fcs(&[0xB2, 0x1A, 0x0F, 0x77])).unwrap();
+
+    let mut air = wazabee_dsp::IqBuf::from_interleaved(&zigbee.transmit(&a));
+    let burst_end = air.len() + 2048;
+    let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for k in 0..2048 {
+        air.push(poison[k % 3], poison[(k / 3) % 3]);
+    }
+    air.extend_interleaved(&zigbee.transmit(&b));
+
+    let format = wazabee_dsp::io::SampleFormat::Cf32;
+    let mut planar = wazabee_dsp::IqBuf::new();
+    format
+        .decode(&format.encode(air.as_slice()), &mut planar)
+        .unwrap();
+    assert_eq!(planar.len(), air.len());
+
+    for chunk in [4096, 777] {
+        let mut stream = rx.stream();
+        let mut results = Vec::new();
+        let mut attempts_at_burst_end = None;
+        let mut from = 0;
+        while from < planar.len() {
+            let to = (from + chunk).min(planar.len());
+            results.extend(stream.push_planar(planar.slice(from, to)));
+            if to >= burst_end && attempts_at_burst_end.is_none() {
+                attempts_at_burst_end = Some(stream.attempts());
+            }
+            from = to;
+        }
+        results.extend(stream.flush());
+        let after_burst = attempts_at_burst_end.expect("the burst was pushed");
+        assert!(
+            stream.attempts() > after_burst,
+            "chunk {chunk}: no attempt committed after the burst"
+        );
+        assert_eq!(stream.attempts(), results.len() as u64, "chunk {chunk}");
+        let frames: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+        assert_eq!(frames.len(), 2, "chunk {chunk}: {results:?}");
+        assert_eq!(frames[0].psdu, a.psdu(), "chunk {chunk}");
+        assert_eq!(frames[1].psdu, b.psdu(), "chunk {chunk}");
+        assert!(frames.iter().all(|f| f.fcs_ok()), "chunk {chunk}");
+    }
+}
