@@ -5,7 +5,9 @@
 #   1. release build, telemetry on (default features)
 #   2. release build, telemetry off (--no-default-features) — proves the
 #      probes compile away
-#   3. full test suite
+#   3. full test suite, plus the telemetry crate's own tests with the
+#      feature off (`zero_cost_when_disabled`: zero-sized guards, empty
+#      profile/trace, the disabled snapshot stub)
 #   4. clippy, warnings as errors
 #   5. rustfmt check
 #   6. telemetry-overhead smoke: the Criterion bench compiles and runs in
@@ -29,8 +31,8 @@
 #      attacked cells show waveform-level collisions, in both feature states
 #  13. live snapshot poll: the default-features netsim run is polled over
 #      WAZABEE_TELEMETRY_ADDR and must answer with a well-formed snapshot
-#      (labeled metrics + per-stage profile + alerts); the
-#      --no-default-features run must never start the endpoint
+#      (labeled metrics + per-stage profile with p50_ns <= p99_ns + alerts);
+#      the --no-default-features run must never start the endpoint
 #  14. health + causal trace: during the attacked netsim run /healthz must
 #      answer 503 with the collisions rule latched (and the delivery-ratio
 #      rule armed), /trace must serve live Chrome Trace JSON, and the
@@ -47,16 +49,22 @@
 #      with zero CRC failures and zero dropped chunks, and the emitted
 #      BENCH_serve.json must be well-formed with a per-session fairness
 #      ratio >= 0.5
-#  17. perf regression gate: fresh smoke-run BENCH figures — including the
+#  17. artifact byte-identity gate: every deterministic paper artifact
+#      (tables, figures, ablations, scenario statistics, the sim time
+#      series) is regenerated and must `cmp` equal to its committed copy
+#      in artifacts/
+#  18. dead-code guard: no `allow(dead_code)` under crates/*/src, no
+#      retired timing macro (`timed_scope!`, `stage!`, `span!`) under
+#      crates/ tests/ examples/, and the Rust line counts of crates/ tests/
+#      examples/ and of wazabee-telemetry are printed so each change's net
+#      line count shows in the log
+#  19. perf regression gate: fresh smoke-run BENCH figures — including the
 #      discriminator simd_speedup row, the 1024-node
 #      multi-channel sim/wall ratio, and the serve plane's per-session
 #      paced decode rate — must stay within WAZABEE_PERF_TOLERANCE
 #      (default 50%) of the committed artifacts/ baselines, failing loudly
 #      on regressions; the committed serve baseline itself must show 100%
 #      recovery at 64 sessions and fairness >= 0.5
-#  18. dead-code guard: no `allow(dead_code)` under crates/*/src, and the
-#      Rust line count of crates/ tests/ examples/ is printed so each
-#      change's net line count shows in the log
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -69,6 +77,7 @@ run() {
 run cargo build --release --workspace --offline
 run cargo build --release --workspace --offline --no-default-features
 run cargo test -q --workspace --offline
+run cargo test -q -p wazabee-telemetry --offline --no-default-features
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --all -- --check
 run cargo bench -p wazabee-bench --bench telemetry_overhead --offline -- --test
@@ -243,6 +252,7 @@ stages = {s["name"]: s for s in snap["stages"]}
 assert stages, "stage profile empty"
 for s in stages.values():
     assert s["count"] > 0 and s["self_ns"] <= s["total_ns"], s
+    assert s["p50_ns"] <= s["p99_ns"], s
 assert isinstance(snap["alerts"], list), "snapshot has no alerts section"
 print(f"live snapshot from {addr} well-formed: "
       f"{sum(len(f['cells']) for f in families.values())} labeled cells, "
@@ -419,6 +429,67 @@ run cargo run --release -q -p wazabee-bench --bin serve_throughput --offline \
     --no-default-features -- --smoke --frames 8 --out "$serve_json"
 check_serve_json "$serve_json"
 
+# Artifact byte-identity gate: every committed artifact whose regenerator is
+# deterministic must come back byte-for-byte, so an output change that is
+# not recommitted fails here instead of going stale.
+echo
+echo "=== artifact byte-identity gate ==="
+regen_dir="$capture_dir/regen"
+mkdir -p "$regen_dir"
+# Earlier steps leave feature-off binaries behind; regenerate with the
+# default build users run.
+cargo build --release -q -p wazabee-bench --bins --offline
+bin=target/release
+"$bin/table1" >"$regen_dir/table1.txt"
+"$bin/table2" >"$regen_dir/table2.txt"
+"$bin/fig1" >"$regen_dir/fig1.csv" 2>"$regen_dir/fig1_check.txt"
+"$bin/fig2" >"$regen_dir/fig2.csv" 2>"$regen_dir/fig2_check.txt"
+"$bin/fig3" >"$regen_dir/fig3.txt"
+"$bin/similarity_matrix" >"$regen_dir/similarity_matrix.txt"
+"$bin/table3" >"$regen_dir/table3.txt" 2>/dev/null
+"$bin/ablation_cfo" 20 >"$regen_dir/ablation_cfo.txt"
+"$bin/ablation_despread" 40 >"$regen_dir/ablation_despread.txt"
+"$bin/ablation_gaussian" 40 >"$regen_dir/ablation_gaussian.txt"
+"$bin/ablation_modindex" 50 >"$regen_dir/ablation_modindex.txt"
+"$bin/ablation_sps" 30 >"$regen_dir/ablation_sps.txt"
+"$bin/ablation_sync" 40 >"$regen_dir/ablation_sync.txt"
+"$bin/scenario_a_stats" 20 300 >"$regen_dir/scenario_a_stats.txt" 2>/dev/null
+"$bin/scenario_b_stats" 10 >"$regen_dir/scenario_b_stats.txt" 2>/dev/null
+"$bin/netsim_scale" --smoke --timeseries "$regen_dir/timeseries.jsonl" \
+    --out "$regen_dir/BENCH_netsim_regen.json" >/dev/null 2>&1
+stale=0
+for f in table1.txt table2.txt fig1.csv fig1_check.txt fig2.csv fig2_check.txt \
+    fig3.txt similarity_matrix.txt table3.txt ablation_cfo.txt ablation_despread.txt \
+    ablation_gaussian.txt ablation_modindex.txt ablation_sps.txt ablation_sync.txt \
+    scenario_a_stats.txt scenario_b_stats.txt timeseries.jsonl; do
+    if ! cmp -s "$regen_dir/$f" "artifacts/$f"; then
+        echo "ci.sh: regenerated $f differs from artifacts/$f" >&2
+        diff "$regen_dir/$f" "artifacts/$f" | head -20 >&2 || true
+        stale=1
+    fi
+done
+if [ "$stale" -ne 0 ]; then
+    echo "ci.sh: committed artifacts are stale — regenerate and recommit them" >&2
+    exit 1
+fi
+echo "18 committed artifacts regenerate byte-identically"
+
+echo
+echo "=== dead-code guard, retired-macro guard and Rust line count ==="
+if grep -rn --include='*.rs' 'allow(dead_code)' crates/*/src; then
+    echo "ci.sh: allow(dead_code) under crates/*/src — delete the dead code instead" >&2
+    exit 1
+fi
+echo "no allow(dead_code) under crates/*/src"
+if grep -rnE --include='*.rs' '(timed_scope|stage|span)!' crates tests examples; then
+    echo "ci.sh: retired timing macro above — use scope! instead" >&2
+    exit 1
+fi
+echo "no timed_scope!/stage!/span! under crates/ tests/ examples/"
+echo "Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)"
+echo "Rust lines in crates/wazabee-telemetry: $(find crates/wazabee-telemetry -name '*.rs' -exec cat {} + | wc -l)"
+
+
 run env WAZABEE_PERF_TOLERANCE="${WAZABEE_PERF_TOLERANCE:-0.5}" \
     python3 - "$bench_json" "$stream_live_json" "$netsim_live_json" "$serve_live_json" <<'EOF'
 import json, os, sys
@@ -499,15 +570,6 @@ if failures:
     sys.exit(1)
 print(f"perf regression gate passed (tolerance {tol:.0%})")
 EOF
-
-echo
-echo "=== dead-code guard and Rust line count ==="
-if grep -rn --include='*.rs' 'allow(dead_code)' crates/*/src; then
-    echo "ci.sh: allow(dead_code) under crates/*/src — delete the dead code instead" >&2
-    exit 1
-fi
-echo "no allow(dead_code) under crates/*/src"
-echo "Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)"
 
 echo
 echo "ci.sh: all checks passed"

@@ -7,10 +7,11 @@
 //! cargo bench -p wazabee-bench --bench telemetry_overhead --no-default-features
 //! ```
 //!
-//! With the `telemetry` feature off every counter/histogram/span call site
+//! With the `telemetry` feature off every counter/histogram/scope call site
 //! compiles to an empty inline no-op, so the two runs must agree to within
-//! measurement noise. The `zero_cost_when_disabled` smoke test in
-//! `wazabee-bench` asserts the disabled build really is dead code.
+//! measurement noise. The `zero_cost_when_disabled` test in
+//! `wazabee-telemetry` (run with `--no-default-features`) asserts the
+//! disabled build really is dead code.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use wazabee_ble::gfsk::{demodulate_aligned, modulate, GfskParams};
@@ -68,27 +69,29 @@ fn bench_instrumented_kernels(c: &mut Criterion) {
                 .record(&[("stage", std::hint::black_box("fir"))], 17.0)
         })
     });
-    p.bench_function("stage_guard_enter_drop", |b| {
+    // One timing probe: two clock reads, the thread-local child-time and
+    // current-span swaps, four relaxed atomic adds and two trace-ring
+    // appends (enter + exit).
+    p.bench_function("scope_enter_drop", |b| {
         b.iter(|| {
-            let _s = wazabee_telemetry::stage!("bench.stage");
+            let _s = wazabee_telemetry::scope!("bench.scope");
             std::hint::black_box(());
         })
     });
-    p.bench_function("wall_series_record", |b| {
-        b.iter(|| wazabee_telemetry::timeseries!("bench.series", std::hint::black_box(1.0)))
-    });
-    // Causal span with args: two trace-ring appends (enter + exit) plus the
-    // per-thread stack bookkeeping — the cost of one `span!("rx.decode", ...)`
-    // around a committing decode attempt.
-    p.bench_function("span_with_args_enter_drop", |b| {
+    // The same with two static args — the cost of one
+    // `scope!("rx.decode", ...)` around a committing decode attempt.
+    p.bench_function("scope_with_args_enter_drop", |b| {
         b.iter(|| {
-            let _s = wazabee_telemetry::span!(
-                "bench.span",
+            let _s = wazabee_telemetry::scope!(
+                "bench.scope.args",
                 frame = std::hint::black_box(7u64),
                 chan = 15u8
             );
             std::hint::black_box(());
         })
+    });
+    p.bench_function("wall_series_record", |b| {
+        b.iter(|| wazabee_telemetry::timeseries!("bench.series", std::hint::black_box(1.0)))
     });
     // One trace-ring append alone (instant event with args), isolating the
     // ring's mutex + VecDeque push from the span stack machinery.

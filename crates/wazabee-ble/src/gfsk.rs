@@ -104,7 +104,7 @@ impl GfskParams {
 ///
 /// Panics if `params` fail [`GfskParams::validate`].
 pub fn modulate(params: &GfskParams, bits: &[u8]) -> Vec<Iq> {
-    let _t = wazabee_telemetry::timed_scope!("ble.gfsk.modulate_ns");
+    let _t = wazabee_telemetry::scope!("ble.gfsk.modulate_ns");
     params.validate().expect("invalid GFSK parameters");
     let nrz = wazabee_dsp::bits::bits_to_nrz(bits);
     let shaped = match params.bt {
@@ -151,7 +151,7 @@ pub fn demodulate_soft(params: &GfskParams, samples: &[Iq]) -> Vec<f64> {
 /// that every diff-based FSK receiver shares. Decisions remain exact in the
 /// noiseless case for `sps ≥ 2`.
 pub fn demodulate_aligned(params: &GfskParams, samples: &[Iq], offset: usize) -> Vec<u8> {
-    let _t = wazabee_telemetry::timed_scope!("ble.gfsk.demodulate_ns");
+    let _t = wazabee_telemetry::scope!("ble.gfsk.demodulate_ns");
     let soft = demodulate_soft(params, samples);
     if offset >= soft.len() {
         return Vec::new();
@@ -174,7 +174,7 @@ pub fn demodulate_aligned_planar(
     samples: wazabee_dsp::IqSlice<'_>,
     offset: usize,
 ) -> Vec<u8> {
-    let _t = wazabee_telemetry::timed_scope!("ble.gfsk.demodulate_ns");
+    let _t = wazabee_telemetry::scope!("ble.gfsk.demodulate_ns");
     let mut diffs = Vec::new();
     wazabee_dsp::simd::discriminate_planar_into(samples.i(), samples.q(), &mut diffs);
     if offset >= diffs.len() {

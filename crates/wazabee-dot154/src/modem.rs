@@ -108,7 +108,7 @@ impl Dot154Modem {
 
     /// Modulates a PPDU to complex baseband.
     pub fn transmit(&self, ppdu: &Ppdu) -> Vec<Iq> {
-        let _t = wazabee_telemetry::timed_scope!("dot154.oqpsk.modulate_ns");
+        let _t = wazabee_telemetry::scope!("dot154.oqpsk.modulate_ns");
         modulate_chips(&ppdu.to_chips(), self.samples_per_chip)
     }
 
@@ -187,7 +187,7 @@ impl Dot154Modem {
         tr: &mut wazabee_flightrec::TraceHandle,
     ) -> Result<ReceivedPpdu, wazabee_flightrec::RxFailure> {
         use wazabee_flightrec::RxFailure;
-        let _t = wazabee_telemetry::timed_scope!("dot154.msk_rx_ns");
+        let _t = wazabee_telemetry::scope!("dot154.msk_rx_ns");
         let shr = Self::shr_msk_image_packed();
         let mut best: Option<(usize, wazabee_dsp::correlate::PatternMatch)> = None;
         let mut cached_bits: Option<wazabee_dsp::PackedBits> = None;

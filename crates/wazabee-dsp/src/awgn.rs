@@ -82,7 +82,7 @@ impl AwgnSource {
 
     /// Adds noise to every sample of `buf` in place.
     pub fn add_to(&mut self, buf: &mut [Iq]) {
-        let _s = wazabee_telemetry::stage!("dsp.awgn");
+        let _s = wazabee_telemetry::scope!("dsp.awgn");
         if self.sigma == 0.0 {
             return;
         }
@@ -100,7 +100,7 @@ impl AwgnSource {
     /// interleaved chain would have seen, and seeded runs stay comparable
     /// across the two representations.
     pub fn add_to_planar(&mut self, buf: &mut crate::iqbuf::IqBuf) {
-        let _s = wazabee_telemetry::stage!("dsp.awgn");
+        let _s = wazabee_telemetry::scope!("dsp.awgn");
         if self.sigma == 0.0 {
             return;
         }

@@ -48,8 +48,7 @@ pub fn discriminate(x: &[Iq]) -> Vec<f64> {
 /// assert_eq!(scratch, discriminate(&tone));
 /// ```
 pub fn discriminate_into(x: &[Iq], out: &mut Vec<f64>) {
-    let _s = wazabee_telemetry::stage!("dsp.discriminate");
-    let _span = wazabee_telemetry::span!("dsp.discriminate", samples = x.len());
+    let _s = wazabee_telemetry::scope!("dsp.discriminate", samples = x.len());
     if x.len() < 2 {
         return;
     }

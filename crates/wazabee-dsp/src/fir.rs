@@ -84,7 +84,7 @@ impl Fir {
     /// Scratch-buffer form of [`Fir::filter_real`]: overwrites `out` instead
     /// of allocating a fresh vector per call.
     pub fn filter_real_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        let _s = wazabee_telemetry::stage!("dsp.fir_real");
+        let _s = wazabee_telemetry::scope!("dsp.fir_real");
         out.clear();
         out.resize(x.len() + self.taps.len() - 1, 0.0);
         for (k, &xv) in x.iter().enumerate() {
@@ -107,9 +107,7 @@ impl Fir {
     /// Scratch-buffer form of [`Fir::filter_iq`]: overwrites `out` instead of
     /// allocating a fresh vector per call.
     pub fn filter_iq_into(&self, x: &[Iq], out: &mut Vec<Iq>) {
-        let _s = wazabee_telemetry::stage!("dsp.fir_iq");
-        let _span =
-            wazabee_telemetry::span!("dsp.fir_iq", samples = x.len(), taps = self.taps.len());
+        let _s = wazabee_telemetry::scope!("dsp.fir_iq", samples = x.len(), taps = self.taps.len());
         out.clear();
         out.resize(x.len() + self.taps.len() - 1, Iq::ZERO);
         for (k, &xv) in x.iter().enumerate() {

@@ -72,8 +72,7 @@ pub fn shape_nrz(
     samples_per_symbol: usize,
     span_symbols: usize,
 ) -> Vec<f64> {
-    let _t = wazabee_telemetry::timed_scope!("dsp.gaussian_fir_ns");
-    let _s = wazabee_telemetry::stage!("dsp.gaussian_shape");
+    let _s = wazabee_telemetry::scope!("dsp.gaussian_shape");
     let rect: Vec<f64> = symbols
         .iter()
         .flat_map(|&s| std::iter::repeat_n(s, samples_per_symbol))
@@ -97,7 +96,7 @@ pub fn shape_nrz_f32(
     samples_per_symbol: usize,
     span_symbols: usize,
 ) -> Vec<f32> {
-    let _s = wazabee_telemetry::stage!("dsp.gaussian_shape");
+    let _s = wazabee_telemetry::scope!("dsp.gaussian_shape");
     let rect: Vec<f32> = symbols
         .iter()
         .flat_map(|&s| std::iter::repeat_n(s, samples_per_symbol))

@@ -81,7 +81,7 @@ fn discriminate_one(i0: f32, q0: f32, i1: f32, q1: f32) -> f32 {
 /// Panics if the rails differ in length.
 pub fn discriminate_planar_into(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
     assert_eq!(i.len(), q.len(), "planar rails must be equal-length");
-    let _s = wazabee_telemetry::stage!("dsp.discriminate");
+    let _s = wazabee_telemetry::scope!("dsp.discriminate");
     let n = i.len().saturating_sub(1);
     out.reserve(n);
     let mut k = 0;

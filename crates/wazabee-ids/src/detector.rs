@@ -136,7 +136,7 @@ impl ChannelMonitor {
 
     /// Processes one observation window of IQ samples, returning any alerts.
     pub fn observe(&mut self, samples: &[Iq]) -> Vec<Alert> {
-        let _t = wazabee_telemetry::timed_scope!("ids.observe_ns");
+        let _t = wazabee_telemetry::scope!("ids.observe_ns");
         let mut alerts = Vec::new();
         let bursts = detect_bursts(samples, &self.config.burst);
         wazabee_telemetry::counter!("ids.bursts").add(bursts.len() as u64);

@@ -128,7 +128,7 @@ impl Link {
     /// Delivers `frame` to a receiver tuned to `rx_center_mhz`, producing the
     /// sample buffer the receiver's demodulator sees.
     pub fn deliver(&mut self, frame: &RfFrame, rx_center_mhz: u32) -> Vec<Iq> {
-        let _t = wazabee_telemetry::timed_scope!("radio.medium.deliver_ns");
+        let _t = wazabee_telemetry::scope!("radio.medium.deliver_ns");
         wazabee_telemetry::counter!("radio.medium.deliveries").inc();
         let cfg = self.config;
         wazabee_telemetry::value_histogram!("radio.medium.cfo_hz", 0.0, 64.0e3)

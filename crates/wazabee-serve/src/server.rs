@@ -506,7 +506,7 @@ fn decode_worker(state: Arc<ServerState>, widx: usize) {
                             std::thread::sleep(cfg.decode_delay);
                         }
                         let results = {
-                            let _st = wazabee_telemetry::stage!("serve.decode");
+                            let _st = wazabee_telemetry::scope!("serve.decode");
                             run.engine.push_planar(samples.as_slice())
                         };
                         commit_results(session, run, &results);

@@ -399,7 +399,7 @@ impl Shard {
         match prepared {
             Some((ppdu, seq, ack_request)) => {
                 let samples = {
-                    let _s = wazabee_telemetry::stage!("sim.modulate");
+                    let _s = wazabee_telemetry::scope!("sim.modulate");
                     self.modem.transmit(&ppdu)
                 };
                 self.begin_transmission(
@@ -529,7 +529,7 @@ impl Shard {
                     return;
                 };
                 let samples = {
-                    let _s = wazabee_telemetry::stage!("sim.modulate");
+                    let _s = wazabee_telemetry::scope!("sim.modulate");
                     self.modem.transmit(&ppdu)
                 };
                 self.begin_transmission(
@@ -567,7 +567,7 @@ impl Shard {
         // routine.
         wazabee_telemetry::counter!("sim.injected").inc();
         let samples = {
-            let _s = wazabee_telemetry::stage!("sim.modulate");
+            let _s = wazabee_telemetry::scope!("sim.modulate");
             self.btx.transmit(&ppdu)
         };
         self.begin_transmission(
@@ -594,7 +594,7 @@ impl Shard {
         let start = self.now;
         let end = start.plus_us(duration_us);
         let source_id = self.nodes[source].id;
-        let _span = wazabee_telemetry::span!(
+        let _span = wazabee_telemetry::scope!(
             "sim.tx",
             node = source_id,
             chan = self.channel_number,
@@ -728,7 +728,7 @@ impl Shard {
     /// `iq_chunk`-sized pushes, returning recovered frames and the count of
     /// committed failed attempts.
     fn decode_buffer(&self, buf: &IqBuf) -> (Vec<MacFrame>, u64) {
-        let _s = wazabee_telemetry::stage!("sim.demod");
+        let _s = wazabee_telemetry::scope!("sim.demod");
         let mut stream = self.rx.stream();
         let mut results = Vec::new();
         let chunk = self.cfg.iq_chunk.max(1);
@@ -768,18 +768,19 @@ impl Shard {
     ) -> Heard {
         let node = &self.nodes[idx];
         let is_ids = matches!(node.kind, NodeKind::Ids { .. });
-        // Parent span for this receiver's whole listen window: the
-        // per-attempt `rx.decode` spans opened inside the streaming
-        // receiver nest under it, so one cluster's causal tree reads
+        // Parent scope for this receiver's whole listen window: the
+        // per-attempt `rx.decode` scopes opened inside the streaming
+        // receiver nest under it (through `sim.demod`), and the stream
+        // stages under those, so one cluster's causal tree reads
         // sim.rx → rx.decode → stream stages in the Perfetto view.
-        let _span = wazabee_telemetry::span!(
+        let _span = wazabee_telemetry::scope!(
             "sim.rx",
             node = node.id,
             chan = self.channel_number,
             cluster = cluster_id
         );
         let mut buf = {
-            let _s = wazabee_telemetry::stage!("sim.superpose");
+            let _s = wazabee_telemetry::scope!("sim.superpose");
             superpose_planar(cluster, gains, start, end, self.spu())
         };
         if self.cfg.cfo_hz != 0.0 {

@@ -413,7 +413,7 @@ impl SpectrumSim {
             s.decode_threads = decode_threads;
         }
         if threads <= 1 || self.shards.len() <= 1 {
-            let _s = wazabee_telemetry::stage!("sim.shard.advance");
+            let _s = wazabee_telemetry::scope!("sim.shard.advance");
             for s in &mut self.shards {
                 s.advance_until(target);
             }
@@ -422,7 +422,7 @@ impl SpectrumSim {
         let mut t = self.now;
         while t < target {
             t = Instant(t.0.saturating_add(self.horizon_us)).min(target);
-            let _s = wazabee_telemetry::stage!("sim.shard.advance");
+            let _s = wazabee_telemetry::scope!("sim.shard.advance");
             let shards = std::mem::take(&mut self.shards);
             self.shards = par_map_with(Some(threads), shards, |mut s| {
                 s.advance_until(t);
@@ -442,7 +442,7 @@ impl SpectrumSim {
                 .log
                 .extend(self.shards[0].take_log().into_iter().map(|(_, l)| l)),
             _ => {
-                let _s = wazabee_telemetry::stage!("sim.shard.merge");
+                let _s = wazabee_telemetry::scope!("sim.shard.merge");
                 let mut merged: Vec<(u64, String)> = Vec::new();
                 for s in &mut self.shards {
                     merged.extend(s.take_log());
@@ -460,7 +460,7 @@ impl SpectrumSim {
         let Some(mut tl) = self.timeline.take() else {
             return;
         };
-        let _s = wazabee_telemetry::stage!("sim.shard.sample");
+        let _s = wazabee_telemetry::scope!("sim.shard.sample");
         let t = at.0;
         tl.prev_airtime_us.resize(self.node_map.len(), 0);
         for (gid, &(s, l)) in self.node_map.iter().enumerate() {

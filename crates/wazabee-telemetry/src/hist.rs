@@ -1,9 +1,8 @@
-//! Value and timing histograms with atomic fixed-layout buckets.
+//! Value histograms with atomic fixed-layout buckets, and the log₂
+//! duration bucketing behind every [`crate::Scope`].
 
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
-use std::time::Instant;
 
 /// Number of interior buckets in every histogram (plus under/overflow).
 pub const HIST_BUCKETS: usize = 64;
@@ -208,166 +207,37 @@ impl ValueHistogram {
     }
 }
 
-/// A log₂-nanosecond timing histogram.
-///
-/// Bucket `i` covers durations in `[2^i, 2^(i+1))` ns (bucket 0 also absorbs
-/// 0 ns). Coarse by design: wide enough for anything from a sub-µs kernel to
-/// a multi-second run, cheap enough (one `ilog2` + one relaxed `fetch_add`)
-/// for hot paths.
-#[derive(Debug)]
-pub struct TimeHistogram {
-    name: &'static str,
-    #[cfg(feature = "enabled")]
-    buckets: [AtomicU64; HIST_BUCKETS],
-    #[cfg(feature = "enabled")]
-    sum_ns: AtomicU64,
-    #[cfg(feature = "enabled")]
-    registered: AtomicBool,
-}
-
-impl TimeHistogram {
-    /// Creates an unregistered timing histogram (use via [`crate::timed_scope!`]).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        TimeHistogram {
-            name,
-            #[cfg(feature = "enabled")]
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            #[cfg(feature = "enabled")]
-            sum_ns: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The metric name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Starts a timer; the returned guard records on drop.
-    ///
-    /// Zero-sized and free when the `enabled` feature is off.
-    #[inline]
-    #[must_use = "the guard records when dropped; binding it to _ drops immediately"]
-    pub fn start(&'static self) -> TimerGuard {
-        TimerGuard {
-            #[cfg(feature = "enabled")]
-            hist: self,
-            #[cfg(feature = "enabled")]
-            started: Instant::now(),
-        }
-    }
-
-    /// Records a duration directly, in nanoseconds.
-    #[inline]
-    pub fn record_ns(&'static self, ns: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            if !self.registered.load(Ordering::Relaxed) {
-                self.register_slow();
-            }
-            let idx = if ns == 0 { 0 } else { ns.ilog2() as usize };
-            self.buckets[idx.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-            self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = ns;
-    }
-
-    /// Total recorded intervals.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-        }
-        #[cfg(not(feature = "enabled"))]
+/// Log₂ duration bucket: bucket `i` covers `[2^i, 2^(i+1))` ns (bucket 0
+/// also absorbs 0 ns). Coarse by design — wide enough for anything from a
+/// sub-µs kernel to a multi-second run, cheap enough (one `ilog2`) for hot
+/// paths. Feeds every [`crate::Scope`]'s duration buckets.
+#[cfg(feature = "enabled")]
+#[inline]
+pub(crate) fn log2_bucket(ns: u64) -> usize {
+    if ns == 0 {
         0
-    }
-
-    /// Total recorded time in nanoseconds.
-    #[must_use]
-    pub fn sum_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.sum_ns.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-
-    /// Snapshot of the 64 log₂ bucket counts.
-    #[must_use]
-    pub fn snapshot(&self) -> [u64; HIST_BUCKETS] {
-        #[cfg(feature = "enabled")]
-        {
-            let mut out = [0u64; HIST_BUCKETS];
-            for (dst, src) in out.iter_mut().zip(self.buckets.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            out
-        }
-        #[cfg(not(feature = "enabled"))]
-        [0; HIST_BUCKETS]
-    }
-
-    /// Nearest-rank quantile in nanoseconds (lower bucket edge, i.e. `2^i`);
-    /// `None` when empty.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        let snap = self.snapshot();
-        let total: u64 = snap.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in snap.iter().enumerate() {
-            seen += c;
-            if rank <= seen {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
-            }
-        }
-        Some(1u64 << (HIST_BUCKETS - 1))
-    }
-
-    #[cfg(feature = "enabled")]
-    #[cold]
-    fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            crate::registry::register_time_hist(self);
-        }
-    }
-
-    #[cfg(feature = "enabled")]
-    pub(crate) fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum_ns.store(0, Ordering::Relaxed);
+    } else {
+        ns.ilog2() as usize
     }
 }
 
-/// RAII guard recording elapsed wall time into a [`TimeHistogram`] on drop.
-#[must_use = "the guard records when dropped; binding it to _ drops immediately"]
-pub struct TimerGuard {
-    #[cfg(feature = "enabled")]
-    hist: &'static TimeHistogram,
-    #[cfg(feature = "enabled")]
-    started: Instant,
-}
-
-impl Drop for TimerGuard {
-    #[inline]
-    fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        {
-            let ns = self.started.elapsed().as_nanos();
-            self.hist.record_ns(ns.min(u128::from(u64::MAX)) as u64);
+/// Nearest-rank quantile over log₂ duration buckets, in nanoseconds (the
+/// lower bucket edge `2^i`, 0 for bucket 0); 0 when empty.
+#[cfg(feature = "enabled")]
+pub(crate) fn log2_quantile_ns(buckets: &[u64; HIST_BUCKETS], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        seen += c;
+        if rank <= seen {
+            return if i == 0 { 0 } else { 1u64 << i };
         }
     }
+    1u64 << (HIST_BUCKETS - 1)
 }
 
 #[cfg(all(test, feature = "enabled"))]
@@ -453,34 +323,17 @@ mod tests {
 
     #[test]
     fn time_histogram_buckets_by_log2() {
-        let _lock = crate::test_lock();
-        static T: TimeHistogram = TimeHistogram::new("hist.test.time");
-        T.record_ns(0);
-        T.record_ns(1);
-        T.record_ns(2);
-        T.record_ns(3);
-        T.record_ns(1024);
-        T.record_ns(1 << 40);
-        let snap = T.snapshot();
-        assert_eq!(snap[0], 2); // 0 and 1
-        assert_eq!(snap[1], 2); // 2 and 3
-        assert_eq!(snap[10], 1);
-        assert_eq!(snap[40], 1);
-        assert_eq!(T.count(), 6);
-        assert_eq!(T.sum_ns(), 1 + 2 + 3 + 1024 + (1 << 40));
-        assert_eq!(T.quantile_ns(0.5), Some(2));
-        assert_eq!(T.quantile_ns(1.0), Some(1 << 40));
-    }
-
-    #[test]
-    fn timer_guard_records_once() {
-        let _lock = crate::test_lock();
-        static T: TimeHistogram = TimeHistogram::new("hist.test.guard");
-        let before = T.count();
-        {
-            let _g = T.start();
-            std::hint::black_box(1 + 1);
+        let mut buckets = [0u64; HIST_BUCKETS];
+        for ns in [0, 1, 2, 3, 1024, 1 << 40] {
+            buckets[log2_bucket(ns)] += 1;
         }
-        assert_eq!(T.count(), before + 1);
+        assert_eq!(buckets[0], 2); // 0 and 1
+        assert_eq!(buckets[1], 2); // 2 and 3
+        assert_eq!(buckets[10], 1);
+        assert_eq!(buckets[40], 1);
+        assert_eq!(log2_bucket(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(log2_quantile_ns(&buckets, 0.5), 2);
+        assert_eq!(log2_quantile_ns(&buckets, 1.0), 1 << 40);
+        assert_eq!(log2_quantile_ns(&[0; HIST_BUCKETS], 0.5), 0);
     }
 }

@@ -15,11 +15,10 @@
 //! * [`ValueHistogram`] — fixed-width linear buckets over a declared range
 //!   (Hamming distances, CFO estimates, correlation peaks), declared with
 //!   [`value_histogram!`].
-//! * [`TimeHistogram`] — coarse log₂-nanosecond buckets fed by RAII timer
-//!   guards around hot kernels (GFSK modulation, Gaussian FIR, O-QPSK
-//!   demodulation, medium mixing), declared with [`timed_scope!`].
-//! * spans/events — a bounded ring buffer of trace records with scoped
-//!   guards, via [`span!`] and [`event!`].
+//! * [`Scope`] — the one timing probe, declared in place with [`scope!`]:
+//!   each guard's enter/exit feeds an exact per-site profile row
+//!   (count, self/total time, log₂ duration buckets, p50/p99) and the
+//!   bounded causal trace ring, which [`event!`] instants share.
 //!
 //! Two sinks: an end-of-run console [`summary`] table (with derived
 //! sync-success / CRC / FCS / PER rates) and a JSONL exporter
@@ -40,7 +39,7 @@
 //! use wazabee_telemetry as tel;
 //!
 //! fn demod_symbol(block: &[u8]) -> u8 {
-//!     let _t = tel::timed_scope!("example.demod_ns");
+//!     let _t = tel::scope!("example.demod_ns");
 //!     tel::counter!("example.symbols").inc();
 //!     let distance = block.iter().filter(|&&b| b != 0).count();
 //!     tel::value_histogram!("example.hamming", 0.0, 32.0).record(distance as f64);
@@ -67,23 +66,23 @@ pub use counter::Counter;
 pub use health::{
     evaluate_health, health_json, health_ok, start_watchdog, Alert, Cmp, HealthRule, Signal,
 };
-pub use hist::{TimeHistogram, TimerGuard, ValueHistogram, HIST_BUCKETS};
+pub use hist::{ValueHistogram, HIST_BUCKETS};
 pub use labeled::{
     CounterFamily, CounterHandle, GaugeFamily, HistStats, HistogramFamily, HistogramHandle,
     LabelSet, MAX_LABELS,
 };
-pub use profile::{profile_report, profile_summary, StageGuard, StageRow, StageStat};
+pub use profile::{profile_report, profile_summary, Scope, ScopeGuard, StageRow};
 pub use server::{serve, serve_from_env, ENV_ADDR};
 pub use sink::{dump_from_env, dump_jsonl_to, snapshot_json, summary, write_jsonl, ENV_OUT};
 pub use span::{
-    current_span_id, drain_trace, event, event_with, ArgValue, SpanArgs, SpanGuard, TraceEvent,
-    TraceKind, MAX_SPAN_ARGS, TRACE_CAPACITY,
+    current_span_id, drain_trace, event, event_with, ArgValue, SpanArgs, TraceEvent, TraceKind,
+    MAX_SPAN_ARGS, TRACE_CAPACITY,
 };
 pub use timeseries::{Point, Series, SeriesSet, WallSeries, SERIES_CAPACITY};
 pub use trace_export::{dump_trace_from_env, dump_trace_to, trace_chrome_json, ENV_TRACE_OUT};
 
 /// Zeroes every registered metric — flat counters/histograms, labeled
-/// families, the stage profile, wall-clock series, health-rule alert state —
+/// families, the scope profile, wall-clock series, health-rule alert state —
 /// clears the trace ring and restarts the span-id sequence.
 ///
 /// Intended for test isolation and for scenario binaries that report several
@@ -120,48 +119,36 @@ macro_rules! value_histogram {
     }};
 }
 
-/// Declares (once) a [`TimeHistogram`] and returns a guard that records the
-/// elapsed wall time into it when dropped.
+/// Declares (once) a [`Scope`] for this call site and opens it; it closes
+/// when the returned [`ScopeGuard`] drops.
 ///
-/// ```
-/// # use wazabee_telemetry as tel;
-/// fn hot_kernel() {
-///     let _t = tel::timed_scope!("example.kernel_ns");
-///     // ... work ...
-/// }
-/// # hot_kernel();
-/// ```
-#[macro_export]
-macro_rules! timed_scope {
-    ($name:expr) => {{
-        static __WZB_THIST: $crate::TimeHistogram = $crate::TimeHistogram::new($name);
-        __WZB_THIST.start()
-    }};
-}
-
-/// Opens a trace span: records an enter event now and an exit event (with
-/// duration) when the returned guard drops.
-///
-/// Spans are causally linked — each gets a process-unique id and the id of
-/// the span open on the same thread as its parent — and can carry up to
-/// [`MAX_SPAN_ARGS`] static key/value arguments:
+/// One probe feeds every timing view: the profile row (count, self/total
+/// time, log₂ duration buckets — see [`profile_report`]) and an enter/exit
+/// pair in the causal trace ring. Scopes nest per thread: each one's parent
+/// is the scope open on the same thread, and its total is billed to that
+/// parent's child time. Up to [`MAX_SPAN_ARGS`] static key/value arguments
+/// ride along into the trace:
 ///
 /// ```
 /// # use wazabee_telemetry as tel;
 /// # let (seq, ch) = (7u32, 15u8);
-/// let _s = tel::span!("rx.decode", frame = seq, chan = ch);
+/// fn despread(symbols: &[u8]) {
+///     let _s = tel::scope!("example.despread");
+///     // ... nested scopes bill their time to this one ...
+/// }
+/// let _s = tel::scope!("rx.decode", frame = seq, chan = ch);
+/// despread(&[0]);
 /// ```
 #[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::SpanGuard::enter($name)
-    };
-    ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
-        $crate::SpanGuard::enter_with(
-            $name,
-            $crate::SpanArgs::new()$(.with(stringify!($k), $v))+,
-        )
-    };
+macro_rules! scope {
+    ($name:expr) => {{
+        static __WZB_SCOPE: $crate::Scope = $crate::Scope::new($name);
+        __WZB_SCOPE.enter($crate::SpanArgs::new())
+    }};
+    ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {{
+        static __WZB_SCOPE: $crate::Scope = $crate::Scope::new($name);
+        __WZB_SCOPE.enter($crate::SpanArgs::new()$(.with(stringify!($k), $v))+)
+    }};
 }
 
 /// Records an instantaneous trace event, optionally with a numeric value
@@ -254,25 +241,6 @@ macro_rules! labeled_histogram {
     }};
 }
 
-/// Opens a profiled pipeline stage; it closes (recording self/total time)
-/// when the returned guard drops. Stages nest — see [`profile_report`].
-///
-/// ```
-/// # use wazabee_telemetry as tel;
-/// fn despread(symbols: &[u8]) {
-///     let _s = tel::stage!("example.despread");
-///     // ... child stages bill their time to this one ...
-/// }
-/// # despread(&[0]);
-/// ```
-#[macro_export]
-macro_rules! stage {
-    ($name:expr) => {{
-        static __WZB_STAGE: $crate::StageStat = $crate::StageStat::new($name);
-        __WZB_STAGE.enter()
-    }};
-}
-
 /// Declares (once) a global wall-clock [`WallSeries`] (capacity
 /// [`SERIES_CAPACITY`] unless given) and records `$value` into it.
 #[macro_export]
@@ -310,8 +278,8 @@ mod tests {
         counter!("lib.test.frames").add(3);
         value_histogram!("lib.test.dist", 0.0, 32.0).record(4.0);
         {
-            let _t = timed_scope!("lib.test.kernel_ns");
-            let _s = span!("lib.test.span");
+            let _t = scope!("lib.test.kernel_ns");
+            let _s = scope!("lib.test.span", k = 1u8);
             event!("lib.test.event", 7);
         }
         let s = summary();
@@ -323,5 +291,24 @@ mod tests {
         }
         #[cfg(not(feature = "enabled"))]
         assert!(s.contains("disabled"));
+    }
+
+    /// With the feature off every probe is dead code: the guard is
+    /// zero-sized and no store, ring or export ever sees a record.
+    #[cfg(not(feature = "enabled"))]
+    #[test]
+    fn zero_cost_when_disabled() {
+        assert_eq!(std::mem::size_of::<ScopeGuard>(), 0);
+        {
+            let g = scope!("lib.test.off", frame = 7u32);
+            assert_eq!(g.id(), 0);
+            event!("lib.test.off.event", 1);
+        }
+        assert!(profile_report().is_empty());
+        assert!(drain_trace().0.is_empty());
+        assert_eq!(
+            snapshot_json(),
+            "{\"schema\":\"wazabee.telemetry.snapshot/1\",\"enabled\":false}"
+        );
     }
 }

@@ -12,22 +12,21 @@ use crate::health::HealthRule;
 #[cfg(feature = "enabled")]
 use crate::labeled::{CounterFamily, GaugeFamily, HistogramFamily};
 #[cfg(feature = "enabled")]
-use crate::profile::StageStat;
+use crate::profile::Scope;
 #[cfg(feature = "enabled")]
 use crate::timeseries::WallSeries;
 #[cfg(feature = "enabled")]
-use crate::{Counter, TimeHistogram, ValueHistogram};
+use crate::{Counter, ValueHistogram};
 
 #[cfg(feature = "enabled")]
 #[derive(Default)]
 pub(crate) struct Registry {
     pub counters: Mutex<Vec<&'static Counter>>,
     pub value_hists: Mutex<Vec<&'static ValueHistogram>>,
-    pub time_hists: Mutex<Vec<&'static TimeHistogram>>,
     pub counter_families: Mutex<Vec<&'static CounterFamily>>,
     pub gauge_families: Mutex<Vec<&'static GaugeFamily>>,
     pub hist_families: Mutex<Vec<&'static HistogramFamily>>,
-    pub stages: Mutex<Vec<&'static StageStat>>,
+    pub scopes: Mutex<Vec<&'static Scope>>,
     pub wall_series: Mutex<Vec<&'static WallSeries>>,
     pub health_rules: Mutex<Vec<&'static HealthRule>>,
 }
@@ -49,11 +48,6 @@ pub(crate) fn register_value_hist(h: &'static ValueHistogram) {
 }
 
 #[cfg(feature = "enabled")]
-pub(crate) fn register_time_hist(h: &'static TimeHistogram) {
-    registry().time_hists.lock().unwrap().push(h);
-}
-
-#[cfg(feature = "enabled")]
 pub(crate) fn register_counter_family(f: &'static CounterFamily) {
     registry().counter_families.lock().unwrap().push(f);
 }
@@ -69,8 +63,8 @@ pub(crate) fn register_hist_family(f: &'static HistogramFamily) {
 }
 
 #[cfg(feature = "enabled")]
-pub(crate) fn register_stage(s: &'static StageStat) {
-    registry().stages.lock().unwrap().push(s);
+pub(crate) fn register_scope(s: &'static Scope) {
+    registry().scopes.lock().unwrap().push(s);
 }
 
 #[cfg(feature = "enabled")]
@@ -83,7 +77,7 @@ pub(crate) fn register_health_rule(r: &'static HealthRule) {
     registry().health_rules.lock().unwrap().push(r);
 }
 
-/// Zeroes every registered metric — flat and labeled, stage profile and
+/// Zeroes every registered metric — flat and labeled, scope profile and
 /// wall-clock series included (they stay registered).
 pub(crate) fn reset() {
     #[cfg(feature = "enabled")]
@@ -92,9 +86,6 @@ pub(crate) fn reset() {
             c.reset();
         }
         for h in registry().value_hists.lock().unwrap().iter() {
-            h.reset();
-        }
-        for h in registry().time_hists.lock().unwrap().iter() {
             h.reset();
         }
         for f in registry().counter_families.lock().unwrap().iter() {
@@ -106,7 +97,7 @@ pub(crate) fn reset() {
         for f in registry().hist_families.lock().unwrap().iter() {
             f.reset();
         }
-        for s in registry().stages.lock().unwrap().iter() {
+        for s in registry().scopes.lock().unwrap().iter() {
             s.reset();
         }
         for s in registry().wall_series.lock().unwrap().iter() {

@@ -125,6 +125,10 @@ fn serve_unix(path: &str) -> io::Result<String> {
 #[cfg(feature = "enabled")]
 const MAX_KEEPALIVE_REQUESTS: usize = 1024;
 
+/// Longest request head read before answering anyway.
+#[cfg(feature = "enabled")]
+const MAX_HEAD: usize = 1024;
+
 /// Serves a connection: reads requests up to their blank line, routes on the
 /// request-line path and writes one JSON response per request.
 ///
@@ -132,35 +136,32 @@ const MAX_KEEPALIVE_REQUESTS: usize = 1024;
 /// sequential request on the connection until the client closes it, sends
 /// `Connection: close`, or the per-connection request cap is reached — so a
 /// live dashboard can poll a long-running serve process over one connection.
-/// HTTP/1.0 requests (and bare non-HTTP pokes) keep the original one-shot
-/// close-after-answer behaviour.
+/// Bytes read past one request's blank line are the start of the next
+/// (pipelined) request and are kept for it. HTTP/1.0 requests (and bare
+/// non-HTTP pokes) keep the original one-shot close-after-answer behaviour.
 #[cfg(feature = "enabled")]
 fn answer<S: Read + Write>(stream: &mut S) -> io::Result<()> {
+    let mut pending: Vec<u8> = Vec::with_capacity(MAX_HEAD);
+    let mut chunk = [0u8; MAX_HEAD];
     for _ in 0..MAX_KEEPALIVE_REQUESTS {
-        let mut req = [0u8; 1024];
-        let mut seen = 0usize;
-        loop {
-            if seen == req.len() {
-                break; // header larger than we care about — answer anyway
-            }
-            let n = stream.read(&mut req[seen..])?;
+        let mut end = head_end(&pending);
+        while end.is_none() && pending.len() < MAX_HEAD {
+            let n = stream.read(&mut chunk[..MAX_HEAD - pending.len()])?;
             if n == 0 {
                 break;
             }
-            seen += n;
-            if req[..seen].windows(4).any(|w| w == b"\r\n\r\n")
-                || req[..seen].windows(2).any(|w| w == b"\n\n")
-            {
-                break;
-            }
+            pending.extend_from_slice(&chunk[..n]);
+            end = head_end(&pending);
         }
-        if seen == 0 {
+        if pending.is_empty() {
             return Ok(()); // client closed between requests
         }
-        let head = String::from_utf8_lossy(&req[..seen]).to_string();
+        // No blank line within MAX_HEAD bytes (or before EOF): answer anyway.
+        let req: Vec<u8> = pending.drain(..end.unwrap_or(pending.len())).collect();
+        let head = String::from_utf8_lossy(&req).to_string();
         let http11 = is_http11(&head);
         let keep_alive = wants_keep_alive(&head);
-        let path = request_path(&req[..seen]);
+        let path = request_path(&req);
         let (status, body) = match path.as_str() {
             "/" => ("200 OK", crate::snapshot_json()),
             "/healthz" => {
@@ -199,6 +200,18 @@ fn answer<S: Read + Write>(stream: &mut S) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Length of the first request head in `buf`, through its blank line
+/// (`\r\n\r\n` or a bare `\n\n`), if one is complete.
+#[cfg(feature = "enabled")]
+fn head_end(buf: &[u8]) -> Option<usize> {
+    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
+    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
+    match (crlf, lf) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// Whether the request line declares `HTTP/1.1` — drives the version echoed
@@ -431,6 +444,39 @@ mod tests {
         stream.read_to_string(&mut rest).unwrap();
         assert!(rest.starts_with("HTTP/1.1 200 OK"), "{rest}");
         assert!(rest.contains("Connection: close"), "{rest}");
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_get_two_responses() {
+        let _lock = crate::test_lock();
+        let addr = serve("127.0.0.1:0").unwrap();
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        // Both requests arrive in one segment: the bytes after the first
+        // blank line are the second request and must not be discarded.
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let first = read_one_response(&mut stream);
+        assert!(first.contains("Connection: keep-alive"), "{first}");
+        assert!(first.contains("\"status\":"), "{first}");
+        let second = read_one_response(&mut stream);
+        assert!(second.starts_with("HTTP/1.1 200 OK"), "{second}");
+        assert!(second.contains("Connection: close"), "{second}");
+        assert!(second.contains("wazabee.telemetry.snapshot/1"), "{second}");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "unexpected trailing bytes");
+    }
+
+    #[test]
+    fn head_end_finds_the_first_blank_line() {
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nGET"), Some(18));
+        assert_eq!(head_end(b"GET /\n\nrest"), Some(7));
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\n"), None);
+        assert_eq!(head_end(b""), None);
     }
 
     #[test]

@@ -54,8 +54,9 @@ fn rate_line(label: &str, pass: u64, fail: u64) -> Option<String> {
 /// Renders the end-of-run console summary table.
 ///
 /// Sections: derived rates (sync success, CRC/FCS pass, PER), counters,
-/// value histograms (count/mean/p50/p99), timing histograms
-/// (count/total/p50/p99), and span aggregates from the trace ring.
+/// labeled families, value histograms (count/mean/p50/p99), instant events
+/// still in the trace ring, alerts, and the scope profile
+/// (count/self/total/p50/p99).
 /// With the `enabled` feature off, returns a single "disabled" line.
 #[must_use]
 pub fn summary() -> String {
@@ -194,45 +195,12 @@ pub fn summary() -> String {
         }
         drop(vhists);
 
-        let thists = crate::registry::registry().time_hists.lock().unwrap();
-        if !thists.is_empty() {
-            let _ = writeln!(out, "-- timing histograms (ns) --");
-            for h in thists.iter() {
-                let n = h.count();
-                if n == 0 {
-                    let _ = writeln!(out, "  {:<40} (empty)", h.name());
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "  {:<40} n={n} total={} p50~{} p99~{}",
-                    h.name(),
-                    h.sum_ns(),
-                    h.quantile_ns(0.5).unwrap_or(0),
-                    h.quantile_ns(0.99).unwrap_or(0),
-                );
-            }
-        }
-        drop(thists);
-
-        // Span aggregates: completed-span count and total time per name.
-        let mut spans: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+        // Instant events still buffered in the trace ring, by name. Span
+        // timing lives in the exact profile table below, not in the ring.
         let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
         for ev in snapshot_trace() {
-            match ev.kind {
-                TraceKind::SpanExit { dur_ns } => {
-                    let e = spans.entry(ev.name).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += dur_ns;
-                }
-                TraceKind::Instant { .. } => *events.entry(ev.name).or_insert(0) += 1,
-                TraceKind::SpanEnter => {}
-            }
-        }
-        if !spans.is_empty() {
-            let _ = writeln!(out, "-- spans --");
-            for (name, (n, total_ns)) in &spans {
-                let _ = writeln!(out, "  {name:<40} n={n} total={total_ns}ns");
+            if let TraceKind::Instant { .. } = ev.kind {
+                *events.entry(ev.name).or_insert(0) += 1;
             }
         }
         if !events.is_empty() {
@@ -336,8 +304,8 @@ pub(crate) fn labels_json(pairs: &[(&'static str, String)]) -> String {
 /// Top-level shape (`schema` = `"wazabee.telemetry.snapshot/1"`):
 /// `counters` (name → value), `labeled_counters` / `gauges` /
 /// `labeled_histograms` (per-family cell arrays), `value_histograms`,
-/// `time_histograms`, `alerts` (one watchdog tick over every armed
-/// [`crate::HealthRule`]), `stages` (the self/total profile) and
+/// `alerts` (one watchdog tick over every armed [`crate::HealthRule`]),
+/// `stages` (the scope profile: count, self/total, p50/p99) and
 /// `wall_series`. With the `enabled` feature off, only
 /// `{"schema":…,"enabled":false}`.
 #[must_use]
@@ -454,26 +422,6 @@ pub fn snapshot_json() -> String {
         }
         out.push(']');
 
-        out.push_str(",\"time_histograms\":[");
-        {
-            let thists = crate::registry::registry().time_hists.lock().unwrap();
-            for (i, h) in thists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-                    json_escape(h.name()),
-                    h.count(),
-                    h.sum_ns(),
-                    h.quantile_ns(0.5).unwrap_or(0),
-                    h.quantile_ns(0.99).unwrap_or(0)
-                );
-            }
-        }
-        out.push(']');
-
         out.push_str(",\"alerts\":[");
         for (i, a) in crate::health::evaluate_health().iter().enumerate() {
             if i > 0 {
@@ -490,11 +438,14 @@ pub fn snapshot_json() -> String {
             }
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
+                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\
+                 \"p50_ns\":{},\"p99_ns\":{}}}",
                 json_escape(row.name),
                 row.count,
                 row.total_ns,
-                row.self_ns
+                row.self_ns,
+                row.p50_ns,
+                row.p99_ns
             );
         }
         out.push(']');
@@ -578,7 +529,8 @@ fn json_u64_array(vals: &[u64]) -> String {
 /// Writes every registered metric and buffered trace record as JSON Lines.
 ///
 /// Record shapes (one JSON object per line, `type` discriminates):
-/// `counter`, `value_histogram`, `time_histogram`, `trace`.
+/// `counter`, `value_histogram`, `labeled_counter`, `gauge`,
+/// `labeled_histogram`, `stage`, `wall_series`, `trace`.
 /// The trace ring is *not* drained — records stay available to [`summary`].
 pub fn write_jsonl(w: &mut dyn Write) -> io::Result<()> {
     for (name, value) in &merged_counters() {
@@ -612,24 +564,6 @@ pub fn write_jsonl(w: &mut dyn Write) -> io::Result<()> {
                 json_opt_f64(h.quantile(0.5)),
                 json_opt_f64(h.quantile(0.99)),
                 json_u64_array(&interior),
-            )?;
-        }
-        for h in crate::registry::registry()
-            .time_hists
-            .lock()
-            .unwrap()
-            .iter()
-        {
-            writeln!(
-                w,
-                "{{\"type\":\"time_histogram\",\"name\":\"{}\",\"count\":{},\
-                 \"sum_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"buckets\":{}}}",
-                json_escape(h.name()),
-                h.count(),
-                h.sum_ns(),
-                h.quantile_ns(0.5).unwrap_or(0),
-                h.quantile_ns(0.99).unwrap_or(0),
-                json_u64_array(&h.snapshot()),
             )?;
         }
         for f in sorted_counter_families() {
@@ -675,11 +609,15 @@ pub fn write_jsonl(w: &mut dyn Write) -> io::Result<()> {
         for row in crate::profile::profile_report() {
             writeln!(
                 w,
-                "{{\"type\":\"stage\",\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
+                "{{\"type\":\"stage\",\"name\":\"{}\",\"count\":{},\"total_ns\":{},\
+                 \"self_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"buckets\":{}}}",
                 json_escape(row.name),
                 row.count,
                 row.total_ns,
                 row.self_ns,
+                row.p50_ns,
+                row.p99_ns,
+                json_u64_array(&row.buckets),
             )?;
         }
         {
@@ -796,6 +734,7 @@ mod tests {
         crate::counter!("sink.test.jsonl.count").add(2);
         crate::value_histogram!("sink.test.jsonl.vals", 0.0, 8.0).record(3.0);
         crate::event!("sink.test.jsonl.ev", 1.25);
+        drop(crate::scope!("sink.test.jsonl.scope"));
         let mut buf = Vec::new();
         write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -807,6 +746,10 @@ mod tests {
         assert!(text
             .lines()
             .any(|l| l.contains("\"sink.test.jsonl.ev\"") && l.contains("\"kind\":\"instant\"")));
+        assert!(text.lines().any(|l| l.contains("\"type\":\"stage\"")
+            && l.contains("\"sink.test.jsonl.scope\"")
+            && l.contains("\"p99_ns\":")
+            && l.contains("\"buckets\":[")));
         // Every line must be a single braced object with balanced quotes.
         for line in text.lines() {
             assert!(

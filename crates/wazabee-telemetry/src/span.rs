@@ -5,14 +5,15 @@
 //! every record is *causally linked*: spans carry a process-unique `span_id`,
 //! the `parent_id` of the span that was open on the same thread when they
 //! started, the recording thread's id, and up to [`MAX_SPAN_ARGS`] static
-//! key/value arguments (`span!("rx.decode", frame = seq, chan = ch)`). That
+//! key/value arguments (`scope!("rx.decode", frame = seq, chan = ch)`). That
 //! is enough structure for [`crate::trace_chrome_json`] to rebuild a browsable
 //! per-frame timeline, and for the flight recorder to point a captured PCAP
 //! frame at the exact trace slice that decoded it.
 //!
-//! Spans are scoped guards: enter on construction, exit (with duration) on
-//! drop. Each thread keeps its own current-span cell, so nesting is tracked
-//! per thread without any cross-thread locking beyond the ring push.
+//! Spans are the trace side of [`crate::scope!`]: enter on construction,
+//! exit (with duration) on drop. Each thread keeps its own current-span
+//! cell, so nesting is tracked per thread without any cross-thread locking
+//! beyond the ring push.
 
 #[cfg(feature = "enabled")]
 use std::cell::Cell;
@@ -112,7 +113,7 @@ impl std::fmt::Display for ArgValue {
 }
 
 /// A bounded, copyable set of span/event arguments (at most
-/// [`MAX_SPAN_ARGS`]; extras are silently dropped). Built by the [`crate::span!`]
+/// [`MAX_SPAN_ARGS`]; extras are silently dropped). Built by the [`crate::scope!`]
 /// and [`crate::event!`] macros via [`SpanArgs::with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanArgs {
@@ -359,90 +360,45 @@ pub(crate) fn dropped_count() -> u64 {
     ring().lock().unwrap().dropped
 }
 
-/// RAII span guard (see the [`crate::span!`] macro).
-#[must_use = "the span closes when the guard drops; binding it to _ drops immediately"]
-pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
+/// Opens a span at `ts_ns`: hands out its id, makes it the thread's
+/// current span and records the enter event. Returns `(span_id, parent_id)`.
+#[cfg(feature = "enabled")]
+pub(crate) fn open(name: &'static str, ts_ns: u64, args: SpanArgs) -> (u64, u64) {
+    let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let parent_id = CURRENT_SPAN.with(|c| c.replace(span_id));
+    push(TraceEvent {
+        ts_ns,
+        name,
+        kind: TraceKind::SpanEnter,
+        span_id,
+        parent_id,
+        thread_id: thread_trace_id(),
+        args,
+    });
+    (span_id, parent_id)
+}
+
+/// Closes a span opened by [`open`] at `ts_ns` after `dur_ns`: restores the
+/// parent as the thread's current span and records the exit event.
+#[cfg(feature = "enabled")]
+pub(crate) fn close(
     name: &'static str,
-    #[cfg(feature = "enabled")]
-    entered: Instant,
-    #[cfg(feature = "enabled")]
+    ts_ns: u64,
+    dur_ns: u64,
     span_id: u64,
-    #[cfg(feature = "enabled")]
     parent_id: u64,
-    #[cfg(feature = "enabled")]
     args: SpanArgs,
-}
-
-impl SpanGuard {
-    /// Opens a span, recording the enter event.
-    #[inline]
-    pub fn enter(name: &'static str) -> Self {
-        Self::enter_with(name, SpanArgs::new())
-    }
-
-    /// Opens a span carrying key/value arguments.
-    #[inline]
-    pub fn enter_with(name: &'static str, args: SpanArgs) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-            let parent_id = CURRENT_SPAN.with(|c| c.replace(span_id));
-            push(TraceEvent {
-                ts_ns: now_ns(),
-                name,
-                kind: TraceKind::SpanEnter,
-                span_id,
-                parent_id,
-                thread_id: thread_trace_id(),
-                args,
-            });
-            SpanGuard {
-                name,
-                entered: Instant::now(),
-                span_id,
-                parent_id,
-                args,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, args);
-            SpanGuard {}
-        }
-    }
-
-    /// This span's process-unique id (0 when telemetry is compiled out).
-    #[inline]
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.span_id
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
-    }
-}
-
-impl Drop for SpanGuard {
-    #[inline]
-    fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        {
-            let dur = self.entered.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            CURRENT_SPAN.with(|c| c.set(self.parent_id));
-            push(TraceEvent {
-                ts_ns: now_ns(),
-                name: self.name,
-                kind: TraceKind::SpanExit { dur_ns: dur },
-                span_id: self.span_id,
-                parent_id: self.parent_id,
-                thread_id: thread_trace_id(),
-                args: self.args,
-            });
-        }
-    }
+) {
+    CURRENT_SPAN.with(|c| c.set(parent_id));
+    push(TraceEvent {
+        ts_ns,
+        name,
+        kind: TraceKind::SpanExit { dur_ns },
+        span_id,
+        parent_id,
+        thread_id: thread_trace_id(),
+        args,
+    });
 }
 
 #[cfg(all(test, feature = "enabled"))]
@@ -454,9 +410,9 @@ mod tests {
         let _lock = crate::test_lock();
         clear();
         {
-            let _outer = SpanGuard::enter("span.test.outer");
+            let _outer = crate::scope!("span.test.outer");
             {
-                let _inner = SpanGuard::enter("span.test.inner");
+                let _inner = crate::scope!("span.test.inner");
                 event("span.test.mark", Some(1.5));
             }
         }
@@ -490,12 +446,12 @@ mod tests {
         let _lock = crate::test_lock();
         clear();
         {
-            let outer = SpanGuard::enter("span.test.causal.outer");
+            let outer = crate::scope!("span.test.causal.outer");
             let outer_id = outer.id();
             assert_ne!(outer_id, 0);
             assert_eq!(current_span_id(), outer_id);
             {
-                let inner = SpanGuard::enter("span.test.causal.inner");
+                let inner = crate::scope!("span.test.causal.inner");
                 assert_eq!(current_span_id(), inner.id());
                 event("span.test.causal.mark", None);
             }
@@ -538,14 +494,13 @@ mod tests {
         let _lock = crate::test_lock();
         clear();
         {
-            let _s = SpanGuard::enter_with(
+            let _s = crate::scope!(
                 "span.test.args",
-                SpanArgs::new()
-                    .with("frame", 7u32)
-                    .with("chan", 15u8)
-                    .with("cfo", -1250.5f64)
-                    .with("kind", "zigbee")
-                    .with("dropped", 99u64), // fifth arg is dropped
+                frame = 7u32,
+                chan = 15u8,
+                cfo = -1250.5f64,
+                kind = "zigbee",
+                dropped = 99u64, // fifth arg is dropped
             );
         }
         let (events, _) = drain_trace();
@@ -573,7 +528,7 @@ mod tests {
         clear();
         let here = thread_trace_id();
         let (there, there_parent) = std::thread::spawn(|| {
-            let _s = SpanGuard::enter("span.test.thread");
+            let _s = crate::scope!("span.test.thread");
             (thread_trace_id(), current_span_id())
         })
         .join()
@@ -588,10 +543,10 @@ mod tests {
     fn reset_ids_restarts_span_sequence() {
         let _lock = crate::test_lock();
         clear();
-        let before = SpanGuard::enter("span.test.seq").id();
+        let before = crate::scope!("span.test.seq").id();
         assert_ne!(before, 0);
         reset_ids();
-        let after = SpanGuard::enter("span.test.seq").id();
+        let after = crate::scope!("span.test.seq").id();
         assert_eq!(after, 1);
         clear();
     }

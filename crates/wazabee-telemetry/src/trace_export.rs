@@ -259,8 +259,8 @@ mod tests {
         let _lock = crate::test_lock();
         crate::reset();
         {
-            let _outer = crate::span!("export.test.outer", chan = 15u8);
-            let _inner = crate::span!("export.test.inner", frame = 3u32);
+            let _outer = crate::scope!("export.test.outer", chan = 15u8);
+            let _inner = crate::scope!("export.test.inner", frame = 3u32);
             crate::event!("export.test.mark", 2.5);
         }
         let doc = trace_chrome_json();
@@ -289,7 +289,7 @@ mod tests {
     fn open_span_renders_as_begin_event() {
         let _lock = crate::test_lock();
         crate::reset();
-        let guard = crate::span!("export.test.open");
+        let guard = crate::scope!("export.test.open");
         let doc = trace_chrome_json();
         assert!(
             doc.contains("\"name\":\"export.test.open\",\"ph\":\"B\""),

@@ -379,7 +379,7 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
     /// when a configured despreading budget is blown, and
     /// [`WazaBeeError::Truncated`] when the capture ends mid-frame.
     pub fn try_receive(&self, samples: &[wazabee_dsp::Iq]) -> Result<ReceivedPpdu, WazaBeeError> {
-        let _t = wazabee_telemetry::timed_scope!("wazabee.rx.receive_ns");
+        let _t = wazabee_telemetry::scope!("wazabee.rx.receive_ns");
         let mut stream = self.stream();
         let mut results = stream.push(samples);
         results.extend(stream.finish());

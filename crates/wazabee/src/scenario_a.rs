@@ -155,7 +155,7 @@ impl ScenarioA {
 
     /// Runs one advertising event and reports what the Zigbee receiver saw.
     pub fn run_event(&mut self, link: &mut Link) -> EventOutcome {
-        let _s = wazabee_telemetry::span!("scenario_a.event");
+        let _s = wazabee_telemetry::scope!("scenario_a.event");
         wazabee_telemetry::counter!("scenario_a.events").inc();
         let Some(event) = self.phone.advertising_event() else {
             return EventOutcome::NotDecoded;

@@ -141,7 +141,7 @@ impl TrackerAttack {
         net: &mut ZigbeeNetwork,
         link: &mut Link,
     ) -> Option<DiscoveredPan> {
-        let _s = wazabee_telemetry::span!("scenario_b.active_scan");
+        let _s = wazabee_telemetry::scope!("scenario_b.active_scan");
         for channel in Dot154Channel::all() {
             let cursor = net.log().len();
             let seq = self.next_seq();
@@ -183,7 +183,7 @@ impl TrackerAttack {
         pan: DiscoveredPan,
         timeout_ms: u64,
     ) -> Option<u16> {
-        let _s = wazabee_telemetry::span!("scenario_b.eavesdrop");
+        let _s = wazabee_telemetry::scope!("scenario_b.eavesdrop");
         let deadline = net.now().plus_ms(timeout_ms);
         let mut cursor = net.log().len();
         while net.now() < deadline {
@@ -223,7 +223,7 @@ impl TrackerAttack {
         pan: DiscoveredPan,
         sensor: u16,
     ) -> bool {
-        let _s = wazabee_telemetry::span!("scenario_b.inject_remote_at");
+        let _s = wazabee_telemetry::scope!("scenario_b.inject_remote_at");
         let cursor = net.log().len();
         let payload = XbeePayload::RemoteAtCommand {
             frame_id: 0x42,
@@ -270,7 +270,7 @@ impl TrackerAttack {
         count: usize,
         interval_ms: u64,
     ) -> usize {
-        let _s = wazabee_telemetry::span!("scenario_b.inject_fake_readings");
+        let _s = wazabee_telemetry::scope!("scenario_b.inject_fake_readings");
         let spoofed = |net: &ZigbeeNetwork| {
             net.coordinator()
                 .readings()

@@ -230,49 +230,54 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
 
     /// Demodulates whatever fresh bits the retained samples now support, per
     /// lane, and runs them through that lane's correlator.
+    ///
+    /// Lanes are independent, so all of them demodulate first and then all
+    /// of them correlate: one `stream.demod` and one `stream.correlate` scope
+    /// per call instead of one each per lane.
     fn ingest(&mut self) {
-        // One shared discriminator pass: each new sample pair contributes
-        // exactly one difference, through the radio's planar hook (the SIMD
-        // kernel for every modem in this workspace). The `sps` lanes then
-        // read disjoint phase offsets of this cache instead of re-running
-        // the discriminator per lane.
-        let n = self.samples.len();
-        if n >= 2 && self.diffs.len() < n - 1 {
-            let _s = wazabee_telemetry::stage!("stream.demod");
-            let from = self.diffs.len();
-            self.rx
-                .radio()
-                .discriminate_planar_into(self.samples.slice_from(from), &mut self.diffs);
-        }
         let sps = self.sps;
-        let armed = self.armed;
-        let diffs = &self.diffs;
-        let sums = &mut self.sums_scratch;
-        let bits = &mut self.bits_scratch;
-        for (offset, lane) in self.lanes.iter_mut().enumerate() {
-            // First difference index of this lane's next undemodulated symbol.
-            let rel = offset + lane.bits.len() * sps;
-            let fresh_bits = diffs.len().saturating_sub(rel) / sps;
-            if fresh_bits == 0 {
-                continue;
+        {
+            let _s = wazabee_telemetry::scope!("stream.demod");
+            // One shared discriminator pass: each new sample pair contributes
+            // exactly one difference, through the radio's planar hook (the
+            // SIMD kernel for every modem in this workspace). The `sps` lanes
+            // then read disjoint phase offsets of this cache instead of
+            // re-running the discriminator per lane.
+            let n = self.samples.len();
+            if n >= 2 && self.diffs.len() < n - 1 {
+                let from = self.diffs.len();
+                self.rx
+                    .radio()
+                    .discriminate_planar_into(self.samples.slice_from(from), &mut self.diffs);
             }
-            sums.clear();
-            bits.clear();
-            {
-                let _s = wazabee_telemetry::stage!("stream.demod");
+            let diffs = &self.diffs;
+            let sums = &mut self.sums_scratch;
+            let bits = &mut self.bits_scratch;
+            for (offset, lane) in self.lanes.iter_mut().enumerate() {
+                // First difference index of this lane's next undemodulated
+                // symbol.
+                let rel = offset + lane.bits.len() * sps;
+                let fresh_bits = diffs.len().saturating_sub(rel) / sps;
+                if fresh_bits == 0 {
+                    continue;
+                }
+                sums.clear();
+                bits.clear();
                 simd::window_sums_into(&diffs[rel..rel + fresh_bits * sps], sps, sums);
                 simd::nrz_hard_bits_into(sums, bits);
+                lane.bits.extend_from_bits(bits);
             }
-            let from = lane.bits.len();
-            lane.bits.extend_from_bits(bits);
-            {
-                let _s = wazabee_telemetry::stage!("stream.correlate");
-                for k in from..lane.bits.len() {
-                    let bit = lane.bits.bit(k);
-                    if let Some(pm) = lane.corr.push(bit) {
-                        if pm.index >= armed {
-                            lane.matches.push_back(pm);
-                        }
+        }
+        let _s = wazabee_telemetry::scope!("stream.correlate");
+        let armed = self.armed;
+        for lane in &mut self.lanes {
+            // The correlator has consumed every bit up to its absolute count;
+            // feed it the fresh tail.
+            for k in lane.corr.consumed() - self.base_bits..lane.bits.len() {
+                let bit = lane.bits.bit(k);
+                if let Some(pm) = lane.corr.push(bit) {
+                    if pm.index >= armed {
+                        lane.matches.push_back(pm);
                     }
                 }
             }
@@ -324,7 +329,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
             let start_rel = pm.index + m - self.base_bits;
             // One causal span per decode attempt; its id is threaded into the
             // flight-recorder trace so a PCAP frame links back to this slice.
-            let span = wazabee_telemetry::span!(
+            let span = wazabee_telemetry::scope!(
                 "rx.decode",
                 frame = self.attempts,
                 bit = pm.index,
@@ -335,7 +340,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
             // profiler answers "where did the CPU go", and re-decoding is
             // real work even when the attempt cannot commit yet.
             let outcome = {
-                let _s = wazabee_telemetry::stage!("stream.decode");
+                let _s = wazabee_telemetry::scope!("stream.decode");
                 self.rx
                     .decode_after_sync(&self.lanes[offset].bits, start_rel, finished)
             };
@@ -427,7 +432,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
     /// Telemetry + trace delivery for a recovered frame.
     fn commit_frame(&mut self, tr: TraceHandle, frame: &ReceivedPpdu) {
         let fcs = {
-            let _s = wazabee_telemetry::stage!("stream.crc");
+            let _s = wazabee_telemetry::scope!("stream.crc");
             frame.fcs_ok()
         };
         if fcs {

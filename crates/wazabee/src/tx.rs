@@ -83,7 +83,7 @@ impl<R: RawFskRadio> WazaBeeTx<R> {
     /// Transmits an 802.15.4 frame: encodes to MSK bits and modulates raw
     /// (whitening disabled on the chip).
     pub fn transmit(&self, ppdu: &Ppdu) -> Vec<Iq> {
-        let _t = wazabee_telemetry::timed_scope!("wazabee.tx.transmit_ns");
+        let _t = wazabee_telemetry::scope!("wazabee.tx.transmit_ns");
         wazabee_telemetry::counter!("wazabee.tx.frames").inc();
         self.radio.transmit_raw(&encode_ppdu_msk(ppdu))
     }
@@ -93,7 +93,7 @@ impl<R: RawFskRadio> WazaBeeTx<R> {
     ///
     /// The produced waveform is bit-identical to [`WazaBeeTx::transmit`].
     pub fn transmit_via_forced_whitening(&self, ppdu: &Ppdu, channel: BleChannel) -> Vec<Iq> {
-        let _t = wazabee_telemetry::timed_scope!("wazabee.tx.transmit_ns");
+        let _t = wazabee_telemetry::scope!("wazabee.tx.transmit_ns");
         wazabee_telemetry::counter!("wazabee.tx.frames").inc();
         wazabee_telemetry::counter!("wazabee.tx.forced_whitening").inc();
         let target = encode_ppdu_msk(ppdu);

@@ -43,8 +43,8 @@ fn span_nesting_is_per_thread_and_parents_resolve() {
     let handles: Vec<_> = (0..2)
         .map(|_| {
             std::thread::spawn(|| {
-                let outer = wazabee_telemetry::span!("ct.outer");
-                let inner = wazabee_telemetry::span!("ct.inner", step = 1u32);
+                let outer = wazabee_telemetry::scope!("ct.outer");
+                let inner = wazabee_telemetry::scope!("ct.inner", step = 1u32);
                 (outer.id(), inner.id())
             })
         })
@@ -97,10 +97,10 @@ fn eviction_marks_orphans_instead_of_inventing_roots() {
 
     // One long-lived parent, then enough children to evict the parent's
     // enter record (each child is an enter + exit pair).
-    let parent = wazabee_telemetry::span!("ct.evicted.parent");
+    let parent = wazabee_telemetry::scope!("ct.evicted.parent");
     let parent_id = parent.id();
     for k in 0..TRACE_CAPACITY {
-        let _child = wazabee_telemetry::span!("ct.child", k = k);
+        let _child = wazabee_telemetry::scope!("ct.child", k = k);
     }
 
     let doc = wazabee_telemetry::trace_chrome_json();
@@ -165,7 +165,7 @@ fn decode_spans_export_with_frame_args_and_resolvable_parents() {
     let ppdu = Ppdu::new(append_fcs(&[0xAB, 0xCD, 1, 2, 3])).unwrap();
     let air = tx.transmit(&ppdu);
     {
-        let _window = wazabee_telemetry::span!("ct.window", chan = 15u8);
+        let _window = wazabee_telemetry::scope!("ct.window", chan = 15u8);
         let mut stream = rx.stream();
         let mut results = Vec::new();
         for chunk in air.chunks(1500) {

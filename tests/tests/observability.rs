@@ -41,7 +41,7 @@ fn populate_metrics() {
         .record(&[("stage", "fir")], 17.0);
     wazabee_telemetry::value_histogram!("obs.test.vhist", 0.0, 64.0).record(5.0);
     {
-        let _s = wazabee_telemetry::stage!("obs.test.stage");
+        let _s = wazabee_telemetry::scope!("obs.test.stage");
         std::hint::black_box(0u64);
     }
     wazabee_telemetry::timeseries!("obs.test.series", 42.0);
@@ -118,6 +118,9 @@ fn snapshot_json_round_trips_through_a_parser() {
     let self_ns = stage.get("self_ns").and_then(Json::as_f64).unwrap();
     let total_ns = stage.get("total_ns").and_then(Json::as_f64).unwrap();
     assert!(self_ns <= total_ns);
+    let p50 = stage.get("p50_ns").and_then(Json::as_f64).unwrap();
+    let p99 = stage.get("p99_ns").and_then(Json::as_f64).unwrap();
+    assert!(p50 <= p99 && p99 <= total_ns, "{p50} {p99} {total_ns}");
 
     // Wall-clock series: one [t, value] point pair.
     let series = snap.get("wall_series").unwrap().as_array().unwrap();
@@ -457,7 +460,7 @@ fn reset_clears_health_latches_and_span_id_sequence() {
     assert!(!wazabee_telemetry::health_ok());
 
     let span_id_before = {
-        let span = wazabee_telemetry::span!("obs.cell.span");
+        let span = wazabee_telemetry::scope!("obs.cell.span");
         span.id()
     };
     assert!(span_id_before > 0);
@@ -477,7 +480,7 @@ fn reset_clears_health_latches_and_span_id_sequence() {
     // Span ids restart from 1: a second sweep cell's trace is
     // byte-comparable to the first's.
     let span_id_after = {
-        let span = wazabee_telemetry::span!("obs.cell.span");
+        let span = wazabee_telemetry::scope!("obs.cell.span");
         span.id()
     };
     assert_eq!(span_id_after, 1, "span-id sequence survived reset");
@@ -502,7 +505,7 @@ fn par_map_sweep_cells_do_not_leak_global_state() {
         let counter = wazabee_telemetry::counter!("obs.cell.counter");
         counter.add(3);
         {
-            let _s = wazabee_telemetry::stage!("obs.cell.stage");
+            let _s = wazabee_telemetry::scope!("obs.cell.stage");
             std::hint::black_box(0u64);
         }
         let stage_count = wazabee_telemetry::profile_report()

@@ -1,11 +1,13 @@
 //! Robustness fuzzing: no receiver in the workspace may panic on arbitrary
-//! inputs — garbage IQ, garbage bits, garbage bytes.
+//! inputs — garbage IQ, garbage bits, garbage bytes, garbage sample and
+//! capture files.
 
 use proptest::prelude::*;
 use wazabee::{WazaBeeRx, WazaBeeTx};
 use wazabee_ble::{BleChannel, BleModem, BlePacket, BlePhy};
 use wazabee_dot154::{Dot154Modem, MacFrame, Ppdu};
-use wazabee_dsp::Iq;
+use wazabee_dsp::io::SampleFormat;
+use wazabee_dsp::{Iq, IqBuf};
 use wazabee_esb::{EsbModem, EsbPacket};
 use wazabee_ids::{ChannelMonitor, MonitorConfig};
 
@@ -49,6 +51,56 @@ proptest! {
         let _ = wazabee_zigbee::XbeePayload::from_bytes(&bytes);
         let _ = wazabee_zigbee::parse_stream(&bytes);
         let _ = wazabee::exfil::Chunk::from_bytes(&bytes);
+        for format in [SampleFormat::Cf32, SampleFormat::U8Offset128] {
+            // A buffer already holding samples: a rejected decode must leave
+            // it untouched, an accepted one appends exactly len / unit.
+            let mut out = IqBuf::new();
+            out.push(0.5, -0.5);
+            let unit = format.bytes_per_sample();
+            match format.decode(&bytes, &mut out) {
+                Ok(n) => {
+                    prop_assert_eq!(n, bytes.len() / unit);
+                    prop_assert_eq!(bytes.len() % unit, 0);
+                    prop_assert_eq!(out.len(), 1 + n);
+                }
+                Err(e) => {
+                    prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    prop_assert_eq!(out.len(), 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pcap_reader_survives_garbage_files(
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+        with_header in any::<bool>(),
+        case in any::<u32>(),
+    ) {
+        let mut raw = Vec::new();
+        if with_header {
+            // A well-formed 24-byte global header; everything after it is
+            // garbage packet records.
+            raw.extend_from_slice(&wazabee_flightrec::pcap::PCAP_MAGIC_US.to_le_bytes());
+            raw.extend_from_slice(&[2, 0, 4, 0]);
+            raw.extend_from_slice(&[0; 8]);
+            raw.extend_from_slice(&65_535u32.to_le_bytes());
+            raw.extend_from_slice(&195u32.to_le_bytes());
+        }
+        raw.extend_from_slice(&body);
+        let path = std::env::temp_dir()
+            .join(format!("wzb-robust-{}-{case}.pcap", std::process::id()));
+        std::fs::write(&path, &raw).unwrap();
+        let got = wazabee_flightrec::pcap::read_pcap(&path);
+        std::fs::remove_file(&path).ok();
+        match got {
+            Ok(file) => {
+                prop_assert!(with_header || raw.len() >= 24);
+                let payload: usize = file.packets.iter().map(|p| 16 + p.bytes.len()).sum();
+                prop_assert_eq!(24 + payload, raw.len());
+            }
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        }
     }
 
     #[test]
