@@ -21,8 +21,10 @@
 #      reference is still exercised (bench cases plus the bitwise parity
 #      proptests in tests/tests/iq_simd.rs)
 #  10. rx-throughput smoke: the bin emits a well-formed
-#      BENCH_rx_throughput.json and the packed despreading kernel is at
-#      least 3x faster than the scalar reference
+#      BENCH_rx_throughput.json, the packed despreading kernel is at
+#      least 3x faster than the scalar reference, and the planar
+#      discriminator is at least 2x faster than its f32 scalar twin (a
+#      "SIMD" kernel that stopped vectorizing fails here)
 #  11. stream-throughput smoke: the streaming receiver emits a well-formed
 #      BENCH_stream_throughput.json and recovers >= 2 frames behind a decoy
 #      sync hit, in both feature states
@@ -115,7 +117,7 @@ iq_bench_log="$capture_dir/iq_kernels_bench.log"
 run cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test
 cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test >"$iq_bench_log" 2>&1
 run cargo bench -p wazabee-bench --bench iq_kernels --offline --no-default-features -- --test
-for kernel in discriminate_scalar window_sums_scalar axpy_scalar \
+for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar axpy_scalar \
     superpose_accumulate_scalar fir_planar_scalar; do
     if ! grep -q "$kernel" "$iq_bench_log"; then
         echo "ci.sh: iq_kernels bench no longer exercises $kernel" >&2
@@ -124,11 +126,11 @@ for kernel in discriminate_scalar window_sums_scalar axpy_scalar \
 done
 scalar_props="$(cargo test -q -p wazabee-integration --offline --test iq_simd -- --list \
     | grep -c "match.*_scalar")"
-if [ "$scalar_props" -lt 5 ]; then
-    echo "ci.sh: expected >= 5 scalar-parity proptests in iq_simd, found $scalar_props" >&2
+if [ "$scalar_props" -lt 6 ]; then
+    echo "ci.sh: expected >= 6 scalar-parity proptests in iq_simd, found $scalar_props" >&2
     exit 1
 fi
-echo "scalar references exercised: 5 bench cases + $scalar_props parity proptests"
+echo "scalar references exercised: 6 bench cases + $scalar_props parity proptests"
 
 bench_json="$capture_dir/BENCH_rx_throughput.json"
 run cargo run --release -q -p wazabee-bench --bin rx_throughput --offline -- \
@@ -146,10 +148,17 @@ assert rx["frames_per_sec"] > 0, "frames/sec missing"
 assert despread["packed_msymbols_per_sec"] > 0, "Msym/s missing"
 speedup = despread["speedup"]
 assert speedup >= 3.0, f"packed despread only {speedup:.2f}x faster than scalar (need >= 3x)"
+disc = doc["discriminate"]
+assert disc["scalar_msamples_per_sec"] > 0, "scalar discriminator Msamples/s missing"
+vs_scalar = disc["simd_vs_scalar"]
+assert vs_scalar >= 2.0, (
+    f"planar discriminator only {vs_scalar:.2f}x faster than its scalar twin "
+    f"(need >= 2x): the kernel no longer vectorizes")
 print(f"BENCH_rx_throughput.json well-formed: "
       f"{rx['frames_per_sec']:.0f} frames/s, "
       f"{despread['packed_msymbols_per_sec']:.1f} Msym/s packed, "
-      f"{speedup:.1f}x over scalar")
+      f"{speedup:.1f}x over scalar, "
+      f"discriminator {vs_scalar:.1f}x over its scalar twin")
 EOF
 
 check_stream_json() {

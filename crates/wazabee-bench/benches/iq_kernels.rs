@@ -18,7 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use wazabee_dsp::simd::{
     accumulate_interleaved_at, accumulate_interleaved_at_scalar, axpy, axpy_scalar,
     discriminate_planar_into, discriminate_planar_scalar_into, fir_planar_into,
-    fir_planar_scalar_into, window_sums_into, window_sums_scalar_into,
+    fir_planar_scalar_into, sliding_sums_into, sliding_sums_scalar_into, window_sums_into,
+    window_sums_scalar_into,
 };
 use wazabee_dsp::{Iq, IqBuf};
 
@@ -84,6 +85,20 @@ fn bench_iq_kernels(c: &mut Criterion) {
         b.iter(|| {
             sums.clear();
             window_sums_scalar_into(std::hint::black_box(&diffs), SPS, &mut sums);
+        })
+    });
+
+    let mut all_phase = Vec::with_capacity(N);
+    g.bench_function("sliding_sums_simd", |b| {
+        b.iter(|| {
+            all_phase.clear();
+            sliding_sums_into(std::hint::black_box(&diffs), SPS, &mut all_phase);
+        })
+    });
+    g.bench_function("sliding_sums_scalar", |b| {
+        b.iter(|| {
+            all_phase.clear();
+            sliding_sums_scalar_into(std::hint::black_box(&diffs), SPS, &mut all_phase);
         })
     });
 

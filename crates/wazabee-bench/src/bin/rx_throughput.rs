@@ -7,7 +7,10 @@
 //!   batch of pre-generated IQ captures, swept in parallel via the
 //!   deterministic sweep driver (`WAZABEE_THREADS` workers),
 //! * despreading throughput in Msymbols per second for the packed `u32`
-//!   kernel and the scalar byte-per-bit reference, plus their ratio.
+//!   kernel and the scalar byte-per-bit reference, plus their ratio,
+//! * discriminator throughput in Msamples per second for the planar SIMD
+//!   kernel, its `f32` scalar twin and the interleaved `f64` reference, plus
+//!   the SIMD kernel's ratio to each.
 //!
 //! Writes `BENCH_rx_throughput.json` (hand-formatted — the vendored serde is
 //! a no-op shim) to the current directory or the path given with `--out`.
@@ -107,9 +110,10 @@ fn bench_despread(symbols: usize) -> (f64, f64) {
 }
 
 /// Discriminator micro-benchmark over real capture IQ: the planar `f32` SIMD
-/// kernel versus the interleaved `f64` reference the receive path used before
-/// going planar. Returns (simd Msamples/s, f64 Msamples/s).
-fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64) {
+/// kernel versus its `f32` scalar twin (does the blocked kernel actually
+/// vectorize?) and versus the interleaved `f64` reference the receive path
+/// used before going planar. Returns (simd, scalar, f64) Msamples/s.
+fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64, f64) {
     let all: Vec<wazabee_dsp::Iq> = captures.iter().flat_map(|c| c.air.clone()).collect();
     let planar = wazabee_dsp::IqBuf::from_interleaved(&all);
     let n = all.len();
@@ -121,6 +125,14 @@ fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64) {
         wazabee_dsp::simd::discriminate_planar_into(planar.i(), planar.q(), &mut out_f32);
     }
     let simd_secs = start.elapsed().as_secs_f64().max(1e-9);
+
+    let start = Instant::now();
+    let mut out_scalar = Vec::with_capacity(n);
+    for _ in 0..passes {
+        out_scalar.clear();
+        wazabee_dsp::simd::discriminate_planar_scalar_into(planar.i(), planar.q(), &mut out_scalar);
+    }
+    let scalar_secs = start.elapsed().as_secs_f64().max(1e-9);
 
     let start = Instant::now();
     let mut out_f64 = Vec::with_capacity(n);
@@ -135,8 +147,15 @@ fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64) {
         out_f64.len(),
         "discriminator length divergence"
     );
+    assert!(
+        out_f32
+            .iter()
+            .zip(&out_scalar)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "simd/scalar discriminator divergence"
+    );
     let msps = |secs: f64| (n * passes) as f64 / secs / 1e6;
-    (msps(simd_secs), msps(f64_secs))
+    (msps(simd_secs), msps(scalar_secs), msps(f64_secs))
 }
 
 fn main() {
@@ -177,20 +196,22 @@ fn main() {
     eprintln!("despreading {symbols} symbols, packed vs scalar ...");
     let (packed_msym, scalar_msym) = bench_despread(symbols);
     let speedup = packed_msym / scalar_msym;
-    eprintln!("discriminating capture IQ, planar f32 vs interleaved f64 ...");
-    let (simd_msps, f64_msps) = bench_discriminate(&captures, if smoke { 4 } else { 16 });
+    eprintln!("discriminating capture IQ, planar f32 vs f32 scalar vs interleaved f64 ...");
+    let (simd_msps, scalar_msps, f64_msps) =
+        bench_discriminate(&captures, if smoke { 16 } else { 64 });
     let simd_speedup = simd_msps / f64_msps;
+    let simd_vs_scalar = simd_msps / scalar_msps;
 
     println!("rx: {decoded}/{frames} frames decoded in {rx_secs:.3} s = {frames_per_sec:.1} frames/sec ({threads} threads)");
     println!("despread: packed {packed_msym:.2} Msym/s, scalar {scalar_msym:.2} Msym/s");
     println!("despread speedup (packed/scalar): {speedup:.2}x");
     println!(
-        "discriminate: planar {simd_msps:.2} Msamples/s, f64 {f64_msps:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x"
+        "discriminate: planar {simd_msps:.2} Msamples/s, scalar {scalar_msps:.2} Msamples/s, f64 {f64_msps:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x, simd_vs_scalar {simd_vs_scalar:.2}x"
     );
 
     // Hand-formatted JSON: the vendored serde derive is a no-op shim.
     let json = format!(
-        "{{\n  \"bench\": \"rx_throughput\",\n  \"smoke\": {smoke},\n  \"threads\": {threads},\n  \"rx\": {{\n    \"frames\": {frames},\n    \"decoded\": {decoded},\n    \"seconds\": {rx_secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3}\n  }},\n  \"despread\": {{\n    \"symbols\": {symbols},\n    \"packed_msymbols_per_sec\": {packed_msym:.3},\n    \"scalar_msymbols_per_sec\": {scalar_msym:.3},\n    \"speedup\": {speedup:.3}\n  }},\n  \"discriminate\": {{\n    \"simd_msamples_per_sec\": {simd_msps:.3},\n    \"f64_msamples_per_sec\": {f64_msps:.3},\n    \"simd_speedup\": {simd_speedup:.3}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"rx_throughput\",\n  \"smoke\": {smoke},\n  \"threads\": {threads},\n  \"rx\": {{\n    \"frames\": {frames},\n    \"decoded\": {decoded},\n    \"seconds\": {rx_secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3}\n  }},\n  \"despread\": {{\n    \"symbols\": {symbols},\n    \"packed_msymbols_per_sec\": {packed_msym:.3},\n    \"scalar_msymbols_per_sec\": {scalar_msym:.3},\n    \"speedup\": {speedup:.3}\n  }},\n  \"discriminate\": {{\n    \"simd_msamples_per_sec\": {simd_msps:.3},\n    \"scalar_msamples_per_sec\": {scalar_msps:.3},\n    \"f64_msamples_per_sec\": {f64_msps:.3},\n    \"simd_speedup\": {simd_speedup:.3},\n    \"simd_vs_scalar\": {simd_vs_scalar:.3}\n  }}\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");

@@ -154,6 +154,36 @@ impl PackedBits {
         }
     }
 
+    /// Appends the low `count ≤ 64` bits of `word`, LSB first (bit *j* of
+    /// `word` becomes stream bit `len() + j`; higher bits are ignored) — the
+    /// word-at-a-time growth path of the receive engine's lanes, equal to
+    /// [`PackedBits::extend_from_bits`] over the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 64`.
+    pub fn extend_from_word(&mut self, word: u64, count: usize) {
+        assert!(count <= 64, "cannot append {count} > 64 bits from one word");
+        if count == 0 {
+            return;
+        }
+        let word = if count == 64 {
+            word
+        } else {
+            word & ((1u64 << count) - 1)
+        };
+        let fill = self.len % 64;
+        if fill == 0 {
+            self.words.push(word);
+        } else {
+            *self.words.last_mut().expect("partial word") |= word << fill;
+            if fill + count > 64 {
+                self.words.push(word >> (64 - fill));
+            }
+        }
+        self.len += count;
+    }
+
     /// Empties the stream while keeping the word allocation — the recycle
     /// path of pooled receive engines, which reset between sessions instead
     /// of reallocating every lane.
@@ -568,6 +598,32 @@ mod tests {
             q.push(b);
         }
         assert_eq!(q, PackedBits::from_bits(&bits));
+    }
+
+    #[test]
+    fn extend_from_word_matches_extend_from_bits() {
+        let bits = random_bits(54, 400);
+        let mut rng = ChaCha8Rng::seed_from_u64(55);
+        // Every starting fill `len % 64`, then random splits of the rest
+        // into 0..=64-bit words (garbage above `count` must be ignored).
+        for head in 0..=64usize {
+            let mut p = PackedBits::from_bits(&bits[..head]);
+            let mut k = head;
+            while k < bits.len() {
+                let count = rng.gen_range(0..=64usize).min(bits.len() - k);
+                let word = pack_u64(&bits[k..k + count]);
+                let junk = if count == 64 { 0 } else { u64::MAX << count };
+                p.extend_from_word(word | junk, count);
+                k += count;
+            }
+            assert_eq!(p, PackedBits::from_bits(&bits), "head {head}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "> 64 bits")]
+    fn extend_from_word_rejects_oversized_count() {
+        PackedBits::default().extend_from_word(0, 65);
     }
 
     #[test]

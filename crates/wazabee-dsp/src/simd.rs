@@ -3,9 +3,27 @@
 //! The stage profiler put the polar discriminator at ~76 % of streaming decode
 //! self-time, almost all of it in per-sample `f64::atan2` libm calls over
 //! interleaved structs. These kernels process the planar [`crate::IqBuf`]
-//! rails in fixed-size `[f32; LANES]` blocks — the shape the stable-toolchain
-//! autovectorizer reliably compiles to packed SSE/AVX/NEON arithmetic — with a
-//! branchless polynomial `atan2` so the whole block stays in vector registers.
+//! rails as `f32` with a branchless polynomial `atan2`, so the per-element
+//! body is straight-line arithmetic and selects the autovectorizer can widen.
+//!
+//! A kernel vectorizes on the stable toolchain only when no element access
+//! in its loop keeps a bounds check and nothing grows the output inside the
+//! loop. An index like `i[k + l + 1]` keeps one check per element, and a
+//! block pushed with `extend_from_slice` keeps a capacity check per block;
+//! either one leaves the loop scalar, whatever `target-cpu` says. The two
+//! receive hot-path kernels therefore follow one rule:
+//!
+//! * resize the output once per call and write through a view of it;
+//! * read the input through views whose lengths prove every index in range:
+//!   [`discriminate_planar_into`] slices the current and next sample once to
+//!   the loop's own length, and [`sliding_sums_into`] reads each block of
+//!   `LANES` outputs through fixed-size `&[f32; LANES]` views and writes it
+//!   through a `&mut [f32; LANES]`;
+//! * keep the per-element body free of branches (selects only).
+//!
+//! The discriminator is a flat loop rather than `LANES`-wide blocks because
+//! its per-element body is too large for the compiler to unroll an 8-lane
+//! block, and a rolled 8-iteration lane loop stayed scalar.
 //!
 //! Every kernel keeps a `*_scalar` twin (the same pattern as the packed
 //! bit-domain kernels from the despreading fast path): one plain element-wise
@@ -13,7 +31,9 @@
 //! the SIMD and scalar variants are bit-for-bit equal and the parity proptests
 //! can compare `f32::to_bits` exactly, not within a tolerance. The scalar
 //! twins are exercised by the test suite and the `iq_kernels` bench in every
-//! CI run, so they cannot silently drift from the fast path.
+//! CI run, so they cannot silently drift from the fast path, and the
+//! `rx_throughput` bench records the discriminator's speed against its twin
+//! so a kernel that stops vectorizing shows up as a number.
 
 use crate::iq::Iq;
 use crate::iqbuf::IqBuf;
@@ -83,19 +103,15 @@ pub fn discriminate_planar_into(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
     assert_eq!(i.len(), q.len(), "planar rails must be equal-length");
     let _s = wazabee_telemetry::scope!("dsp.discriminate");
     let n = i.len().saturating_sub(1);
-    out.reserve(n);
-    let mut k = 0;
-    while k + LANES <= n {
-        let mut ang = [0.0f32; LANES];
-        for l in 0..LANES {
-            ang[l] = discriminate_one(i[k + l], q[k + l], i[k + l + 1], q[k + l + 1]);
-        }
-        out.extend_from_slice(&ang);
-        k += LANES;
-    }
-    while k < n {
-        out.push(discriminate_one(i[k], q[k], i[k + 1], q[k + 1]));
-        k += 1;
+    let start = out.len();
+    out.resize(start + n, 0.0);
+    let dst = &mut out[start..];
+    // Equal-length views of the current and next sample: every index below
+    // is provably in range, so the loop carries no bounds check.
+    let (i0, i1) = (&i[..n], &i[i.len() - n..]);
+    let (q0, q1) = (&q[..n], &q[q.len() - n..]);
+    for k in 0..n {
+        dst[k] = discriminate_one(i0[k], q0[k], i1[k], q1[k]);
     }
 }
 
@@ -160,6 +176,65 @@ pub fn window_sums_scalar_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
     for c in x.chunks_exact(window) {
         let mut a = 0.0f32;
         for &v in c {
+            a += v;
+        }
+        out.push(a);
+    }
+}
+
+/// Sums of *every* `window`-sized run of `x`: `x.len() − window + 1` values
+/// (none when `x` is shorter than `window`), the one at offset `s` being
+/// `x[s] + … + x[s + window − 1]`, appended to `out`.
+///
+/// This is the all-phase form of [`window_sums_into`]: with one receive lane
+/// per sample phase, window start `s` belongs to exactly one lane, so one
+/// contiguous pass serves every lane at once. Each window accumulates left to
+/// right from `0.0`, exactly as [`window_sums_into`] does, so a lane reading
+/// every `window`-th value gets the same sums bit for bit. The SIMD variant
+/// computes `LANES` neighbouring offsets per block.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn sliding_sums_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
+    assert!(window > 0, "window must be non-zero");
+    let n = (x.len() + 1).saturating_sub(window);
+    let start = out.len();
+    out.resize(start + n, 0.0);
+    let dst = &mut out[start..];
+    let mut blocks = dst.chunks_exact_mut(LANES);
+    for (b, o) in blocks.by_ref().enumerate() {
+        let s = b * LANES;
+        let mut acc = [0.0f32; LANES];
+        for j in 0..window {
+            let v: &[f32; LANES] = x[s + j..s + j + LANES].try_into().expect("block view");
+            for l in 0..LANES {
+                acc[l] += v[l];
+            }
+        }
+        let o: &mut [f32; LANES] = o.try_into().expect("block view");
+        *o = acc;
+    }
+    let tail = n - n % LANES;
+    for (s, o) in (tail..).zip(blocks.into_remainder()) {
+        let mut a = 0.0f32;
+        for &v in &x[s..s + window] {
+            a += v;
+        }
+        *o = a;
+    }
+}
+
+/// Scalar reference for [`sliding_sums_into`] — bit-identical output.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn sliding_sums_scalar_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
+    assert!(window > 0, "window must be non-zero");
+    for w in x.windows(window) {
+        let mut a = 0.0f32;
+        for &v in w {
             a += v;
         }
         out.push(a);

@@ -100,12 +100,19 @@ impl StreamCorrelator {
     pub fn push(&mut self, bit: u8) -> Option<PatternMatch> {
         self.reg = (self.reg >> 1) | (u64::from(bit & 1) << (self.len - 1));
         self.consumed += 1;
-        if self.consumed < self.len {
+        self.score(self.reg, self.consumed)
+    }
+
+    /// The alignment held in `reg` after `consumed` bits, if it is complete
+    /// and within the error budget.
+    #[inline(always)]
+    fn score(&self, reg: u64, consumed: usize) -> Option<PatternMatch> {
+        if consumed < self.len {
             return None;
         }
-        let errors = ((self.reg ^ self.pat) & self.mask).count_ones() as usize;
+        let errors = ((reg ^ self.pat) & self.mask).count_ones() as usize;
         (errors <= self.max_errors).then(|| PatternMatch {
-            index: self.consumed - self.len,
+            index: consumed - self.len,
             errors,
         })
     }
@@ -119,15 +126,38 @@ impl StreamCorrelator {
 
     /// Consumes bits `from..stream.len()` of a packed stream, appending every
     /// qualifying alignment to `out` — the shape the receive engine uses
-    /// after appending freshly demodulated bits to a lane.
+    /// after appending freshly demodulated bits to a lane. Equal to
+    /// [`StreamCorrelator::push`] over each bit in turn, but reads the stream
+    /// a word at a time and shifts its bits out of a register.
     ///
     /// # Panics
     ///
     /// Panics if `from` exceeds the stream length.
     pub fn feed_packed(&mut self, stream: &PackedBits, from: usize, out: &mut Vec<PatternMatch>) {
-        for k in from..stream.len() {
-            out.extend(self.push(stream.bit(k)));
+        let end = stream.len();
+        assert!(
+            from <= end,
+            "feed_packed start {from} exceeds stream length {end}"
+        );
+        let top = self.len - 1;
+        let (mut reg, mut consumed) = (self.reg, self.consumed);
+        let mut k = from;
+        while k < end {
+            let shift = k % 64;
+            let take = (64 - shift).min(end - k);
+            let mut word = stream.words()[k / 64] >> shift;
+            for _ in 0..take {
+                reg = (reg >> 1) | ((word & 1) << top);
+                word >>= 1;
+                consumed += 1;
+                if let Some(pm) = self.score(reg, consumed) {
+                    out.push(pm);
+                }
+            }
+            k += take;
         }
+        self.reg = reg;
+        self.consumed = consumed;
     }
 }
 
@@ -200,22 +230,49 @@ mod tests {
 
     #[test]
     fn feed_packed_resumes_from_offset() {
-        let bits = random_bits(97, 300);
-        let pattern = PackedBits::from_bits(&random_bits(98, 16));
-        let mut whole = Vec::new();
-        StreamCorrelator::new(&pattern, 2).feed_bits(&bits, &mut whole);
+        let bits = random_bits(102, 777);
+        let stream = PackedBits::from_bits(&bits);
+        let mut rng = ChaCha8Rng::seed_from_u64(103);
+        for m in 1..=64usize {
+            let pattern = PackedBits::from_bits(&random_bits(200 + m as u64, m));
+            // A budget loose enough that every pattern length has hits.
+            let max_errors = m * 2 / 5;
+            let mut want = Vec::new();
+            StreamCorrelator::new(&pattern, max_errors).feed_bits(&bits, &mut want);
+            assert!(!want.is_empty(), "m {m}: no hits to compare");
 
-        // Grow a packed lane incrementally and feed only the fresh tail each
-        // time — the engine's ingest loop.
-        let mut lane = PackedBits::default();
-        let mut corr = StreamCorrelator::new(&pattern, 2);
-        let mut got = Vec::new();
-        for c in bits.chunks(37) {
-            let from = lane.len();
-            lane.extend_from_bits(c);
-            corr.feed_packed(&lane, from, &mut got);
+            // Start anywhere (the earlier bits fed per bit), then grow a
+            // packed lane in random chunks and feed only the fresh tail each
+            // time — the engine's ingest loop.
+            let from = rng.gen_range(0..=bits.len());
+            let mut corr = StreamCorrelator::new(&pattern, max_errors);
+            let mut got = Vec::new();
+            corr.feed_bits(&bits[..from], &mut got);
+            let mut lane = PackedBits::from_bits(&bits[..from]);
+            let mut k = from;
+            while k < bits.len() {
+                let next = (k + rng.gen_range(0..=150usize)).min(bits.len());
+                lane.extend_from_bits(&bits[k..next]);
+                corr.feed_packed(&lane, k, &mut got);
+                k = next;
+            }
+            // Feeding a full stream from `from` in one call agrees too.
+            let mut once = StreamCorrelator::new(&pattern, max_errors);
+            let mut once_got = Vec::new();
+            once.feed_bits(&bits[..from], &mut once_got);
+            once.feed_packed(&stream, from, &mut once_got);
+            assert_eq!(got, want, "m {m} from {from}");
+            assert_eq!(once_got, want, "m {m} from {from} (one call)");
+            assert_eq!(corr.consumed(), bits.len());
         }
-        assert_eq!(got, whole);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds stream length")]
+    fn feed_packed_rejects_start_past_end() {
+        let pattern = PackedBits::from_bits(&[1, 0, 1]);
+        let stream = PackedBits::from_bits(&[1, 0, 1, 1]);
+        StreamCorrelator::new(&pattern, 0).feed_packed(&stream, 5, &mut Vec::new());
     }
 
     #[test]

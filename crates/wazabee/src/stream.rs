@@ -20,13 +20,19 @@
 //! The discriminator's first differences are *lane-independent*: lane `o`'s
 //! soft bit `b` is just the sum of global differences
 //! `diff[o + b·sps .. o + (b+1)·sps]`. The engine therefore keeps samples
-//! planar ([`wazabee_dsp::IqBuf`]), extends one shared `f32` difference cache
-//! incrementally per push (each new sample pair is discriminated exactly
-//! once, through the explicit-width SIMD kernel), and gives every lane its
-//! hard bits with a windowed-sum kernel — the sums leave the `1/sps` dump
-//! scaling out since `sum ≥ 0` decides the bit either way. Golden decodes in
-//! the integration suite, recorded from the retired per-lane `f64` engine,
-//! pin that this flips no decision.
+//! planar ([`wazabee_dsp::IqBuf`]) and extends one shared `f32` difference
+//! cache incrementally per push (each new sample pair is discriminated exactly
+//! once, through the explicit-width SIMD kernel). Since there is one lane per
+//! sample phase, every window start belongs to exactly one lane, so one
+//! contiguous all-phase pass ([`wazabee_dsp::simd::sliding_sums_into`]) sums
+//! the window at every offset from the slowest lane's cursor on, and each
+//! lane packs the signs of every `sps`-th sum straight into its bit words, 64
+//! at a time. The sums leave the `1/sps` dump scaling out since `sum ≥ 0`
+//! decides the bit either way, and each window accumulates in the same left
+//! to right order as a per-lane windowed sum would. Each lane's correlator
+//! then reads its fresh bits a word at a time. Golden decodes in the
+//! integration suite, recorded from the retired per-lane `f64` engine, pin
+//! that this flips no decision.
 
 use std::collections::VecDeque;
 
@@ -104,10 +110,9 @@ pub struct StreamingRx<'a, R> {
     /// between retained samples `k` and `k+1`, so every lane's soft bits are
     /// window sums over this one cache.
     diffs: Vec<f32>,
-    /// Scratch for per-lane window sums.
+    /// Scratch for the all-phase window sums: `sums_scratch[t]` sums the
+    /// `sps` differences starting at the slowest lane's cursor plus `t`.
     sums_scratch: Vec<f32>,
-    /// Scratch for per-lane hard bits.
-    bits_scratch: Vec<u8>,
     /// Absolute bit index of local bit 0 (same for every lane).
     base_bits: usize,
     lanes: Vec<Lane>,
@@ -140,7 +145,6 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
             samples: IqBuf::new(),
             diffs: Vec::new(),
             sums_scratch: Vec::new(),
-            bits_scratch: Vec::new(),
             base_bits: 0,
             lanes,
             armed: 0,
@@ -206,7 +210,6 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         self.samples.clear();
         self.diffs.clear();
         self.sums_scratch.clear();
-        self.bits_scratch.clear();
         self.base_bits = 0;
         self.armed = 0;
         self.attempts = 0;
@@ -250,37 +253,45 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
                     .radio()
                     .discriminate_planar_into(self.samples.slice_from(from), &mut self.diffs);
             }
-            let diffs = &self.diffs;
+            // Lane `o`'s next window starts at difference `o + bits·sps`, so
+            // every complete window start at or past the slowest lane's
+            // cursor belongs to exactly one lane: one contiguous all-phase
+            // pass computes them all, then each lane packs the signs of
+            // every `sps`-th sum into its bit words 64 at a time.
+            let from = self
+                .lanes
+                .iter()
+                .enumerate()
+                .map(|(o, l)| o + l.bits.len() * sps)
+                .min()
+                .unwrap_or(0);
             let sums = &mut self.sums_scratch;
-            let bits = &mut self.bits_scratch;
+            sums.clear();
+            simd::sliding_sums_into(self.diffs.get(from..).unwrap_or(&[]), sps, sums);
             for (offset, lane) in self.lanes.iter_mut().enumerate() {
-                // First difference index of this lane's next undemodulated
-                // symbol.
-                let rel = offset + lane.bits.len() * sps;
-                let fresh_bits = diffs.len().saturating_sub(rel) / sps;
-                if fresh_bits == 0 {
-                    continue;
+                let cursor = offset + lane.bits.len() * sps - from;
+                let fresh = sums.get(cursor..).unwrap_or(&[]);
+                for block in fresh.chunks(64 * sps) {
+                    let mut word = 0u64;
+                    let mut count = 0;
+                    for &sum in block.iter().step_by(sps) {
+                        word |= u64::from(sum >= 0.0) << count;
+                        count += 1;
+                    }
+                    lane.bits.extend_from_word(word, count);
                 }
-                sums.clear();
-                bits.clear();
-                simd::window_sums_into(&diffs[rel..rel + fresh_bits * sps], sps, sums);
-                simd::nrz_hard_bits_into(sums, bits);
-                lane.bits.extend_from_bits(bits);
             }
         }
         let _s = wazabee_telemetry::scope!("stream.correlate");
         let armed = self.armed;
+        let mut hits = Vec::new();
         for lane in &mut self.lanes {
             // The correlator has consumed every bit up to its absolute count;
             // feed it the fresh tail.
-            for k in lane.corr.consumed() - self.base_bits..lane.bits.len() {
-                let bit = lane.bits.bit(k);
-                if let Some(pm) = lane.corr.push(bit) {
-                    if pm.index >= armed {
-                        lane.matches.push_back(pm);
-                    }
-                }
-            }
+            let from = lane.corr.consumed() - self.base_bits;
+            lane.corr.feed_packed(&lane.bits, from, &mut hits);
+            lane.matches
+                .extend(hits.drain(..).filter(|pm| pm.index >= armed));
         }
     }
 

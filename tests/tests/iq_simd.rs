@@ -23,7 +23,7 @@ use wazabee_dsp::simd::{
     accumulate_interleaved_at, accumulate_interleaved_at_scalar, axpy, axpy_scalar,
     discriminate_planar_into, discriminate_planar_scalar_into, fir_planar_into,
     fir_planar_scalar_into, fir_real_into, fir_real_scalar_into, nrz_hard_bits_into,
-    window_sums_into, window_sums_scalar_into, LANES,
+    sliding_sums_into, sliding_sums_scalar_into, window_sums_into, window_sums_scalar_into, LANES,
 };
 use wazabee_dsp::{Iq, IqBuf};
 use wazabee_radio::{Link, LinkConfig, RfFrame, WifiChannel, WifiInterferer};
@@ -45,13 +45,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The blocked polar discriminator equals its scalar twin bit for bit,
-    /// at any length and tail, including degenerate 0- and 1-sample inputs.
+    /// at any length and tail, including degenerate 0- and 1-sample inputs
+    /// and rails salted with NaN, ±Inf, `+0.0` and `-0.0` samples.
     #[test]
     fn prop_discriminate_planar_matches_scalar(
         n in 0usize..MAX_LEN,
         seed in any::<u64>(),
+        salt in 0u32..4,
     ) {
-        let (i, q) = random_rails(seed, n);
+        let (mut i, mut q) = random_rails(seed, n);
+        salt_non_finite(seed ^ 0x5A17, salt, &mut i);
+        salt_non_finite(seed ^ 0xA5A5, salt, &mut q);
         let mut fast = vec![0.5f32; 3]; // non-empty: the kernels append
         let mut slow = fast.clone();
         discriminate_planar_into(&i, &q, &mut fast);
@@ -75,6 +79,32 @@ proptest! {
         window_sums_scalar_into(&x, window, &mut slow);
         prop_assert_eq!(bits_of(&fast), bits_of(&slow));
         prop_assert_eq!(fast.len(), n / window);
+    }
+
+    /// The all-phase sliding sums equal the scalar twin bitwise, one sum per
+    /// complete window start, and every `window`-th of them is the matching
+    /// disjoint window sum — the identity the receive engine relies on.
+    #[test]
+    fn prop_sliding_sums_match_scalar(
+        n in 0usize..MAX_LEN,
+        window in 1usize..13,
+        seed in any::<u64>(),
+    ) {
+        let (x, _) = random_rails(seed, n);
+        let mut fast = vec![0.25f32]; // non-empty: the kernels append
+        let mut slow = fast.clone();
+        sliding_sums_into(&x, window, &mut fast);
+        sliding_sums_scalar_into(&x, window, &mut slow);
+        prop_assert_eq!(bits_of(&fast), bits_of(&slow));
+        prop_assert_eq!(fast.len(), 1 + (n + 1).saturating_sub(window));
+
+        for phase in 0..window.min(n) {
+            let mut disjoint = Vec::new();
+            window_sums_into(&x[phase..], window, &mut disjoint);
+            let from_phase = fast.get(1 + phase..).unwrap_or(&[]);
+            let strided: Vec<f32> = from_phase.iter().step_by(window).copied().collect();
+            prop_assert_eq!(bits_of(&strided), bits_of(&disjoint));
+        }
     }
 
     /// The fused scale-and-add equals its scalar twin bitwise, and hard
@@ -196,6 +226,19 @@ fn random_rails(seed: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
         q.push(rng.gen_range(-3.0f32..3.0));
     }
     (i, q)
+}
+
+/// Replaces about `salt` in 8 samples of `x` with a non-finite or signed-zero
+/// value (NaN, ±Inf, `+0.0`, `-0.0`).
+fn salt_non_finite(seed: u64, salt: u32, x: &mut [f32]) {
+    use rand::{Rng, SeedableRng};
+    const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    for v in x {
+        if rng.gen_range(0..8u32) < salt {
+            *v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+        }
+    }
 }
 
 const SPS: usize = 8;
