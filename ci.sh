@@ -33,7 +33,9 @@
 #      attacked cells show waveform-level collisions, in both feature states
 #  13. live snapshot poll: the default-features netsim run is polled over
 #      WAZABEE_TELEMETRY_ADDR and must answer with a well-formed snapshot
-#      (labeled metrics + per-stage profile with p50_ns <= p99_ns + alerts);
+#      (labeled metrics, the flat sim.injected counter, the
+#      netsim.delivery_ratio gauge, per-stage profile with p50_ns <= p99_ns,
+#      alerts);
 #      the --no-default-features run must never start the endpoint
 #  14. health + causal trace: during the attacked netsim run /healthz must
 #      answer 503 with the collisions rule latched (and the delivery-ratio
@@ -56,10 +58,11 @@
 #      series) is regenerated and must `cmp` equal to its committed copy
 #      in artifacts/
 #  18. dead-code guard: no `allow(dead_code)` under crates/*/src, no
-#      retired timing macro (`timed_scope!`, `stage!`, `span!`) under
-#      crates/ tests/ examples/, and the Rust line counts of crates/ tests/
-#      examples/ and of wazabee-telemetry are printed so each change's net
-#      line count shows in the log
+#      retired timing macro (`timed_scope!`, `stage!`, `span!`) or metric
+#      macro (`value_histogram!`, `labeled_counter!`, `labeled_gauge!`,
+#      `labeled_histogram!`) under crates/ tests/ examples/, and the Rust
+#      line counts of crates/ tests/ examples/ and of wazabee-telemetry are
+#      printed so each change's net line count shows in the log
 #  19. perf regression gate: fresh smoke-run BENCH figures — including the
 #      discriminator simd_speedup row, the 1024-node
 #      multi-channel sim/wall ratio, and the serve plane's per-session
@@ -257,6 +260,14 @@ families = {f["name"]: f for f in snap["labeled_counters"]}
 assert "sim.tx" in families, f"sim.tx family missing: {sorted(families)}"
 cells = families["sim.tx"]["cells"]
 assert cells and all("node" in c["labels"] for c in cells), "sim.tx cells unlabeled"
+# The flat sections keep the snapshot/1 shape perfbench parses: a flat
+# counter the attacked run touches sits in `counters`, and the per-cell
+# delivery gauge sits in `gauges` with its cells.
+assert snap["counters"].get("sim.injected", 0) > 0, (
+    f"flat counter sim.injected missing from counters: {sorted(snap['counters'])}")
+gauges = {g["name"]: g for g in snap["gauges"]}
+assert "netsim.delivery_ratio" in gauges, f"delivery gauge missing: {sorted(gauges)}"
+assert gauges["netsim.delivery_ratio"]["cells"], "netsim.delivery_ratio has no cells"
 stages = {s["name"]: s for s in snap["stages"]}
 assert stages, "stage profile empty"
 for s in stages.values():
@@ -495,6 +506,12 @@ if grep -rnE --include='*.rs' '(timed_scope|stage|span)!' crates tests examples;
     exit 1
 fi
 echo "no timed_scope!/stage!/span! under crates/ tests/ examples/"
+if grep -rnE --include='*.rs' '(value_histogram|labeled_counter|labeled_gauge|labeled_histogram)!' \
+    crates tests examples; then
+    echo "ci.sh: retired metric macro above — use counter!/gauge!/histogram! and .with(labels)" >&2
+    exit 1
+fi
+echo "no value_histogram!/labeled_counter!/labeled_gauge!/labeled_histogram! under crates/ tests/ examples/"
 echo "Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)"
 echo "Rust lines in crates/wazabee-telemetry: $(find crates/wazabee-telemetry -name '*.rs' -exec cat {} + | wc -l)"
 

@@ -44,29 +44,30 @@ fn bench_instrumented_kernels(c: &mut Criterion) {
     p.bench_function("counter_inc", |b| {
         b.iter(|| wazabee_telemetry::counter!("bench.counter").inc())
     });
-    p.bench_function("value_histogram_record", |b| {
+    p.bench_function("histogram_record", |b| {
         b.iter(|| {
-            wazabee_telemetry::value_histogram!("bench.vhist", 0.0, 64.0)
+            wazabee_telemetry::histogram!("bench.hist", 0.0, 64.0)
                 .record(std::hint::black_box(17.0))
         })
     });
-    // Labeled lookup pays a label-set build + map probe per call; a cached
-    // handle amortises that to one atomic add, matching the flat counter.
-    p.bench_function("labeled_counter_inc_lookup", |b| {
+    // A labeled lookup pays a label-set build + map probe per call; a cached
+    // handle amortises that to one atomic add, matching the inline cell.
+    p.bench_function("counter_with_inc_lookup", |b| {
         b.iter(|| {
-            wazabee_telemetry::labeled_counter!("bench.labeled")
-                .inc(&[("channel", std::hint::black_box("15"))])
+            wazabee_telemetry::counter!("bench.labeled")
+                .with(&[("channel", std::hint::black_box("15"))])
+                .inc()
         })
     });
-    p.bench_function("labeled_counter_inc_cached", |b| {
-        let handle = wazabee_telemetry::labeled_counter!("bench.labeled.cached")
-            .handle(&[("channel", "15")]);
+    p.bench_function("counter_handle_inc_cached", |b| {
+        let handle = wazabee_telemetry::counter!("bench.labeled.cached").with(&[("channel", "15")]);
         b.iter(|| handle.inc())
     });
-    p.bench_function("labeled_histogram_record_lookup", |b| {
+    p.bench_function("histogram_with_record_lookup", |b| {
         b.iter(|| {
-            wazabee_telemetry::labeled_histogram!("bench.labeled.hist", 0.0, 64.0)
-                .record(&[("stage", std::hint::black_box("fir"))], 17.0)
+            wazabee_telemetry::histogram!("bench.labeled.hist", 0.0, 64.0)
+                .with(&[("stage", std::hint::black_box("fir"))])
+                .record(17.0)
         })
     });
     // One timing probe: two clock reads, the thread-local child-time and

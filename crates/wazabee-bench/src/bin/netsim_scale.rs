@@ -23,8 +23,8 @@
 //! simulator, across channel shards. Per-cell results are seed-reproducible
 //! and independent of either choice.
 //!
-//! Writes `BENCH_netsim.json` (hand-formatted — the vendored serde is a
-//! no-op shim) to the current directory or the path given with `--out`.
+//! Writes `BENCH_netsim.json` to the current directory or the path given
+//! with `--out`.
 //!
 //! Run with:
 //! `cargo run --release -p wazabee-bench --bin netsim_scale [--smoke] [--out PATH]
@@ -48,6 +48,7 @@ use wazabee_dot154::mac::MacFrame;
 use wazabee_dot154::Dot154Channel;
 use wazabee_radio::Instant;
 use wazabee_sim::{SimConfig, SpectrumSim};
+use wazabee_telemetry::json::{Fixed, Writer};
 use wazabee_zigbee::{NodeConfig, NodeRole, XbeeNode, XbeePayload};
 
 const PAN: u16 = 0x1234;
@@ -265,10 +266,9 @@ fn run_cell_with(
         // worst cell across the whole (possibly parallel) sweep.
         let nodes = cell.nodes.to_string();
         let attacker = if cell.attacker { "true" } else { "false" };
-        wazabee_telemetry::labeled_gauge!("netsim.delivery_ratio").set(
-            &[("nodes", &nodes), ("attacker", attacker)],
-            result.delivery_ratio,
-        );
+        wazabee_telemetry::gauge!("netsim.delivery_ratio")
+            .with(&[("nodes", &nodes), ("attacker", attacker)])
+            .set(result.delivery_ratio);
     }
     (result, timeline, log)
 }
@@ -464,8 +464,16 @@ fn main() {
     }
     let results: Vec<CellResult> = slots.into_iter().map(|s| s.expect("cell ran")).collect();
 
-    let mut rows = String::new();
-    for (k, r) in results.iter().enumerate() {
+    let mut json = String::new();
+    let mut w = Writer::new(&mut json);
+    w.begin_object()
+        .field("bench", "netsim_scale")
+        .field("smoke", smoke)
+        .field("threads", threads)
+        .field("drain_ms", DRAIN_MS)
+        .key("cells")
+        .begin_array();
+    for r in &results {
         println!(
             "n={:4} ch={:2} attacker={:5} sent={:4} delivered={:4} ratio={:.3} collisions={:3} \
              retries={:3} abandoned={:2} sim/wall={:7.1}x",
@@ -480,31 +488,26 @@ fn main() {
             r.frames_abandoned,
             r.sim_wall_ratio,
         );
-        rows.push_str(&format!(
-            "    {{\n      \"nodes\": {},\n      \"channels\": {},\n      \"attacker\": {},\n      \"traffic_ms\": {},\n      \"readings_sent\": {},\n      \"readings_delivered\": {},\n      \"delivery_ratio\": {:.6},\n      \"collisions\": {},\n      \"collision_rate\": {:.6},\n      \"cca_busy\": {},\n      \"retries\": {},\n      \"frames_abandoned\": {},\n      \"total_tx\": {},\n      \"wall_secs\": {:.6},\n      \"sim_wall_ratio\": {:.3}\n    }}{}\n",
-            r.cell.nodes,
-            r.cell.channels,
-            r.cell.attacker,
-            r.cell.traffic_ms,
-            r.readings_sent,
-            r.readings_delivered,
-            r.delivery_ratio,
-            r.collisions,
-            r.collision_rate,
-            r.cca_busy,
-            r.retries,
-            r.frames_abandoned,
-            r.total_tx,
-            r.wall_secs,
-            r.sim_wall_ratio,
-            if k + 1 < results.len() { "," } else { "" },
-        ));
+        w.begin_object()
+            .field("nodes", r.cell.nodes)
+            .field("channels", r.cell.channels)
+            .field("attacker", r.cell.attacker)
+            .field("traffic_ms", r.cell.traffic_ms)
+            .field("readings_sent", r.readings_sent)
+            .field("readings_delivered", r.readings_delivered)
+            .field("delivery_ratio", Fixed(r.delivery_ratio, 6))
+            .field("collisions", r.collisions)
+            .field("collision_rate", Fixed(r.collision_rate, 6))
+            .field("cca_busy", r.cca_busy)
+            .field("retries", r.retries)
+            .field("frames_abandoned", r.frames_abandoned)
+            .field("total_tx", r.total_tx)
+            .field("wall_secs", Fixed(r.wall_secs, 6))
+            .field("sim_wall_ratio", Fixed(r.sim_wall_ratio, 3))
+            .end_object();
     }
-
-    // Hand-formatted JSON: the vendored serde derive is a no-op shim.
-    let json = format!(
-        "{{\n  \"bench\": \"netsim_scale\",\n  \"smoke\": {smoke},\n  \"threads\": {threads},\n  \"drain_ms\": {DRAIN_MS},\n  \"cells\": [\n{rows}  ]\n}}\n"
-    );
+    w.end_array().end_object();
+    json.push('\n');
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");
 

@@ -12,8 +12,8 @@
 //!   kernel, its `f32` scalar twin and the interleaved `f64` reference, plus
 //!   the SIMD kernel's ratio to each.
 //!
-//! Writes `BENCH_rx_throughput.json` (hand-formatted — the vendored serde is
-//! a no-op shim) to the current directory or the path given with `--out`.
+//! Writes `BENCH_rx_throughput.json` to the current directory or the path
+//! given with `--out`.
 //!
 //! Run with:
 //! `cargo run --release -p wazabee-bench --bin rx_throughput [--smoke] [--out PATH]`
@@ -26,6 +26,7 @@ use wazabee_ble::{BleModem, BlePhy};
 use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::PackedBits;
 use wazabee_radio::{Link, LinkConfig, RfFrame};
+use wazabee_telemetry::json::{Fixed, Writer};
 
 /// One pre-generated capture: the on-air IQ of a counter frame after the
 /// office channel, paired with the PSDU it should decode to.
@@ -209,10 +210,36 @@ fn main() {
         "discriminate: planar {simd_msps:.2} Msamples/s, scalar {scalar_msps:.2} Msamples/s, f64 {f64_msps:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x, simd_vs_scalar {simd_vs_scalar:.2}x"
     );
 
-    // Hand-formatted JSON: the vendored serde derive is a no-op shim.
-    let json = format!(
-        "{{\n  \"bench\": \"rx_throughput\",\n  \"smoke\": {smoke},\n  \"threads\": {threads},\n  \"rx\": {{\n    \"frames\": {frames},\n    \"decoded\": {decoded},\n    \"seconds\": {rx_secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3}\n  }},\n  \"despread\": {{\n    \"symbols\": {symbols},\n    \"packed_msymbols_per_sec\": {packed_msym:.3},\n    \"scalar_msymbols_per_sec\": {scalar_msym:.3},\n    \"speedup\": {speedup:.3}\n  }},\n  \"discriminate\": {{\n    \"simd_msamples_per_sec\": {simd_msps:.3},\n    \"scalar_msamples_per_sec\": {scalar_msps:.3},\n    \"f64_msamples_per_sec\": {f64_msps:.3},\n    \"simd_speedup\": {simd_speedup:.3},\n    \"simd_vs_scalar\": {simd_vs_scalar:.3}\n  }}\n}}\n"
-    );
+    let mut json = String::new();
+    Writer::new(&mut json)
+        .begin_object()
+        .field("bench", "rx_throughput")
+        .field("smoke", smoke)
+        .field("threads", threads)
+        .key("rx")
+        .begin_object()
+        .field("frames", frames)
+        .field("decoded", decoded)
+        .field("seconds", Fixed(rx_secs, 6))
+        .field("frames_per_sec", Fixed(frames_per_sec, 3))
+        .end_object()
+        .key("despread")
+        .begin_object()
+        .field("symbols", symbols)
+        .field("packed_msymbols_per_sec", Fixed(packed_msym, 3))
+        .field("scalar_msymbols_per_sec", Fixed(scalar_msym, 3))
+        .field("speedup", Fixed(speedup, 3))
+        .end_object()
+        .key("discriminate")
+        .begin_object()
+        .field("simd_msamples_per_sec", Fixed(simd_msps, 3))
+        .field("scalar_msamples_per_sec", Fixed(scalar_msps, 3))
+        .field("f64_msamples_per_sec", Fixed(f64_msps, 3))
+        .field("simd_speedup", Fixed(simd_speedup, 3))
+        .field("simd_vs_scalar", Fixed(simd_vs_scalar, 3))
+        .end_object()
+        .end_object();
+    json.push('\n');
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");
     print!("{}", wazabee_telemetry::profile_summary());

@@ -19,8 +19,8 @@
 //! * a fairness row: min/max per-session throughput ratio — the multi-tenant
 //!   property that no session starves while a neighbour firehoses.
 //!
-//! Writes `BENCH_serve.json` (hand-formatted — the vendored serde is a no-op
-//! shim) to the current directory or the path given with `--out`.
+//! Writes `BENCH_serve.json` to the current directory or the path given with
+//! `--out`.
 //!
 //! Run with:
 //! `cargo run --release -p wazabee-bench --bin serve_throughput [--smoke] [--sessions N] [--frames N] [--workers N] [--pace-ms MS] [--out PATH]`
@@ -32,6 +32,7 @@ use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::io::SampleFormat;
 use wazabee_dsp::{Iq, IqBuf};
 use wazabee_serve::{proto, ServeConfig, Server};
+use wazabee_telemetry::json::{Fixed, Writer};
 
 /// Samples per wire record — the simulated SDR front-end's chunk size.
 const CHUNK_SAMPLES: usize = 4096;
@@ -265,22 +266,49 @@ fn main() {
         );
     }
 
-    // Hand-formatted JSON: the vendored serde derive is a no-op shim.
-    let mut rows = String::new();
-    for (k, r) in summary.reports.iter().enumerate() {
-        let sep = if k + 1 == summary.reports.len() {
-            ""
-        } else {
-            ","
-        };
-        rows.push_str(&format!(
-            "    {{\"name\": \"{}\", \"frames\": {}, \"crc_fail\": {}, \"p50_us\": {}, \"p99_us\": {}, \"duration_s\": {:.6}, \"fps\": {:.3}}}{sep}\n",
-            r.name, r.frames, r.crc_fail, r.latency_p50_us, r.latency_p99_us, r.duration_s, session_fps[k]
-        ));
+    let mut json = String::new();
+    let mut w = Writer::new(&mut json);
+    w.begin_object()
+        .field("bench", "serve_throughput")
+        .field("smoke", smoke)
+        .field("sessions", sessions)
+        .field("frames_per_session", frames_per_session)
+        .field("workers", workers)
+        .field("queue_chunks", queue_chunks)
+        .field("chunk_samples", CHUNK_SAMPLES)
+        .field("pace_ms", pace_ms)
+        .field("total_frames", total_frames)
+        .field("recovered", recovered)
+        .field("crc_fail", crc_fail)
+        .field("chunks_dropped", dropped)
+        .field("seconds", Fixed(secs, 6))
+        .field("aggregate_frames_per_sec", Fixed(aggregate_fps, 3))
+        .key("latency_us")
+        .begin_object()
+        .field("p50", p50_us)
+        .field("p99", p99_us)
+        .end_object()
+        .key("fairness")
+        .begin_object()
+        .field("min_session_fps", Fixed(min_fps, 3))
+        .field("max_session_fps", Fixed(max_fps, 3))
+        .field("min_max_ratio", Fixed(fairness, 3))
+        .end_object()
+        .key("sessions_detail")
+        .begin_array();
+    for (r, fps) in summary.reports.iter().zip(&session_fps) {
+        w.begin_object()
+            .field("name", &r.name)
+            .field("frames", r.frames)
+            .field("crc_fail", r.crc_fail)
+            .field("p50_us", r.latency_p50_us)
+            .field("p99_us", r.latency_p99_us)
+            .field("duration_s", Fixed(r.duration_s, 6))
+            .field("fps", Fixed(*fps, 3))
+            .end_object();
     }
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"smoke\": {smoke},\n  \"sessions\": {sessions},\n  \"frames_per_session\": {frames_per_session},\n  \"workers\": {workers},\n  \"queue_chunks\": {queue_chunks},\n  \"chunk_samples\": {CHUNK_SAMPLES},\n  \"pace_ms\": {pace_ms},\n  \"total_frames\": {total_frames},\n  \"recovered\": {recovered},\n  \"crc_fail\": {crc_fail},\n  \"chunks_dropped\": {dropped},\n  \"seconds\": {secs:.6},\n  \"aggregate_frames_per_sec\": {aggregate_fps:.3},\n  \"latency_us\": {{\n    \"p50\": {p50_us},\n    \"p99\": {p99_us}\n  }},\n  \"fairness\": {{\n    \"min_session_fps\": {min_fps:.3},\n    \"max_session_fps\": {max_fps:.3},\n    \"min_max_ratio\": {fairness:.3}\n  }},\n  \"sessions_detail\": [\n{rows}  ]\n}}\n"
-    );
+    w.end_array().end_object();
+    json.push('\n');
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");
     print!("{}", wazabee_telemetry::profile_summary());

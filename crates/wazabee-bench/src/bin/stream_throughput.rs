@@ -10,9 +10,8 @@
 //! * the resync ablation on a decoy-then-frames fixture: frames recovered
 //!   with re-arming versus the old stop-at-first-attempt behaviour.
 //!
-//! Writes `BENCH_stream_throughput.json` (hand-formatted — the vendored
-//! serde is a no-op shim) to the current directory or the path given with
-//! `--out`.
+//! Writes `BENCH_stream_throughput.json` to the current directory or the
+//! path given with `--out`.
 //!
 //! Run with:
 //! `cargo run --release -p wazabee-bench --bin stream_throughput [--smoke] [--out PATH]`
@@ -26,6 +25,7 @@ use wazabee_dot154::pn::pn_sequence;
 use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::Iq;
 use wazabee_radio::{Link, LinkConfig, RfFrame};
+use wazabee_telemetry::json::{Fixed, Writer};
 
 /// Chunk size of the simulated SDR front-end, in samples.
 const CHUNK_SAMPLES: usize = 4096;
@@ -170,10 +170,27 @@ fn main() {
     );
     println!("fixture: {with_resync}/3 frames with resync, {without_resync}/3 without");
 
-    // Hand-formatted JSON: the vendored serde derive is a no-op shim.
-    let json = format!(
-        "{{\n  \"bench\": \"stream_throughput\",\n  \"smoke\": {smoke},\n  \"stream\": {{\n    \"frames\": {frames},\n    \"recovered\": {recovered},\n    \"chunk_samples\": {CHUNK_SAMPLES},\n    \"seconds\": {secs:.6},\n    \"frames_per_sec\": {frames_per_sec:.3}\n  }},\n  \"fixture\": {{\n    \"frames\": 3,\n    \"recovered_with_resync\": {with_resync},\n    \"recovered_without_resync\": {without_resync}\n  }}\n}}\n"
-    );
+    let mut json = String::new();
+    Writer::new(&mut json)
+        .begin_object()
+        .field("bench", "stream_throughput")
+        .field("smoke", smoke)
+        .key("stream")
+        .begin_object()
+        .field("frames", frames)
+        .field("recovered", recovered)
+        .field("chunk_samples", CHUNK_SAMPLES)
+        .field("seconds", Fixed(secs, 6))
+        .field("frames_per_sec", Fixed(frames_per_sec, 3))
+        .end_object()
+        .key("fixture")
+        .begin_object()
+        .field("frames", 3u8)
+        .field("recovered_with_resync", with_resync)
+        .field("recovered_without_resync", without_resync)
+        .end_object()
+        .end_object();
+    json.push('\n');
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");
     print!("{}", wazabee_telemetry::profile_summary());

@@ -273,7 +273,7 @@ impl GfskReceiver {
         match &best {
             Some(c) => {
                 wazabee_telemetry::counter!("ble.sync.hit").inc();
-                wazabee_telemetry::value_histogram!("ble.sync_errors", 0.0, 33.0)
+                wazabee_telemetry::histogram!("ble.sync_errors", 0.0, 33.0)
                     .record(c.sync_errors as f64);
             }
             None => wazabee_telemetry::counter!("ble.sync.miss").inc(),

@@ -209,7 +209,7 @@ impl Dot154Modem {
         match &best {
             Some((_, m)) => {
                 wazabee_telemetry::counter!("dot154.sync.hit").inc();
-                wazabee_telemetry::value_histogram!("dot154.shr_errors", 0.0, 64.0)
+                wazabee_telemetry::histogram!("dot154.shr_errors", 0.0, 64.0)
                     .record(m.errors as f64);
             }
             None => wazabee_telemetry::counter!("dot154.sync.miss").inc(),
@@ -240,8 +240,7 @@ impl Dot154Modem {
             let (sym, errs) = closest_symbol_msk_packed(block);
             tr.despread(errs);
             wazabee_telemetry::counter!("dot154.despread.symbols").inc();
-            wazabee_telemetry::value_histogram!("dot154.despread_hamming", 0.0, 32.0)
-                .record(errs as f64);
+            wazabee_telemetry::histogram!("dot154.despread_hamming", 0.0, 32.0).record(errs as f64);
             symbols.push(sym);
             chip_errors += errs;
         }

@@ -7,7 +7,7 @@
 //! file tails all share one IQ-format codepath; this module keeps the
 //! recorder-specific [`IqSidecar`] metadata.
 
-use std::fmt::Write as _;
+use wazabee_telemetry::json::Writer;
 
 pub use wazabee_dsp::io::{read_cf32, write_cf32};
 
@@ -37,22 +37,17 @@ impl IqSidecar {
     /// Renders the sidecar as a single JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(192);
-        let _ = write!(
-            out,
-            "{{\"trace_id\":{},\"layer\":\"{}\",\"sample_rate\":{}",
-            self.trace_id, self.layer, self.sample_rate
-        );
-        match self.center_mhz {
-            Some(m) => {
-                let _ = write!(out, ",\"center_mhz\":{m}");
-            }
-            None => out.push_str(",\"center_mhz\":null"),
-        }
-        let _ = write!(
-            out,
-            ",\"trigger\":\"{}\",\"samples\":{},\"samples_total\":{},\"cf32_file\":\"{}\"}}",
-            self.trigger, self.samples, self.samples_total, self.cf32_file
-        );
+        Writer::new(&mut out)
+            .begin_object()
+            .field("trace_id", self.trace_id)
+            .field("layer", &self.layer)
+            .field("sample_rate", self.sample_rate)
+            .field("center_mhz", self.center_mhz)
+            .field("trigger", &self.trigger)
+            .field("samples", self.samples)
+            .field("samples_total", self.samples_total)
+            .field("cf32_file", &self.cf32_file)
+            .end_object();
         out
     }
 }

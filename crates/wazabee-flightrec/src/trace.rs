@@ -11,6 +11,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use wazabee_telemetry::json::{Fixed, Writer};
+
 /// Why an RX attempt failed, by pipeline stage.
 ///
 /// The taxonomy mirrors the paper's RX chain (§IV-D): access-address /
@@ -185,97 +187,58 @@ impl DecodeTrace {
     /// Renders the trace as one JSONL frame-log line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"type\":\"frame\",\"trace_id\":{},\"layer\":\"{}\",\"outcome\":\"{}\"",
-            self.id,
-            self.layer,
-            if self.ok() { "ok" } else { "fail" }
-        );
-        match self.failure {
-            Some(f) => {
-                let _ = write!(out, ",\"reason\":\"{}\"", f.as_str());
-            }
-            None => out.push_str(",\"reason\":null"),
-        }
-        match self.checksum_ok {
-            Some(v) => {
-                let _ = write!(out, ",\"checksum_ok\":{v}");
-            }
-            None => out.push_str(",\"checksum_ok\":null"),
-        }
+        let mut w = Writer::new(&mut out);
+        w.begin_object()
+            .field("type", "frame")
+            .field("trace_id", self.id)
+            .field("layer", self.layer)
+            .field("outcome", if self.ok() { "ok" } else { "fail" })
+            .field("reason", self.failure.map(RxFailure::as_str))
+            .field("checksum_ok", self.checksum_ok)
+            .key("sync");
         match &self.sync {
             Some(s) => {
-                let _ = write!(
-                    out,
-                    ",\"sync\":{{\"errors\":{},\"bit_index\":{},\"sample_offset\":{},\
-                     \"pattern_len\":{},\"quality\":{:.6}}}",
-                    s.errors,
-                    s.bit_index,
-                    s.sample_offset,
-                    s.pattern_len,
-                    s.quality()
-                );
+                w.begin_object()
+                    .field("errors", s.errors)
+                    .field("bit_index", s.bit_index)
+                    .field("sample_offset", s.sample_offset)
+                    .field("pattern_len", s.pattern_len)
+                    .field("quality", Fixed(s.quality(), 6))
+                    .end_object();
             }
-            None => out.push_str(",\"sync\":null"),
-        }
-        match self.cfo_hz {
-            Some(v) if v.is_finite() => {
-                let _ = write!(out, ",\"cfo_hz\":{v:.3}");
+            None => {
+                w.null();
             }
-            _ => out.push_str(",\"cfo_hz\":null"),
         }
-        let _ = write!(
-            out,
-            ",\"despread_symbols\":{},\"chip_errors\":{},\"despread_max\":{}",
-            self.despread_distances.len(),
-            self.chip_errors(),
-            self.max_despread_distance().unwrap_or(0)
-        );
-        out.push_str(",\"despread_distances\":[");
-        for (k, d) in self.despread_distances.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{d}");
+        w.field("cfo_hz", self.cfo_hz.map(|v| Fixed(v, 3)))
+            .field("despread_symbols", self.despread_distances.len())
+            .field("chip_errors", self.chip_errors())
+            .field("despread_max", self.max_despread_distance().unwrap_or(0))
+            .key("despread_distances")
+            .begin_array();
+        for &d in &self.despread_distances {
+            w.value(d);
         }
-        out.push(']');
+        w.end_array();
         match &self.frame {
             Some(bytes) => {
-                let _ = write!(out, ",\"frame_len\":{},\"frame_hex\":\"", bytes.len());
+                let mut hex = String::with_capacity(2 * bytes.len());
                 for b in bytes {
-                    let _ = write!(out, "{b:02x}");
+                    let _ = write!(hex, "{b:02x}");
                 }
-                out.push('"');
+                w.field("frame_len", bytes.len()).field("frame_hex", &hex);
             }
-            None => out.push_str(",\"frame_len\":null,\"frame_hex\":null"),
-        }
-        match &self.iq_file {
-            Some(f) => {
-                let _ = write!(out, ",\"iq_file\":\"{f}\"");
+            None => {
+                w.field("frame_len", None::<usize>)
+                    .field("frame_hex", None::<&str>);
             }
-            None => out.push_str(",\"iq_file\":null"),
         }
-        match self.pcap_index {
-            Some(i) => {
-                let _ = write!(out, ",\"pcap_index\":{i}");
-            }
-            None => out.push_str(",\"pcap_index\":null"),
-        }
-        match self.attempt {
-            Some(n) => {
-                let _ = write!(out, ",\"attempt\":{n}");
-            }
-            None => out.push_str(",\"attempt\":null"),
-        }
-        match self.span_id {
-            Some(id) => {
-                let _ = write!(out, ",\"span_id\":{id}");
-            }
-            None => out.push_str(",\"span_id\":null"),
-        }
-        let _ = write!(out, ",\"phr_reserved\":{}", self.phr_reserved);
-        out.push('}');
+        w.field("iq_file", self.iq_file.as_ref())
+            .field("pcap_index", self.pcap_index)
+            .field("attempt", self.attempt)
+            .field("span_id", self.span_id)
+            .field("phr_reserved", self.phr_reserved)
+            .end_object();
         out
     }
 }

@@ -131,8 +131,7 @@ impl Link {
         let _t = wazabee_telemetry::scope!("radio.medium.deliver_ns");
         wazabee_telemetry::counter!("radio.medium.deliveries").inc();
         let cfg = self.config;
-        wazabee_telemetry::value_histogram!("radio.medium.cfo_hz", 0.0, 64.0e3)
-            .record(cfg.cfo_hz.abs());
+        wazabee_telemetry::histogram!("radio.medium.cfo_hz", 0.0, 64.0e3).record(cfg.cfo_hz.abs());
         // 1. Spectral shift by the TX/RX centre difference plus CFO.
         let delta_hz =
             (f64::from(frame.center_mhz) - f64::from(rx_center_mhz)) * 1.0e6 + cfg.cfo_hz;
@@ -159,8 +158,7 @@ impl Link {
         } else {
             0
         };
-        wazabee_telemetry::value_histogram!("radio.medium.lead_in", 0.0, 1024.0)
-            .record(lead_in as f64);
+        wazabee_telemetry::histogram!("radio.medium.lead_in", 0.0, 1024.0).record(lead_in as f64);
         let mut buf = vec![Iq::ZERO; lead_in];
         buf.extend(signal);
         buf.extend(std::iter::repeat_n(Iq::ZERO, cfg.lead_out));

@@ -18,6 +18,7 @@
 //! [`SessionReport`]s.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::SocketAddr;
@@ -33,6 +34,7 @@ use wazabee_ble::{BleModem, BlePhy};
 use wazabee_dsp::io::SampleFormat;
 use wazabee_dsp::IqBuf;
 use wazabee_flightrec::pcap::{PcapWriter, LINKTYPE_IEEE802_15_4_WITHFCS};
+use wazabee_telemetry::json::{Fixed, Writer};
 
 use crate::proto::{self, Record};
 use crate::session::{Session, SessionMsg, SessionReport, WorkerWake};
@@ -331,8 +333,9 @@ pub(crate) fn open_session(state: &Arc<ServerState>, name: String) -> Arc<Sessio
     {
         let mut open = state.open.lock().unwrap();
         *open += 1;
-        wazabee_telemetry::labeled_gauge!("serve.sessions.active")
-            .set(&[("plane", "serve")], *open as f64);
+        wazabee_telemetry::gauge!("serve.sessions.active")
+            .with(&[("plane", "serve")])
+            .set(*open as f64);
     }
     wazabee_telemetry::counter!("serve.sessions.opened").inc();
     slot.wake.ring();
@@ -442,6 +445,9 @@ struct Artifacts {
     dir: PathBuf,
     pcap: PcapWriter,
     jsonl: BufWriter<File>,
+    /// Reused render buffers for one `frames.jsonl` line and its PSDU hex.
+    line: String,
+    hex: String,
 }
 
 impl Artifacts {
@@ -451,7 +457,13 @@ impl Artifacts {
         std::fs::create_dir_all(&dir)?;
         let pcap = PcapWriter::create(&dir.join("frames.pcap"), LINKTYPE_IEEE802_15_4_WITHFCS)?;
         let jsonl = BufWriter::new(File::create(dir.join("frames.jsonl"))?);
-        Ok(Artifacts { dir, pcap, jsonl })
+        Ok(Artifacts {
+            dir,
+            pcap,
+            jsonl,
+            line: String::new(),
+            hex: String::new(),
+        })
     }
 }
 
@@ -473,7 +485,8 @@ fn decode_worker(state: Arc<ServerState>, widx: usize) {
         .expect("serve worker: diverted BLE receive primitive");
     let mut runs: HashMap<u64, Run<'_>> = HashMap::new();
     let mut free: Vec<StreamingRx<'_, BleModem>> = Vec::new();
-    let widx_label = widx.to_string();
+    let queue_depth =
+        wazabee_telemetry::gauge!("serve.queue.depth").with(&[("worker", &widx.to_string())]);
     loop {
         let sessions: Vec<Arc<Session>> = slot.sessions.lock().unwrap().clone();
         let mut did_work = false;
@@ -512,7 +525,7 @@ fn decode_worker(state: Arc<ServerState>, widx: usize) {
                         commit_results(session, run, &results);
                         let us = enqueued.elapsed().as_micros() as u64;
                         session.record_latency(us);
-                        wazabee_telemetry::value_histogram!("serve.decode.latency_us", 0.0, 1.0e6)
+                        wazabee_telemetry::histogram!("serve.decode.latency_us", 0.0, 1.0e6)
                             .record(us as f64);
                     }
                     SessionMsg::End => {
@@ -528,8 +541,7 @@ fn decode_worker(state: Arc<ServerState>, widx: usize) {
                 finish_session(&state, &slot, session, &mut runs, &mut free);
             }
         }
-        wazabee_telemetry::labeled_gauge!("serve.queue.depth")
-            .set(&[("worker", &widx_label)], depth_total as f64);
+        queue_depth.set(depth_total as f64);
         if !did_work {
             if state.workers_stop.load(Ordering::SeqCst) {
                 return;
@@ -558,15 +570,22 @@ fn commit_results(
         if let Some(a) = &mut run.artifacts {
             let ts_us = session.started.elapsed().as_micros() as u64;
             let _ = a.pcap.write_packet(ts_us, &ppdu.psdu);
-            let hex: String = ppdu.psdu.iter().map(|b| format!("{b:02x}")).collect();
-            let _ = writeln!(
-                a.jsonl,
-                "{{\"ts_us\":{ts_us},\"len\":{},\"fcs_ok\":{fcs_ok},\
-                 \"chip_errors\":{},\"shr_errors\":{},\"psdu\":\"{hex}\"}}",
-                ppdu.psdu.len(),
-                ppdu.chip_errors,
-                ppdu.shr_errors,
-            );
+            a.hex.clear();
+            for b in &ppdu.psdu {
+                let _ = write!(a.hex, "{b:02x}");
+            }
+            a.line.clear();
+            Writer::new(&mut a.line)
+                .begin_object()
+                .field("ts_us", ts_us)
+                .field("len", ppdu.psdu.len())
+                .field("fcs_ok", fcs_ok)
+                .field("chip_errors", ppdu.chip_errors)
+                .field("shr_errors", ppdu.shr_errors)
+                .field("psdu", &a.hex)
+                .end_object();
+            a.line.push('\n');
+            let _ = a.jsonl.write_all(a.line.as_bytes());
         }
     }
 }
@@ -582,8 +601,9 @@ fn finish_session<'rx>(
     free: &mut Vec<StreamingRx<'rx, BleModem>>,
 ) {
     let report = session.report();
-    let labels: &[(&'static str, &str)] = &[("session", report.name.as_str())];
-    wazabee_telemetry::labeled_counter!("serve.session.frames").add(labels, report.frames);
+    wazabee_telemetry::counter!("serve.session.frames")
+        .with(&[("session", report.name.as_str())])
+        .add(report.frames);
     if let Some(mut run) = runs.remove(&session.id) {
         if let Some(a) = &mut run.artifacts {
             let _ = a.pcap.flush();
@@ -599,34 +619,33 @@ fn finish_session<'rx>(
     wazabee_telemetry::counter!("serve.sessions.closed").inc();
     let mut open = state.open.lock().unwrap();
     *open -= 1;
-    wazabee_telemetry::labeled_gauge!("serve.sessions.active")
-        .set(&[("plane", "serve")], *open as f64);
+    wazabee_telemetry::gauge!("serve.sessions.active")
+        .with(&[("plane", "serve")])
+        .set(*open as f64);
     state.drained.notify_all();
 }
 
-/// Hand-formatted JSON for a [`SessionReport`] (the vendored serde is a
-/// no-op shim; every artifact in this tree is written by hand).
+/// The `report.json` document for a [`SessionReport`] (one line).
 pub(crate) fn report_json(r: &SessionReport) -> String {
-    format!(
-        "{{\n  \"id\": {},\n  \"name\": \"{}\",\n  \"frames\": {},\n  \"attempts\": {},\n  \
-         \"crc_fail\": {},\n  \"bytes_in\": {},\n  \"chunks_in\": {},\n  \
-         \"chunks_dropped\": {},\n  \"queue_high_water\": {},\n  \
-         \"latency_p50_us\": {},\n  \"latency_p99_us\": {},\n  \
-         \"duration_s\": {:.6},\n  \"frames_per_sec\": {:.3}\n}}\n",
-        r.id,
-        r.name,
-        r.frames,
-        r.attempts,
-        r.crc_fail,
-        r.bytes_in,
-        r.chunks_in,
-        r.chunks_dropped,
-        r.queue_high_water,
-        r.latency_p50_us,
-        r.latency_p99_us,
-        r.duration_s,
-        r.frames_per_sec,
-    )
+    let mut out = String::new();
+    Writer::new(&mut out)
+        .begin_object()
+        .field("id", r.id)
+        .field("name", &r.name)
+        .field("frames", r.frames)
+        .field("attempts", r.attempts)
+        .field("crc_fail", r.crc_fail)
+        .field("bytes_in", r.bytes_in)
+        .field("chunks_in", r.chunks_in)
+        .field("chunks_dropped", r.chunks_dropped)
+        .field("queue_high_water", r.queue_high_water)
+        .field("latency_p50_us", r.latency_p50_us)
+        .field("latency_p99_us", r.latency_p99_us)
+        .field("duration_s", Fixed(r.duration_s, 6))
+        .field("frames_per_sec", Fixed(r.frames_per_sec, 3))
+        .end_object();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -659,10 +678,13 @@ mod tests {
             duration_s: 0.5,
             frames_per_sec: 8.0,
         };
-        let j = report_json(&r);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"frames\": 4"));
-        assert!(j.contains("\"chunks_dropped\": 1"));
+        assert_eq!(
+            report_json(&r),
+            "{\"id\":3,\"name\":\"t\",\"frames\":4,\"attempts\":5,\"crc_fail\":0,\
+             \"bytes_in\":1024,\"chunks_in\":2,\"chunks_dropped\":1,\"queue_high_water\":2,\
+             \"latency_p50_us\":10,\"latency_p99_us\":20,\"duration_s\":0.500000,\
+             \"frames_per_sec\":8.000}\n"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use wazabee_dot154::mac::MacFrame;
 use wazabee_dot154::Dot154Channel;
 use wazabee_ids::{Alert, ChannelMonitor};
 use wazabee_radio::Instant;
+use wazabee_telemetry::CounterHandle;
 use wazabee_zigbee::XbeeNode;
 
 /// Configuration of a reactive jammer: it listens for the start of a frame
@@ -148,6 +149,12 @@ pub struct SimNode {
     pub(crate) rng: ChaCha8Rng,
     pub(crate) airtime_us: u64,
     pub(crate) tx_count: u64,
+    /// The node's `sim.tx` and `sim.rx.frames` counter cells, resolved on
+    /// its first keyup and first delivery: hot paths then add without
+    /// formatting labels or taking the metric's lock, and a node that never
+    /// transmits or receives still gets no cell.
+    pub(crate) tx_cell: Option<CounterHandle>,
+    pub(crate) rx_frames_cell: Option<CounterHandle>,
 }
 
 impl SimNode {

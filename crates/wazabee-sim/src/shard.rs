@@ -600,17 +600,19 @@ impl Shard {
             chan = self.channel_number,
             dur_us = duration_us
         );
-        self.nodes[source].airtime_us += duration_us;
-        self.nodes[source].tx_count += 1;
-        {
-            let node = source_id.to_string();
-            let channel = self.channel_number.to_string();
-            wazabee_telemetry::labeled_counter!("sim.tx").inc(&[
-                ("node", &node),
-                ("channel", &channel),
-                ("kind", self.nodes[source].kind_name()),
-            ]);
-        }
+        let channel = self.channel_number;
+        let node = &mut self.nodes[source];
+        node.airtime_us += duration_us;
+        node.tx_count += 1;
+        node.tx_cell
+            .get_or_insert_with(|| {
+                wazabee_telemetry::counter!("sim.tx").with(&[
+                    ("node", &node.id.to_string()),
+                    ("channel", &channel.to_string()),
+                    ("kind", node.kind.name()),
+                ])
+            })
+            .inc();
         self.log_push(format!(
             "t={} keyup node={} kind={} seq={:?} dur={}",
             start.0,
@@ -899,11 +901,13 @@ impl Shard {
                 Heard::Frames(frames, failures) => {
                     self.stats.frames_decoded += frames.len() as u64;
                     self.stats.decode_failures += failures;
-                    {
-                        let node = self.nodes[idx].id.to_string();
-                        wazabee_telemetry::labeled_counter!("sim.rx.frames")
-                            .add(&[("node", &node)], frames.len() as u64);
-                    }
+                    let node = &mut self.nodes[idx];
+                    node.rx_frames_cell
+                        .get_or_insert_with(|| {
+                            wazabee_telemetry::counter!("sim.rx.frames")
+                                .with(&[("node", &node.id.to_string())])
+                        })
+                        .add(frames.len() as u64);
                     match &self.nodes[idx].kind {
                         NodeKind::Zigbee(_) => self.zigbee_rx(idx, frames),
                         NodeKind::Spoofer { .. } => self.spoofer_rx(idx, frames),

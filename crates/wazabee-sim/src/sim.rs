@@ -221,6 +221,8 @@ impl SpectrumSim {
             rng,
             airtime_us: 0,
             tx_count: 0,
+            tx_cell: None,
+            rx_frames_cell: None,
         });
         self.node_map.push((s, local));
         gid

@@ -1,85 +1,175 @@
-//! Lock-free atomic event counters.
+//! Counters and gauges: one atomic word per cell.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::labeled::{Cell, Handle, LabelSet, Metric};
 
 /// A monotonically increasing event counter.
 ///
 /// `const`-constructible so each [`crate::counter!`] call site owns a static
-/// instance; the first increment registers it with the global registry.
-/// Increments are a single relaxed `fetch_add` — safe and scalable across
-/// threads.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
+/// instance; the first touch registers it with the global registry.
+/// `inc`/`add` hit the inline empty-label cell with one relaxed
+/// `fetch_add`; labeled cells are reached through `.with(labels)`.
+pub type Counter = Metric<AtomicU64>;
+
+/// A lock-free handle onto one counter cell (see `.with(labels)`).
+pub type CounterHandle = Handle<AtomicU64>;
+
+impl Cell for AtomicU64 {
+    fn blank(&self) -> Self {
+        AtomicU64::new(0)
+    }
+
+    fn reset(&self) {
+        self.store(0, Ordering::Relaxed);
+    }
+
     #[cfg(feature = "enabled")]
-    value: AtomicU64,
-    #[cfg(feature = "enabled")]
-    registered: AtomicBool,
+    fn registered() -> &'static Mutex<Vec<&'static Counter>> {
+        &crate::registry::registry().counters
+    }
 }
 
 impl Counter {
     /// Creates an unregistered counter (use via [`crate::counter!`]).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            #[cfg(feature = "enabled")]
-            value: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
-            registered: AtomicBool::new(false),
-        }
+        Metric::from_cell(name, AtomicU64::new(0))
     }
 
-    /// The metric name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Adds one.
+    /// Adds one to the empty-label cell.
     #[inline]
     pub fn inc(&'static self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n` to the empty-label cell.
     #[inline]
     pub fn add(&'static self, n: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            if !self.registered.load(Ordering::Relaxed) {
-                self.register_slow();
-            }
-            self.value.fetch_add(n, Ordering::Relaxed);
+        if let Some(c) = self.inline() {
+            c.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
-    /// Current value (0 when the `enabled` feature is off).
-    #[inline]
+    /// Current value of the empty-label cell (0 when disabled).
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.value.load(Ordering::Relaxed)
+        self.peek().map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    /// Every labeled cell's `(labels, value)`, sorted by label set.
+    #[must_use]
+    pub fn cells(&self) -> Vec<(LabelSet, u64)> {
+        self.cells_with(|c| Some(c.load(Ordering::Relaxed)))
+    }
+}
+
+impl CounterHandle {
+    /// Adds one.
+    #[inline]
+    pub fn inc(self) {
+        self.add(1);
+    }
+
+    /// Adds `n` — one relaxed `fetch_add`, no lock.
+    #[inline]
+    pub fn add(self, n: u64) {
+        if let Some(c) = self.cell() {
+            c.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        0
+    }
+
+    /// Current value (0 when disabled).
+    #[must_use]
+    pub fn get(self) -> u64 {
+        self.cell().map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// One gauge cell: the bits of the last `f64` set, or [`UNSET`].
+#[derive(Debug)]
+pub struct GaugeCell(AtomicU64);
+
+/// Bits of a gauge cell that holds no value (never set, or reset since).
+/// No arithmetic produces this NaN payload.
+const UNSET: u64 = u64::MAX;
+
+impl GaugeCell {
+    fn set(&self, v: f64) {
+        self.0.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    fn get(&self) -> Option<f64> {
+        let bits = self.0.load(Ordering::Relaxed);
+        (bits != UNSET).then(|| f64::from_bits(bits))
+    }
+}
+
+impl Cell for GaugeCell {
+    fn blank(&self) -> Self {
+        GaugeCell(AtomicU64::new(UNSET))
+    }
+
+    fn reset(&self) {
+        self.0.store(UNSET, Ordering::Relaxed);
     }
 
     #[cfg(feature = "enabled")]
-    #[cold]
-    fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            crate::registry::register_counter(self);
+    fn registered() -> &'static Mutex<Vec<&'static Gauge>> {
+        &crate::registry::registry().gauges
+    }
+}
+
+/// A last-value-wins `f64` gauge, shaped like [`Counter`]. A reset gauge
+/// reads as unknown (`None`) until set again, so stale per-node values from
+/// one phase cannot leak into the next.
+pub type Gauge = Metric<GaugeCell>;
+
+/// A lock-free handle onto one gauge cell (see `.with(labels)`).
+pub type GaugeHandle = Handle<GaugeCell>;
+
+impl Gauge {
+    /// Creates an unregistered gauge (use via [`crate::gauge!`]).
+    #[must_use]
+    pub const fn new(name: &'static str) -> Self {
+        Metric::from_cell(name, GaugeCell(AtomicU64::new(UNSET)))
+    }
+
+    /// Sets the empty-label cell to `v`.
+    pub fn set(&'static self, v: f64) {
+        if let Some(c) = self.inline() {
+            c.set(v);
         }
     }
 
-    #[cfg(feature = "enabled")]
-    pub(crate) fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+    /// Last value of the empty-label cell.
+    #[must_use]
+    pub fn get(&self) -> Option<f64> {
+        self.peek()?.get()
+    }
+
+    /// Every labeled cell holding a value, sorted by label set.
+    #[must_use]
+    pub fn cells(&self) -> Vec<(LabelSet, f64)> {
+        self.cells_with(GaugeCell::get)
+    }
+}
+
+impl GaugeHandle {
+    /// Sets the cell to `v`.
+    #[inline]
+    pub fn set(self, v: f64) {
+        if let Some(c) = self.cell() {
+            c.set(v);
+        }
+    }
+
+    /// Last value set (`None` when unset since the last reset, or disabled).
+    #[must_use]
+    pub fn get(self) -> Option<f64> {
+        self.cell()?.get()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Declarative health rules: machine-checkable alerts over the metric plane.
 //!
 //! A rule names a *signal* (a counter's value or rate, a ratio of two
-//! counters, the minimum of a labeled gauge family, a value-histogram
-//! quantile), a comparator and a threshold:
+//! counters, the minimum of a gauge's cells, a histogram quantile), a
+//! comparator and a threshold:
 //!
 //! ```
 //! # use wazabee_telemetry as tel;
@@ -29,7 +29,11 @@
 //! [`health_ok`] is unconditionally true.
 
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(feature = "enabled")]
+use std::sync::Mutex;
+
+use crate::json::Writer;
 
 /// How a rule compares its signal to the threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +59,8 @@ impl Cmp {
 /// can live in statics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Signal {
-    /// Current value of a counter (flat counters and labeled counter-family
-    /// cells sharing the name are summed).
+    /// Current value of a counter (every cell of every counter sharing the
+    /// name, inline and labeled, is summed).
     Counter(&'static str),
     /// Per-second increase of a counter between watchdog ticks (needs two
     /// ticks before it can fire).
@@ -64,9 +68,9 @@ pub enum Signal {
     /// `numerator / denominator` of two counters; not evaluated while the
     /// denominator is zero.
     Ratio(&'static str, &'static str),
-    /// Minimum across a labeled gauge family's cells.
+    /// Minimum across every cell of the gauges sharing the name.
     GaugeMin(&'static str),
-    /// A value-histogram quantile (`0.0..=1.0`).
+    /// A quantile (`0.0..=1.0`) of a histogram's empty-label cell.
     Quantile(&'static str, f64),
 }
 
@@ -89,13 +93,13 @@ impl Signal {
         Signal::Ratio(num, den)
     }
 
-    /// Watch the minimum cell of a labeled gauge family.
+    /// Watch the minimum cell of a gauge.
     #[must_use]
     pub const fn gauge_min(family: &'static str) -> Self {
         Signal::GaugeMin(family)
     }
 
-    /// Watch a value-histogram quantile.
+    /// Watch a quantile of a histogram's empty-label cell.
     #[must_use]
     pub const fn quantile(hist: &'static str, q: f64) -> Self {
         Signal::Quantile(hist, q)
@@ -127,23 +131,30 @@ pub struct HealthRule {
     #[cfg(feature = "enabled")]
     registered: AtomicBool,
     #[cfg(feature = "enabled")]
-    firing: AtomicBool,
-    #[cfg(feature = "enabled")]
-    latched: AtomicBool,
-    #[cfg(feature = "enabled")]
-    fired_count: AtomicU64,
-    /// f64 bits of the last evaluated value; meaningful iff `has_value`.
-    #[cfg(feature = "enabled")]
-    last_value: AtomicU64,
-    #[cfg(feature = "enabled")]
-    has_value: AtomicBool,
-    /// Previous counter total for rate signals; meaningful iff `has_baseline`.
-    #[cfg(feature = "enabled")]
-    baseline: AtomicU64,
-    #[cfg(feature = "enabled")]
-    baseline_ts_ns: AtomicU64,
-    #[cfg(feature = "enabled")]
-    has_baseline: AtomicBool,
+    state: Mutex<RuleState>,
+}
+
+/// What a rule remembers between ticks; [`RuleState::CLEAR`] after reset.
+#[cfg(feature = "enabled")]
+struct RuleState {
+    firing: bool,
+    latched: bool,
+    fired_count: u64,
+    /// Last evaluated signal value.
+    value: Option<f64>,
+    /// Previous `(counter total, tick ns)` of a rate signal.
+    baseline: Option<(u64, u64)>,
+}
+
+#[cfg(feature = "enabled")]
+impl RuleState {
+    const CLEAR: RuleState = RuleState {
+        firing: false,
+        latched: false,
+        fired_count: 0,
+        value: None,
+        baseline: None,
+    };
 }
 
 impl HealthRule {
@@ -158,20 +169,12 @@ impl HealthRule {
                 cmp,
                 threshold,
                 registered: AtomicBool::new(false),
-                firing: AtomicBool::new(false),
-                latched: AtomicBool::new(false),
-                fired_count: AtomicU64::new(0),
-                last_value: AtomicU64::new(0),
-                has_value: AtomicBool::new(false),
-                baseline: AtomicU64::new(0),
-                baseline_ts_ns: AtomicU64::new(0),
-                has_baseline: AtomicBool::new(false),
+                state: Mutex::new(RuleState::CLEAR),
             }
         }
         #[cfg(not(feature = "enabled"))]
         {
-            let _ = (name, cmp, threshold);
-            let _ = signal;
+            let _ = (name, signal, cmp, threshold);
             HealthRule {}
         }
     }
@@ -181,7 +184,11 @@ impl HealthRule {
     pub fn arm(&'static self) {
         #[cfg(feature = "enabled")]
         if !self.registered.swap(true, Ordering::Relaxed) {
-            crate::registry::register_health_rule(self);
+            crate::registry::registry()
+                .health_rules
+                .lock()
+                .unwrap()
+                .push(self);
         }
     }
 
@@ -199,35 +206,21 @@ impl HealthRule {
     /// Clears fired/latched state and rate baselines; registration persists.
     #[cfg(feature = "enabled")]
     pub(crate) fn reset_state(&self) {
-        self.firing.store(false, Ordering::Relaxed);
-        self.latched.store(false, Ordering::Relaxed);
-        self.fired_count.store(0, Ordering::Relaxed);
-        self.has_value.store(false, Ordering::Relaxed);
-        self.has_baseline.store(false, Ordering::Relaxed);
+        *self.state.lock().expect("health rule state poisoned") = RuleState::CLEAR;
     }
 
     /// Evaluates the rule once and returns its current alert state.
     #[cfg(feature = "enabled")]
     fn tick(&self, now_ns: u64) -> Alert {
+        let mut st = self.state.lock().expect("health rule state poisoned");
         let value = match self.signal {
             Signal::Counter(name) => counter_total(name),
-            Signal::CounterRate(name) => {
-                let current = counter_total(name).map(|v| v as u64);
-                match current {
-                    None => None,
-                    Some(cur) => {
-                        let had = self.has_baseline.swap(true, Ordering::Relaxed);
-                        let prev = self.baseline.swap(cur, Ordering::Relaxed);
-                        let prev_ts = self.baseline_ts_ns.swap(now_ns, Ordering::Relaxed);
-                        let dt_ns = now_ns.saturating_sub(prev_ts);
-                        if !had || dt_ns == 0 {
-                            None
-                        } else {
-                            Some(cur.saturating_sub(prev) as f64 * 1e9 / dt_ns as f64)
-                        }
-                    }
-                }
-            }
+            Signal::CounterRate(name) => counter_total(name).and_then(|total| {
+                let cur = total as u64;
+                let (prev, prev_ns) = st.baseline.replace((cur, now_ns))?;
+                (now_ns > prev_ns)
+                    .then(|| cur.saturating_sub(prev) as f64 * 1e9 / (now_ns - prev_ns) as f64)
+            }),
             Signal::Ratio(num, den) => match (counter_total(num), counter_total(den)) {
                 (Some(n), Some(d)) if d > 0.0 => Some(n / d),
                 _ => None,
@@ -235,41 +228,26 @@ impl HealthRule {
             Signal::GaugeMin(family) => gauge_min(family),
             Signal::Quantile(hist, q) => hist_quantile(hist, q),
         };
-
-        let firing = match value {
-            Some(v) => match self.cmp {
-                Cmp::Above => v > self.threshold,
-                Cmp::Below => v < self.threshold,
-            },
-            None => false,
-        };
-        if let Some(v) = value {
-            self.last_value.store(v.to_bits(), Ordering::Relaxed);
-            self.has_value.store(true, Ordering::Relaxed);
+        st.firing = value.is_some_and(|v| match self.cmp {
+            Cmp::Above => v > self.threshold,
+            Cmp::Below => v < self.threshold,
+        });
+        if value.is_some() {
+            st.value = value;
         }
-        self.firing.store(firing, Ordering::Relaxed);
-        if firing {
-            self.fired_count.fetch_add(1, Ordering::Relaxed);
-            self.latched.store(true, Ordering::Relaxed);
+        if st.firing {
+            st.fired_count += 1;
+            st.latched = true;
         }
-        self.state()
-    }
-
-    /// The rule's current state without re-evaluating.
-    #[cfg(feature = "enabled")]
-    fn state(&self) -> Alert {
         Alert {
             name: self.name,
             signal: self.signal,
             cmp: self.cmp,
             threshold: self.threshold,
-            value: self
-                .has_value
-                .load(Ordering::Relaxed)
-                .then(|| f64::from_bits(self.last_value.load(Ordering::Relaxed))),
-            firing: self.firing.load(Ordering::Relaxed),
-            latched: self.latched.load(Ordering::Relaxed),
-            fired_count: self.fired_count.load(Ordering::Relaxed),
+            value: st.value,
+            firing: st.firing,
+            latched: st.latched,
+            fired_count: st.fired_count,
         }
     }
 }
@@ -295,71 +273,45 @@ pub struct Alert {
     pub fired_count: u64,
 }
 
-/// Sums every flat counter and labeled counter-family cell named `name`;
+/// Sums every cell — inline and labeled — of every counter named `name`;
 /// `None` when nothing by that name has registered yet.
 #[cfg(feature = "enabled")]
 fn counter_total(name: &str) -> Option<f64> {
-    let mut total = 0u64;
-    let mut seen = false;
-    for c in crate::registry::registry().counters.lock().unwrap().iter() {
-        if c.name() == name {
-            total += c.get();
-            seen = true;
-        }
-    }
-    for f in crate::registry::registry()
-        .counter_families
+    let counters = crate::registry::registry()
+        .counters
         .lock()
-        .unwrap()
-        .iter()
-    {
-        if f.name() == name {
-            seen = true;
-            for (_, v) in f.snapshot() {
-                total += v;
-            }
-        }
-    }
-    seen.then_some(total as f64)
+        .expect("metric registry poisoned");
+    let mut named = counters.iter().filter(|c| c.name() == name).peekable();
+    named.peek()?;
+    let total: u64 = named
+        .map(|c| c.get() + c.cells().iter().map(|(_, v)| v).sum::<u64>())
+        .sum();
+    Some(total as f64)
 }
 
-/// Minimum value across a labeled gauge family's cells; `None` when the
-/// family is unregistered or empty.
+/// Minimum value across every cell of the gauges named `name`; `None` when
+/// none holds a value.
 #[cfg(feature = "enabled")]
-fn gauge_min(family: &str) -> Option<f64> {
-    let mut min: Option<f64> = None;
-    for f in crate::registry::registry()
-        .gauge_families
-        .lock()
-        .unwrap()
+fn gauge_min(name: &str) -> Option<f64> {
+    crate::registry::listed(&crate::registry::registry().gauges)
         .iter()
-    {
-        if f.name() == family {
-            for (_, v) in f.snapshot() {
-                min = Some(match min {
-                    Some(m) if m <= v => m,
-                    _ => v,
-                });
-            }
-        }
-    }
-    min
+        .filter(|g| g.name() == name)
+        .flat_map(|g| {
+            g.get()
+                .into_iter()
+                .chain(g.cells().into_iter().map(|(_, v)| v))
+        })
+        .reduce(f64::min)
 }
 
-/// A flat value-histogram's quantile; `None` when absent or empty.
+/// The quantile of the first histogram named `name` whose empty-label cell
+/// holds samples; `None` when absent or empty.
 #[cfg(feature = "enabled")]
 fn hist_quantile(name: &str, q: f64) -> Option<f64> {
-    for h in crate::registry::registry()
-        .value_hists
-        .lock()
-        .unwrap()
+    crate::registry::listed(&crate::registry::registry().histograms)
         .iter()
-    {
-        if h.name() == name && h.count() > 0 {
-            return h.quantile(q);
-        }
-    }
-    None
+        .find(|h| h.name() == name && h.stats().count > 0)?
+        .quantile(q)
 }
 
 /// Evaluates every registered rule once (one watchdog tick) and returns the
@@ -395,52 +347,32 @@ pub fn health_ok() -> bool {
 pub fn health_json() -> String {
     let alerts = evaluate_health();
     let ok = alerts.iter().all(|a| !a.latched);
-    let mut out = format!(
-        "{{\"status\":\"{}\",\"alerts\":[",
-        if ok { "ok" } else { "alert" }
-    );
-    for (i, a) in alerts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&alert_json(a));
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object()
+        .field("status", if ok { "ok" } else { "alert" })
+        .key("alerts")
+        .begin_array();
+    for a in &alerts {
+        write_alert(&mut w, a);
     }
-    out.push_str("]}");
+    w.end_array().end_object();
     out
 }
 
-/// Renders one alert state as a JSON object (shared by `/healthz` and
+/// Writes one alert state as a JSON object (shared by `/healthz` and
 /// [`crate::snapshot_json`]).
-#[must_use]
-pub(crate) fn alert_json(a: &Alert) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"name\":\"{}\",\"metric\":\"{}\",\"cmp\":\"{}\",\"threshold\":{}",
-        crate::sink::json_escape(a.name),
-        crate::sink::json_escape(a.signal.metric()),
-        a.cmp.symbol(),
-        fmt_f64(a.threshold),
-    );
-    match a.value {
-        Some(v) => {
-            let _ = write!(out, ",\"value\":{}", fmt_f64(v));
-        }
-        None => out.push_str(",\"value\":null"),
-    }
-    let _ = write!(
-        out,
-        ",\"firing\":{},\"latched\":{},\"fired_count\":{}}}",
-        a.firing, a.latched, a.fired_count
-    );
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+pub(crate) fn write_alert(w: &mut Writer, a: &Alert) {
+    w.begin_object()
+        .field("name", a.name)
+        .field("metric", a.signal.metric())
+        .field("cmp", a.cmp.symbol())
+        .field("threshold", a.threshold)
+        .field("value", a.value)
+        .field("firing", a.firing)
+        .field("latched", a.latched)
+        .field("fired_count", a.fired_count)
+        .end_object();
 }
 
 /// Starts the background watchdog: a daemon thread evaluating every rule at
@@ -449,7 +381,6 @@ fn fmt_f64(v: f64) -> String {
 pub fn start_watchdog(interval: std::time::Duration) -> bool {
     #[cfg(feature = "enabled")]
     {
-        use std::sync::atomic::AtomicBool;
         static STARTED: AtomicBool = AtomicBool::new(false);
         if STARTED.swap(true, Ordering::Relaxed) {
             return false;
@@ -477,6 +408,11 @@ pub fn start_watchdog(interval: std::time::Duration) -> bool {
 mod tests {
     use super::*;
 
+    /// One watchdog tick; the state of the rule named `name`.
+    fn tick(name: &str) -> Alert {
+        *evaluate_health().iter().find(|a| a.name == name).unwrap()
+    }
+
     #[test]
     fn counter_threshold_rule_fires_and_latches() {
         let _lock = crate::test_lock();
@@ -487,19 +423,11 @@ mod tests {
             > 0.0
         );
         // No data yet: silent.
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.extra")
-            .unwrap();
+        let a = tick("health.test.extra");
         assert!(!a.firing && !a.latched && a.value.is_none());
 
         crate::counter!("health.test.extra_frames").add(2);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.extra")
-            .unwrap();
+        let a = tick("health.test.extra");
         assert!(a.firing && a.latched);
         assert_eq!(a.value, Some(2.0));
         assert!(!health_ok());
@@ -522,20 +450,12 @@ mod tests {
         // Touch the numerator only: denominator counter exists but is 0.
         crate::counter!("health.test.delivered").add(0);
         crate::counter!("health.test.sent").add(0);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.delivery")
-            .unwrap();
+        let a = tick("health.test.delivery");
         assert!(!a.firing, "zero denominator must not fire: {a:?}");
 
         crate::counter!("health.test.sent").add(10);
         crate::counter!("health.test.delivered").add(4);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.delivery")
-            .unwrap();
+        let a = tick("health.test.delivery");
         assert!(a.firing);
         assert_eq!(a.value, Some(0.4));
         crate::reset();
@@ -550,19 +470,15 @@ mod tests {
             Signal::gauge_min("health.test.cell_ratio"),
             < 0.95
         );
-        crate::labeled_gauge!("health.test.cell_ratio").set(&[("cell", "a")], 1.0);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.worst_cell")
-            .unwrap();
+        crate::gauge!("health.test.cell_ratio")
+            .with(&[("cell", "a")])
+            .set(1.0);
+        let a = tick("health.test.worst_cell");
         assert!(!a.firing);
-        crate::labeled_gauge!("health.test.cell_ratio").set(&[("cell", "b")], 0.5);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.worst_cell")
-            .unwrap();
+        crate::gauge!("health.test.cell_ratio")
+            .with(&[("cell", "b")])
+            .set(0.5);
+        let a = tick("health.test.worst_cell");
         assert!(a.firing);
         assert_eq!(a.value, Some(0.5));
         crate::reset();
@@ -578,19 +494,11 @@ mod tests {
             > 0.5
         );
         crate::counter!("health.test.failures").add(1);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.fail_rate")
-            .unwrap();
+        let a = tick("health.test.fail_rate");
         assert!(!a.firing, "first tick only sets the baseline: {a:?}");
         std::thread::sleep(std::time::Duration::from_millis(5));
         crate::counter!("health.test.failures").add(1000);
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.fail_rate")
-            .unwrap();
+        let a = tick("health.test.fail_rate");
         assert!(a.firing, "1000 events in ~5ms is a huge rate: {a:?}");
         crate::reset();
     }
@@ -605,13 +513,9 @@ mod tests {
             > 20.0
         );
         for _ in 0..100 {
-            crate::value_histogram!("health.test.distances", 0.0, 32.0).record(30.0);
+            crate::histogram!("health.test.distances", 0.0, 32.0).record(30.0);
         }
-        let alerts = evaluate_health();
-        let a = alerts
-            .iter()
-            .find(|a| a.name == "health.test.p99_dist")
-            .unwrap();
+        let a = tick("health.test.p99_dist");
         assert!(a.firing, "{a:?}");
         crate::reset();
     }

@@ -1,27 +1,28 @@
-//! Labeled metric families: counters, gauges and histograms keyed by small
-//! label sets (`channel=15`, `node=3`, `stage=fir`, …).
+//! Label sets and the one metric shape every kind shares.
 //!
-//! A *family* is declared once per call site (via [`crate::labeled_counter!`],
-//! [`crate::labeled_gauge!`] or [`crate::labeled_histogram!`]) and fans out
-//! into one cell per distinct label set on first use. Cells are shared
-//! `Arc`s of atomics, so the steady-state cost of a labeled increment is one
-//! short mutex-guarded map lookup — or, with a cached [`CounterHandle`] /
-//! [`HistogramHandle`], a single relaxed atomic op with no lock at all.
+//! A [`Metric`] is a name, an inline empty-label cell and one more cell per
+//! distinct label set (`channel=15`, `node=3`, …); [`crate::Counter`],
+//! [`crate::Gauge`] and [`crate::Histogram`] differ only in their cell type.
+//! The inline cell keeps the unlabeled hot path at one relaxed atomic op.
+//! Labeled cells are reached only through `.with(labels)`, which takes the
+//! metric's map lock once and returns a lock-free `Copy` [`Handle`]: hot
+//! sites keep it, cold sites call `.with` inline. Cells are leaked boxes
+//! that live for the rest of the process and [`crate::reset`] zeroes them
+//! in place, so a cached handle never goes stale.
 //!
 //! Label sets are capped at [`MAX_LABELS`] pairs and stored sorted by key,
 //! so `[("a","1"),("b","2")]` and `[("b","2"),("a","1")]` address the same
-//! cell. With the `enabled` feature off every family compiles to a no-op
-//! and every handle is zero-sized.
+//! cell. With the `enabled` feature off a metric is just its name and every
+//! handle is zero-sized.
 
 #[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
+#[cfg(not(feature = "enabled"))]
+use std::marker::PhantomData;
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(feature = "enabled")]
-use std::sync::{Arc, Mutex};
-
-#[cfg(feature = "enabled")]
-use crate::hist::HIST_BUCKETS;
+use std::sync::Mutex;
 
 /// Maximum label pairs per metric (excess pairs are dropped, keeping the
 /// first `MAX_LABELS` after sorting).
@@ -31,7 +32,7 @@ pub const MAX_LABELS: usize = 4;
 ///
 /// Keys are `'static` (label *names* are part of the schema); values are
 /// formatted at the call site (`node=3`, `channel=15`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LabelSet(Vec<(&'static str, String)>);
 
 impl LabelSet {
@@ -62,509 +63,210 @@ impl LabelSet {
         let body: Vec<String> = self.0.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
         format!("{{{}}}", body.join(","))
     }
+
+    /// Writes the member `"labels":{"k":"v",…}`.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn write_field(&self, w: &mut crate::json::Writer) {
+        w.key("labels").begin_object();
+        for (k, v) in &self.0 {
+            w.field(k, v);
+        }
+        w.end_object();
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
+/// The storage of one cell of a metric kind.
+pub trait Cell: Sync + Sized + 'static {
+    /// An empty cell configured like `self` (a labeled cell's template is
+    /// its metric's inline cell).
+    fn blank(&self) -> Self;
+    /// Zeroes the cell in place.
+    fn reset(&self);
+    /// The registry list this kind's metrics join on first touch.
+    #[cfg(feature = "enabled")]
+    fn registered() -> &'static Mutex<Vec<&'static Metric<Self>>>;
+}
 
-/// A family of monotonically increasing counters keyed by label set.
-///
-/// Declare via [`crate::labeled_counter!`]. `const`-constructible so each
-/// call site owns a static family; the first touch registers it with the
-/// global registry.
+/// One metric static — see the module docs. Declared through the
+/// [`crate::counter!`], [`crate::gauge!`] and [`crate::histogram!`] macros.
 #[derive(Debug)]
-pub struct CounterFamily {
+pub struct Metric<C: 'static> {
     name: &'static str,
     #[cfg(feature = "enabled")]
-    cells: Mutex<BTreeMap<LabelSet, Arc<AtomicU64>>>,
+    inline: C,
+    /// The inline cell was written: only then does the metric appear in the
+    /// snapshot's flat sections (`counters`, `value_histograms`).
+    #[cfg(feature = "enabled")]
+    flat: AtomicBool,
     #[cfg(feature = "enabled")]
     registered: AtomicBool,
-}
-
-/// A cached, lock-free handle onto one labeled counter cell.
-#[derive(Debug, Clone)]
-pub struct CounterHandle {
     #[cfg(feature = "enabled")]
-    cell: Arc<AtomicU64>,
+    cells: Mutex<BTreeMap<LabelSet, &'static C>>,
+    #[cfg(not(feature = "enabled"))]
+    cell: PhantomData<fn() -> C>,
 }
 
-impl CounterHandle {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
+/// A lock-free handle onto one cell of a metric (see `.with(labels)`).
+#[derive(Debug)]
+pub struct Handle<C: 'static> {
+    #[cfg(feature = "enabled")]
+    cell: &'static C,
+    #[cfg(not(feature = "enabled"))]
+    cell: PhantomData<&'static C>,
+}
 
-    /// Adds `n` — one relaxed `fetch_add`, no lock.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
-        self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+impl<C> Clone for Handle<C> {
+    fn clone(&self) -> Self {
+        *self
     }
+}
 
-    /// Current value (0 when disabled).
+impl<C> Copy for Handle<C> {}
+
+impl<C> Handle<C> {
+    /// The cell, or `None` with telemetry compiled out.
     #[inline]
-    #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn cell(self) -> Option<&'static C> {
         #[cfg(feature = "enabled")]
         {
-            self.cell.load(Ordering::Relaxed)
+            Some(self.cell)
         }
         #[cfg(not(feature = "enabled"))]
-        0
+        None
     }
 }
 
-impl CounterFamily {
-    /// Creates an unregistered family (use via [`crate::labeled_counter!`]).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        CounterFamily {
+impl<C: Cell> Metric<C> {
+    /// A metric with `inline` as its empty-label cell (dropped unread with
+    /// telemetry compiled out).
+    pub(crate) const fn from_cell(name: &'static str, inline: C) -> Self {
+        #[cfg(not(feature = "enabled"))]
+        std::mem::forget(inline);
+        Metric {
             name,
             #[cfg(feature = "enabled")]
-            cells: Mutex::new(BTreeMap::new()),
+            inline,
+            #[cfg(feature = "enabled")]
+            flat: AtomicBool::new(false),
             #[cfg(feature = "enabled")]
             registered: AtomicBool::new(false),
+            #[cfg(feature = "enabled")]
+            cells: Mutex::new(BTreeMap::new()),
+            #[cfg(not(feature = "enabled"))]
+            cell: PhantomData,
         }
     }
 
-    /// The family name.
+    /// The metric name.
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.name
     }
 
-    /// Adds one to the cell for `labels`.
+    /// The inline cell for writing: marks it written (registering the
+    /// metric on first touch). `None` with telemetry compiled out.
     #[inline]
-    pub fn inc(&'static self, labels: &[(&'static str, &str)]) {
-        self.add(labels, 1);
-    }
-
-    /// Adds `n` to the cell for `labels` (map lookup + relaxed `fetch_add`).
-    pub fn add(&'static self, labels: &[(&'static str, &str)], n: u64) {
-        #[cfg(feature = "enabled")]
-        self.cell(labels).fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = (labels, n);
-    }
-
-    /// Current value of the cell for `labels` (0 when absent or disabled).
-    #[must_use]
-    pub fn get(&'static self, labels: &[(&'static str, &str)]) -> u64 {
+    pub(crate) fn inline(&'static self) -> Option<&'static C> {
         #[cfg(feature = "enabled")]
         {
-            let key = LabelSet::new(labels);
-            self.cells
-                .lock()
-                .unwrap()
-                .get(&key)
-                .map_or(0, |c| c.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = labels;
-            0
-        }
-    }
-
-    /// Resolves (creating if needed) a lock-free handle for `labels` — cache
-    /// this outside a hot loop so increments skip the map lookup entirely.
-    #[must_use]
-    pub fn handle(&'static self, labels: &[(&'static str, &str)]) -> CounterHandle {
-        #[cfg(feature = "enabled")]
-        {
-            CounterHandle {
-                cell: self.cell(labels),
+            if !self.flat.load(Ordering::Relaxed) {
+                self.touch_flat();
             }
+            Some(&self.inline)
+        }
+        #[cfg(not(feature = "enabled"))]
+        None
+    }
+
+    /// The inline cell for reading.
+    pub(crate) fn peek(&self) -> Option<&C> {
+        #[cfg(feature = "enabled")]
+        {
+            Some(&self.inline)
+        }
+        #[cfg(not(feature = "enabled"))]
+        None
+    }
+
+    /// Resolves (creating if needed) the cell for `labels`; the empty set
+    /// is the inline cell. Takes the metric's map lock — keep the handle at
+    /// hot sites.
+    #[must_use]
+    pub fn with(&'static self, labels: &[(&'static str, &str)]) -> Handle<C> {
+        #[cfg(feature = "enabled")]
+        {
+            if labels.is_empty() {
+                self.touch_flat();
+                return Handle { cell: &self.inline };
+            }
+            self.register();
+            let mut cells = self.cells.lock().expect("metric cells poisoned");
+            let cell = cells
+                .entry(LabelSet::new(labels))
+                .or_insert_with(|| Box::leak(Box::new(self.inline.blank())));
+            Handle { cell }
         }
         #[cfg(not(feature = "enabled"))]
         {
             let _ = labels;
-            CounterHandle {}
+            Handle { cell: PhantomData }
         }
     }
 
-    /// Snapshot of every `(labels, value)` cell, sorted by label set.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(LabelSet, u64)> {
+    /// Every labeled cell's reading, sorted by label set; cells `read`
+    /// maps to `None` are left out.
+    pub(crate) fn cells_with<T>(&self, read: impl Fn(&C) -> Option<T>) -> Vec<(LabelSet, T)> {
         #[cfg(feature = "enabled")]
         {
-            self.cells
-                .lock()
-                .unwrap()
+            let cells = self.cells.lock().expect("metric cells poisoned");
+            cells
                 .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+                .filter_map(|(k, c)| Some((k.clone(), read(c)?)))
                 .collect()
         }
         #[cfg(not(feature = "enabled"))]
-        Vec::new()
+        {
+            let _ = read;
+            Vec::new()
+        }
+    }
+
+    /// Whether the inline cell was ever written.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn flat(&self) -> bool {
+        self.flat.load(Ordering::Relaxed)
+    }
+
+    /// Whether any labeled cell exists.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn labeled(&self) -> bool {
+        !self.cells.lock().expect("metric cells poisoned").is_empty()
     }
 
     #[cfg(feature = "enabled")]
-    fn cell(&'static self, labels: &[(&'static str, &str)]) -> Arc<AtomicU64> {
+    #[cold]
+    fn touch_flat(&'static self) {
+        self.flat.store(true, Ordering::Relaxed);
+        self.register();
+    }
+
+    #[cfg(feature = "enabled")]
+    fn register(&'static self) {
         if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
         {
-            crate::registry::register_counter_family(self);
-        }
-        let key = LabelSet::new(labels);
-        Arc::clone(
-            self.cells
+            C::registered()
                 .lock()
-                .unwrap()
-                .entry(key)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
+                .expect("metric registry poisoned")
+                .push(self);
+        }
     }
 
+    /// Zeroes every cell in place.
     #[cfg(feature = "enabled")]
     pub(crate) fn reset(&self) {
-        // Zero in place (rather than dropping cells) so cached handles stay
-        // wired to the very cells the sinks will read.
-        for cell in self.cells.lock().unwrap().values() {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gauges
-// ---------------------------------------------------------------------------
-
-/// A family of last-value-wins gauges keyed by label set (f64 payload).
-#[derive(Debug)]
-pub struct GaugeFamily {
-    name: &'static str,
-    #[cfg(feature = "enabled")]
-    cells: Mutex<BTreeMap<LabelSet, Arc<AtomicU64>>>,
-    #[cfg(feature = "enabled")]
-    registered: AtomicBool,
-}
-
-impl GaugeFamily {
-    /// Creates an unregistered family (use via [`crate::labeled_gauge!`]).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        GaugeFamily {
-            name,
-            #[cfg(feature = "enabled")]
-            cells: Mutex::new(BTreeMap::new()),
-            #[cfg(feature = "enabled")]
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The family name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Sets the cell for `labels` to `v`.
-    pub fn set(&'static self, labels: &[(&'static str, &str)], v: f64) {
-        #[cfg(feature = "enabled")]
-        self.cell(labels).store(v.to_bits(), Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = (labels, v);
-    }
-
-    /// Last value set for `labels` (`None` when never set or disabled).
-    #[must_use]
-    pub fn get(&'static self, labels: &[(&'static str, &str)]) -> Option<f64> {
-        #[cfg(feature = "enabled")]
-        {
-            let key = LabelSet::new(labels);
-            self.cells
-                .lock()
-                .unwrap()
-                .get(&key)
-                .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = labels;
-            None
-        }
-    }
-
-    /// Snapshot of every `(labels, value)` cell, sorted by label set.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(LabelSet, f64)> {
-        #[cfg(feature = "enabled")]
-        {
-            self.cells
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-                .collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
-    }
-
-    #[cfg(feature = "enabled")]
-    fn cell(&'static self, labels: &[(&'static str, &str)]) -> Arc<AtomicU64> {
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
-        {
-            crate::registry::register_gauge_family(self);
-        }
-        let key = LabelSet::new(labels);
-        Arc::clone(
-            self.cells
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-        )
-    }
-
-    #[cfg(feature = "enabled")]
-    pub(crate) fn reset(&self) {
-        // A gauge's "zero" is last-value-unknown: drop the cells so stale
-        // per-node values from a previous phase cannot leak into the next.
-        self.cells.lock().unwrap().clear();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Histograms
-// ---------------------------------------------------------------------------
-
-/// One labeled histogram cell: linear buckets over the family's `[lo, hi)`.
-#[cfg(feature = "enabled")]
-#[derive(Debug)]
-pub(crate) struct HistCell {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    underflow: AtomicU64,
-    overflow: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-#[cfg(feature = "enabled")]
-impl HistCell {
-    fn new() -> Self {
-        HistCell {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            underflow: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, lo: f64, hi: f64, v: f64) {
-        let width = (hi - lo) / HIST_BUCKETS as f64;
-        if v < lo {
-            self.underflow.fetch_add(1, Ordering::Relaxed);
-        } else if v >= hi || !v.is_finite() {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let idx = ((v - lo) / width) as usize;
-            self.buckets[idx.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        }
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.underflow.store(0, Ordering::Relaxed);
-        self.overflow.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Aggregate view of one labeled histogram cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistStats {
-    /// Total recorded samples.
-    pub count: u64,
-    /// Sum of all recorded samples.
-    pub sum: f64,
-    /// Mean, `None` when empty.
-    pub mean: Option<f64>,
-    /// Nearest-rank p50 (lower bucket edge), `None` when empty.
-    pub p50: Option<f64>,
-    /// Nearest-rank p99 (lower bucket edge), `None` when empty.
-    pub p99: Option<f64>,
-}
-
-/// A family of linear-bucket histograms over `[lo, hi)` keyed by label set.
-#[derive(Debug)]
-pub struct HistogramFamily {
-    name: &'static str,
-    lo: f64,
-    hi: f64,
-    #[cfg(feature = "enabled")]
-    cells: Mutex<BTreeMap<LabelSet, Arc<HistCell>>>,
-    #[cfg(feature = "enabled")]
-    registered: AtomicBool,
-}
-
-/// A cached, lock-free handle onto one labeled histogram cell.
-#[derive(Debug, Clone)]
-pub struct HistogramHandle {
-    #[cfg(feature = "enabled")]
-    cell: Arc<HistCell>,
-    #[cfg(feature = "enabled")]
-    lo: f64,
-    #[cfg(feature = "enabled")]
-    hi: f64,
-}
-
-impl HistogramHandle {
-    /// Records one sample — bucket math + relaxed atomics, no lock.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        #[cfg(feature = "enabled")]
-        self.cell.record(self.lo, self.hi, v);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-}
-
-impl HistogramFamily {
-    /// Creates an unregistered family (use via [`crate::labeled_histogram!`]).
-    #[must_use]
-    pub const fn new(name: &'static str, lo: f64, hi: f64) -> Self {
-        HistogramFamily {
-            name,
-            lo,
-            hi,
-            #[cfg(feature = "enabled")]
-            cells: Mutex::new(BTreeMap::new()),
-            #[cfg(feature = "enabled")]
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The family name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The configured range.
-    #[must_use]
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
-    /// Records one sample into the cell for `labels`.
-    pub fn record(&'static self, labels: &[(&'static str, &str)], v: f64) {
-        #[cfg(feature = "enabled")]
-        self.cell(labels).record(self.lo, self.hi, v);
-        #[cfg(not(feature = "enabled"))]
-        let _ = (labels, v);
-    }
-
-    /// Resolves (creating if needed) a lock-free handle for `labels`.
-    #[must_use]
-    pub fn handle(&'static self, labels: &[(&'static str, &str)]) -> HistogramHandle {
-        #[cfg(feature = "enabled")]
-        {
-            HistogramHandle {
-                cell: self.cell(labels),
-                lo: self.lo,
-                hi: self.hi,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = labels;
-            HistogramHandle {}
-        }
-    }
-
-    /// Snapshot of every cell's aggregate stats, sorted by label set.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(LabelSet, HistStats)> {
-        #[cfg(feature = "enabled")]
-        {
-            let width = (self.hi - self.lo) / HIST_BUCKETS as f64;
-            self.cells
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, cell)| {
-                    let under = cell.underflow.load(Ordering::Relaxed);
-                    let over = cell.overflow.load(Ordering::Relaxed);
-                    let interior: Vec<u64> = cell
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect();
-                    let count = under + over + interior.iter().sum::<u64>();
-                    let sum = f64::from_bits(cell.sum_bits.load(Ordering::Relaxed));
-                    let quant = |q: f64| -> Option<f64> {
-                        if count == 0 {
-                            return None;
-                        }
-                        let rank = ((q * count as f64).ceil() as u64).max(1);
-                        let mut seen = under;
-                        if rank <= seen {
-                            return Some(self.lo - width);
-                        }
-                        for (i, &c) in interior.iter().enumerate() {
-                            seen += c;
-                            if rank <= seen {
-                                return Some(self.lo + i as f64 * width);
-                            }
-                        }
-                        Some(self.hi)
-                    };
-                    (
-                        k.clone(),
-                        HistStats {
-                            count,
-                            sum,
-                            mean: (count > 0).then(|| sum / count as f64),
-                            p50: quant(0.5),
-                            p99: quant(0.99),
-                        },
-                    )
-                })
-                .collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
-    }
-
-    #[cfg(feature = "enabled")]
-    fn cell(&'static self, labels: &[(&'static str, &str)]) -> Arc<HistCell> {
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
-        {
-            crate::registry::register_hist_family(self);
-        }
-        let key = LabelSet::new(labels);
-        Arc::clone(
-            self.cells
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_insert_with(|| Arc::new(HistCell::new())),
-        )
-    }
-
-    #[cfg(feature = "enabled")]
-    pub(crate) fn reset(&self) {
-        for cell in self.cells.lock().unwrap().values() {
-            cell.reset();
+        self.inline.reset();
+        for c in self.cells.lock().expect("metric cells poisoned").values() {
+            c.reset();
         }
     }
 }
@@ -585,52 +287,67 @@ mod tests {
     #[test]
     fn counter_family_fans_out_by_labels() {
         let _lock = crate::test_lock();
-        let fam = crate::labeled_counter!("labeled.test.frames");
-        fam.add(&[("channel", "15")], 3);
-        fam.add(&[("channel", "20")], 2);
-        fam.inc(&[("channel", "15")]);
-        assert_eq!(fam.get(&[("channel", "15")]), 4);
-        assert_eq!(fam.get(&[("channel", "20")]), 2);
-        assert_eq!(fam.get(&[("channel", "26")]), 0);
-        let snap = fam.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].1 + snap[1].1, 6);
+        let c = crate::counter!("labeled.test.frames");
+        c.with(&[("channel", "15")]).add(3);
+        c.with(&[("channel", "20")]).add(2);
+        c.with(&[("channel", "15")]).inc();
+        assert_eq!(c.with(&[("channel", "15")]).get(), 4);
+        assert_eq!(c.with(&[("channel", "20")]).get(), 2);
+        let cells = c.cells();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[0].1 + cells[1].1, 6);
+        // Labeled traffic never touches the inline cell.
+        assert_eq!(c.get(), 0);
     }
 
     #[test]
     fn cached_handle_hits_same_cell() {
         let _lock = crate::test_lock();
-        let fam = crate::labeled_counter!("labeled.test.handle");
-        let h = fam.handle(&[("node", "7")]);
-        let before = fam.get(&[("node", "7")]);
+        let c = crate::counter!("labeled.test.handle");
+        let h = c.with(&[("node", "7")]);
+        let before = h.get();
         for _ in 0..100 {
             h.inc();
         }
-        assert_eq!(fam.get(&[("node", "7")]), before + 100);
-        assert_eq!(h.get(), before + 100);
+        assert_eq!(c.with(&[("node", "7")]).get(), before + 100);
+        // The empty label set is the inline cell.
+        c.with(&[]).add(5);
+        assert_eq!(c.get(), 5);
+        // Reset zeroes in place: the cached handle still feeds the cell
+        // the sinks read.
+        crate::reset();
+        h.inc();
+        assert_eq!(c.cells(), [(LabelSet::new(&[("node", "7")]), 1)]);
     }
 
     #[test]
     fn gauge_holds_last_value() {
         let _lock = crate::test_lock();
-        let g = crate::labeled_gauge!("labeled.test.gauge");
-        assert_eq!(g.get(&[("node", "1")]), None);
-        g.set(&[("node", "1")], 0.25);
-        g.set(&[("node", "1")], 0.75);
-        assert_eq!(g.get(&[("node", "1")]), Some(0.75));
+        let g = crate::gauge!("labeled.test.gauge");
+        let node = g.with(&[("node", "1")]);
+        assert_eq!(node.get(), None);
+        node.set(0.25);
+        g.with(&[("node", "1")]).set(0.75);
+        assert_eq!(node.get(), Some(0.75));
+        assert_eq!(g.get(), None);
+        // A reset gauge is last-value-unknown again.
+        crate::reset();
+        assert_eq!(node.get(), None);
+        assert!(g.cells().is_empty());
     }
 
     #[test]
     fn histogram_family_aggregates_per_cell() {
         let _lock = crate::test_lock();
-        let h = crate::labeled_histogram!("labeled.test.hist", 0.0, 64.0);
+        let h = crate::histogram!("labeled.test.hist", 0.0, 64.0);
+        let fir = h.with(&[("stage", "fir")]);
         for _ in 0..10 {
-            h.record(&[("stage", "fir")], 4.0);
+            fir.record(4.0);
         }
-        h.record(&[("stage", "fir")], 60.0);
-        h.record(&[("stage", "demod")], 1.0);
-        let snap = h.snapshot();
-        let fir = snap
+        fir.record(60.0);
+        h.with(&[("stage", "demod")]).record(1.0);
+        let cells = h.cells();
+        let fir = cells
             .iter()
             .find(|(k, _)| k.render().contains("fir"))
             .map(|(_, s)| s.clone())
@@ -638,16 +355,17 @@ mod tests {
         assert_eq!(fir.count, 11);
         assert_eq!(fir.p50, Some(4.0));
         assert_eq!(fir.p99, Some(60.0));
+        assert_eq!(h.stats().count, 0);
     }
 
     #[test]
     fn concurrent_labeled_increments_lose_nothing() {
         let _lock = crate::test_lock();
-        static FAM: CounterFamily = CounterFamily::new("labeled.test.contended");
+        static C: crate::Counter = crate::Counter::new("labeled.test.contended");
         let threads: Vec<_> = (0..4)
             .map(|k| {
                 std::thread::spawn(move || {
-                    let h = FAM.handle(&[("worker", if k % 2 == 0 { "even" } else { "odd" })]);
+                    let h = C.with(&[("worker", if k % 2 == 0 { "even" } else { "odd" })]);
                     for _ in 0..10_000 {
                         h.inc();
                     }
@@ -657,7 +375,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(FAM.get(&[("worker", "even")]), 20_000);
-        assert_eq!(FAM.get(&[("worker", "odd")]), 20_000);
+        assert_eq!(C.with(&[("worker", "even")]).get(), 20_000);
+        assert_eq!(C.with(&[("worker", "odd")]).get(), 20_000);
     }
 }

@@ -7,23 +7,25 @@
 //! per-stage PHY metrics — sync success, chip-error distances, PER/BER — and
 //! this crate makes those first-class instead of ad-hoc per scenario binary.
 //!
-//! Four primitives:
+//! Three metric kinds, each declared in place by a macro owning one `static`
+//! per call site: [`Counter`] ([`counter!`]: sync hits, CRC/FCS verdicts,
+//! frames), [`Gauge`] ([`gauge!`]: last-value `f64` readings) and
+//! [`Histogram`] ([`histogram!`]: linear buckets over a declared range —
+//! Hamming distances, CFO, latencies). Each keeps its empty-label cell
+//! inline, so `counter!("x").inc()` is one relaxed atomic add; labeled cells
+//! (`node=3`) are reached only through `.with(&labels)`, whose lock-free
+//! `Copy` handle hot sites keep.
 //!
-//! * [`Counter`] — lock-free atomic event counters (sync-word hits, CRC/FCS
-//!   pass/fail, frames TX/RX, despread symbol decisions, …), declared in
-//!   place with [`counter!`].
-//! * [`ValueHistogram`] — fixed-width linear buckets over a declared range
-//!   (Hamming distances, CFO estimates, correlation peaks), declared with
-//!   [`value_histogram!`].
-//! * [`Scope`] — the one timing probe, declared in place with [`scope!`]:
-//!   each guard's enter/exit feeds an exact per-site profile row
-//!   (count, self/total time, log₂ duration buckets, p50/p99) and the
-//!   bounded causal trace ring, which [`event!`] instants share.
+//! One timing probe, [`Scope`] ([`scope!`]), feeds an exact per-site profile
+//! (count, self/total time, log₂ buckets, p50/p99) and the bounded causal
+//! trace ring that [`event!`] instants share; [`health_rule!`] arms alerts
+//! and [`timeseries!`] samples wall-clock series.
 //!
-//! Two sinks: an end-of-run console [`summary`] table (with derived
-//! sync-success / CRC / FCS / PER rates) and a JSONL exporter
-//! ([`write_jsonl`], [`dump_jsonl_to`], and [`dump_from_env`] honouring the
-//! `WAZABEE_TELEMETRY_OUT` environment variable).
+//! Sinks: the console [`summary`] (with derived sync-success / CRC / FCS /
+//! PER rates), JSONL ([`write_jsonl`], [`dump_from_env`] for
+//! `WAZABEE_TELEMETRY_OUT`), the live [`snapshot_json`] / [`health_json`] /
+//! [`trace_chrome_json`] documents and [`serve`]. Every JSON byte they — and
+//! the rest of the workspace — write goes through the one writer, [`json`].
 //!
 //! ## Feature gating
 //!
@@ -42,7 +44,7 @@
 //!     let _t = tel::scope!("example.demod_ns");
 //!     tel::counter!("example.symbols").inc();
 //!     let distance = block.iter().filter(|&&b| b != 0).count();
-//!     tel::value_histogram!("example.hamming", 0.0, 32.0).record(distance as f64);
+//!     tel::histogram!("example.hamming", 0.0, 32.0).record(distance as f64);
 //!     0
 //! }
 //!
@@ -53,6 +55,7 @@
 mod counter;
 mod health;
 mod hist;
+pub mod json;
 mod labeled;
 mod profile;
 mod registry;
@@ -62,15 +65,12 @@ mod span;
 mod timeseries;
 mod trace_export;
 
-pub use counter::Counter;
+pub use counter::{Counter, CounterHandle, Gauge, GaugeHandle};
 pub use health::{
     evaluate_health, health_json, health_ok, start_watchdog, Alert, Cmp, HealthRule, Signal,
 };
-pub use hist::{ValueHistogram, HIST_BUCKETS};
-pub use labeled::{
-    CounterFamily, CounterHandle, GaugeFamily, HistStats, HistogramFamily, HistogramHandle,
-    LabelSet, MAX_LABELS,
-};
+pub use hist::{HistStats, Histogram, HistogramHandle, HIST_BUCKETS};
+pub use labeled::{LabelSet, MAX_LABELS};
 pub use profile::{profile_report, profile_summary, Scope, ScopeGuard, StageRow};
 pub use server::{serve, serve_from_env, ENV_ADDR};
 pub use sink::{dump_from_env, dump_jsonl_to, snapshot_json, summary, write_jsonl, ENV_OUT};
@@ -81,16 +81,15 @@ pub use span::{
 pub use timeseries::{Point, Series, SeriesSet, WallSeries, SERIES_CAPACITY};
 pub use trace_export::{dump_trace_from_env, dump_trace_to, trace_chrome_json, ENV_TRACE_OUT};
 
-/// Zeroes every registered metric — flat counters/histograms, labeled
-/// families, the scope profile, wall-clock series, health-rule alert state —
+/// Zeroes every registered metric — every counter, gauge and histogram
+/// cell, the scope profile, wall-clock series, health-rule alert state —
 /// clears the trace ring and restarts the span-id sequence.
 ///
 /// Intended for test isolation and for scenario binaries that report several
 /// independent phases (the parallel sweep driver resets between cells).
-/// Statics stay registered; only their values reset. Cached
-/// [`CounterHandle`]s/[`HistogramHandle`]s remain valid: counter and
-/// histogram cells are zeroed in place, not dropped. Latched health alerts
-/// unlatch; armed rules stay armed.
+/// Statics stay registered; only their values reset. Cached handles remain
+/// valid: cells are zeroed in place (gauges read as unset), never dropped.
+/// Latched health alerts unlatch; armed rules stay armed.
 pub fn reset() {
     registry::reset();
     span::clear();
@@ -100,7 +99,16 @@ pub fn reset() {
 /// Declares (once) and returns a `&'static` [`Counter`] for this call site.
 ///
 /// Counters sharing a name — e.g. the same metric incremented from several
-/// call sites — are merged by the sinks.
+/// call sites — are merged by the sinks. `.inc()`/`.add(n)` hit the
+/// empty-label cell; `.with(&labels)` resolves a labeled cell's handle:
+///
+/// ```
+/// # use wazabee_telemetry as tel;
+/// tel::counter!("example.frames").inc();
+/// tel::counter!("example.frames_by_channel")
+///     .with(&[("channel", "15")])
+///     .add(2);
+/// ```
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
@@ -109,13 +117,23 @@ macro_rules! counter {
     }};
 }
 
-/// Declares (once) and returns a `&'static` [`ValueHistogram`] over
-/// `[$lo, $hi)` for this call site.
+/// Declares (once) and returns a `&'static` [`Gauge`] (last-value-wins
+/// `f64`) for this call site.
 #[macro_export]
-macro_rules! value_histogram {
+macro_rules! gauge {
+    ($name:expr) => {{
+        static __WZB_GAUGE: $crate::Gauge = $crate::Gauge::new($name);
+        &__WZB_GAUGE
+    }};
+}
+
+/// Declares (once) and returns a `&'static` [`Histogram`] over `[$lo, $hi)`
+/// for this call site.
+#[macro_export]
+macro_rules! histogram {
     ($name:expr, $lo:expr, $hi:expr) => {{
-        static __WZB_VHIST: $crate::ValueHistogram = $crate::ValueHistogram::new($name, $lo, $hi);
-        &__WZB_VHIST
+        static __WZB_HIST: $crate::Histogram = $crate::Histogram::new($name, $lo, $hi);
+        &__WZB_HIST
     }};
 }
 
@@ -205,42 +223,6 @@ macro_rules! health_rule {
     }};
 }
 
-/// Declares (once) and returns a `&'static` [`CounterFamily`] for this call
-/// site — a counter fanning out by label set:
-///
-/// ```
-/// # use wazabee_telemetry as tel;
-/// tel::labeled_counter!("example.frames").inc(&[("channel", "15")]);
-/// ```
-#[macro_export]
-macro_rules! labeled_counter {
-    ($name:expr) => {{
-        static __WZB_CFAMILY: $crate::CounterFamily = $crate::CounterFamily::new($name);
-        &__WZB_CFAMILY
-    }};
-}
-
-/// Declares (once) and returns a `&'static` [`GaugeFamily`] (last-value-wins
-/// f64 per label set) for this call site.
-#[macro_export]
-macro_rules! labeled_gauge {
-    ($name:expr) => {{
-        static __WZB_GFAMILY: $crate::GaugeFamily = $crate::GaugeFamily::new($name);
-        &__WZB_GFAMILY
-    }};
-}
-
-/// Declares (once) and returns a `&'static` [`HistogramFamily`] over
-/// `[$lo, $hi)` keyed by label set for this call site.
-#[macro_export]
-macro_rules! labeled_histogram {
-    ($name:expr, $lo:expr, $hi:expr) => {{
-        static __WZB_HFAMILY: $crate::HistogramFamily =
-            $crate::HistogramFamily::new($name, $lo, $hi);
-        &__WZB_HFAMILY
-    }};
-}
-
 /// Declares (once) a global wall-clock [`WallSeries`] (capacity
 /// [`SERIES_CAPACITY`] unless given) and records `$value` into it.
 #[macro_export]
@@ -276,7 +258,7 @@ mod tests {
         let _lock = crate::test_lock();
         reset();
         counter!("lib.test.frames").add(3);
-        value_histogram!("lib.test.dist", 0.0, 32.0).record(4.0);
+        histogram!("lib.test.dist", 0.0, 32.0).record(4.0);
         {
             let _t = scope!("lib.test.kernel_ns");
             let _s = scope!("lib.test.span", k = 1u8);

@@ -118,7 +118,11 @@ impl Scope {
     #[cold]
     fn register_slow(&'static self) {
         if !self.registered.swap(true, Ordering::AcqRel) {
-            crate::registry::register_scope(self);
+            crate::registry::registry()
+                .scopes
+                .lock()
+                .unwrap()
+                .push(self);
         }
     }
 

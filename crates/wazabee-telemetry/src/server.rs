@@ -10,7 +10,7 @@
 //! while HTTP/1.0 requests get the original one-shot close-after-answer
 //! response. Three routes:
 //!
-//! * `/` — [`crate::snapshot_json`]: merged counters, labeled families,
+//! * `/` — [`crate::snapshot_json`]: counters and labeled cells, gauges,
 //!   histograms, alerts, stage profile and wall-clock series at that instant;
 //! * `/healthz` — one watchdog tick over the armed [`crate::HealthRule`]s;
 //!   `200 OK` while no alert has latched, `503 Service Unavailable` once one
@@ -174,14 +174,21 @@ fn answer<S: Read + Write>(stream: &mut S) -> io::Result<()> {
                 (status, body)
             }
             "/trace" => ("200 OK", crate::trace_chrome_json()),
-            other => (
-                "404 Not Found",
-                format!(
-                    "{{\"error\":\"no such route\",\"path\":\"{}\",\
-                     \"routes\":[\"/\",\"/healthz\",\"/trace\"]}}",
-                    crate::sink::json_escape(other)
-                ),
-            ),
+            other => {
+                let mut body = String::new();
+                crate::json::Writer::new(&mut body)
+                    .begin_object()
+                    .field("error", "no such route")
+                    .field("path", other)
+                    .key("routes")
+                    .begin_array()
+                    .value("/")
+                    .value("/healthz")
+                    .value("/trace")
+                    .end_array()
+                    .end_object();
+                ("404 Not Found", body)
+            }
         };
         // The response version mirrors the request's; the Connection header
         // carries the disposition (an HTTP/1.1 `Connection: close` request
@@ -258,22 +265,12 @@ fn request_path(req: &[u8]) -> String {
 mod tests {
     use super::*;
 
-    fn http_get(addr: &str) -> String {
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET / HTTP/1.0\r\nHost: test\r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        out
-    }
-
     #[test]
     fn tcp_server_answers_with_snapshot_json() {
         let _lock = crate::test_lock();
         crate::counter!("server.test.alive").inc();
         let addr = serve("127.0.0.1:0").unwrap();
-        let response = http_get(&addr);
+        let response = http_get_path(&addr, "/");
         assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
         assert!(
             response.contains("Content-Type: application/json"),
@@ -298,7 +295,7 @@ mod tests {
         let _lock = crate::test_lock();
         let addr = serve("127.0.0.1:0").unwrap();
         for _ in 0..3 {
-            let response = http_get(&addr);
+            let response = http_get_path(&addr, "/");
             assert!(response.starts_with("HTTP/1.0 200 OK"));
         }
     }

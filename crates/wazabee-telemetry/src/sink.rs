@@ -7,19 +7,31 @@
 //! yields a rate line, and `*frames_tx` vs `*frames_ok` totals yield PER.
 
 use std::collections::BTreeMap;
+#[cfg(feature = "enabled")]
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 
+use crate::json::Writer;
+#[cfg(feature = "enabled")]
+use crate::labeled::{Cell, Metric};
+#[cfg(feature = "enabled")]
+use crate::registry::{listed, registry};
 use crate::span::{snapshot_trace, TraceKind};
+#[cfg(feature = "enabled")]
+use crate::{Gauge, HistStats, Histogram, LabelSet};
+#[cfg(feature = "enabled")]
+use std::sync::Mutex;
 
 /// Environment variable naming a JSONL dump path (see [`dump_from_env`]).
 pub const ENV_OUT: &str = "WAZABEE_TELEMETRY_OUT";
 
+/// Empty-label counter cells, summed by name (call sites sharing a name
+/// merge here).
 #[cfg(feature = "enabled")]
 fn merged_counters() -> BTreeMap<&'static str, u64> {
     let mut merged: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for c in crate::registry::registry().counters.lock().unwrap().iter() {
+    for c in listed(&registry().counters).iter().filter(|c| c.flat()) {
         *merged.entry(c.name()).or_insert(0) += c.get();
     }
     merged
@@ -30,31 +42,11 @@ fn merged_counters() -> BTreeMap<&'static str, u64> {
     BTreeMap::new()
 }
 
-/// Sums counters whose name ends with `suffix`.
-#[cfg(feature = "enabled")]
-fn total_with_suffix(counters: &BTreeMap<&'static str, u64>, suffix: &str) -> u64 {
-    counters
-        .iter()
-        .filter(|(name, _)| name.ends_with(suffix))
-        .map(|(_, v)| v)
-        .sum()
-}
-
-#[cfg(feature = "enabled")]
-fn rate_line(label: &str, pass: u64, fail: u64) -> Option<String> {
-    let total = pass + fail;
-    (total > 0).then(|| {
-        format!(
-            "  {label:<28} {pass}/{total} ({:.2}%)",
-            100.0 * pass as f64 / total as f64
-        )
-    })
-}
-
 /// Renders the end-of-run console summary table.
 ///
 /// Sections: derived rates (sync success, CRC/FCS pass, PER), counters,
-/// labeled families, value histograms (count/mean/p50/p99), instant events
+/// labeled cells and gauges, empty-label histogram cells
+/// (count/mean/p50/p99), instant events
 /// still in the trace ring, alerts, and the scope profile
 /// (count/self/total/p50/p99).
 /// With the `enabled` feature off, returns a single "disabled" line.
@@ -67,30 +59,35 @@ pub fn summary() -> String {
     }
     #[cfg(feature = "enabled")]
     {
-        let mut out = String::new();
-        let _ = writeln!(out, "=== wazabee telemetry summary ===");
-
+        let mut out = String::from("=== wazabee telemetry summary ===\n");
         let counters = merged_counters();
 
         // Derived headline rates from naming conventions.
-        let mut derived = Vec::new();
-        let sync_hit = total_with_suffix(&counters, ".sync.hit");
-        let sync_miss = total_with_suffix(&counters, ".sync.miss");
-        if let Some(l) = rate_line("sync-hit rate", sync_hit, sync_miss) {
-            derived.push(l);
-        }
-        let crc_ok = total_with_suffix(&counters, ".crc.ok");
-        let crc_fail = total_with_suffix(&counters, ".crc.fail");
-        if let Some(l) = rate_line("CRC-24 pass rate", crc_ok, crc_fail) {
-            derived.push(l);
-        }
-        let fcs_ok = total_with_suffix(&counters, ".fcs.ok");
-        let fcs_fail = total_with_suffix(&counters, ".fcs.fail");
-        if let Some(l) = rate_line("FCS pass rate", fcs_ok, fcs_fail) {
-            derived.push(l);
-        }
-        let frames_tx = total_with_suffix(&counters, "frames_tx");
-        let frames_ok = total_with_suffix(&counters, "frames_ok");
+        let total = |suffix: &str| -> u64 {
+            counters
+                .iter()
+                .filter(|(name, _)| name.ends_with(suffix))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        let mut derived: Vec<String> = [
+            ("sync-hit rate", ".sync.hit", ".sync.miss"),
+            ("CRC-24 pass rate", ".crc.ok", ".crc.fail"),
+            ("FCS pass rate", ".fcs.ok", ".fcs.fail"),
+        ]
+        .into_iter()
+        .filter_map(|(label, pass, fail)| {
+            let (pass, fail) = (total(pass), total(fail));
+            let n = pass + fail;
+            (n > 0).then(|| {
+                format!(
+                    "  {label:<28} {pass}/{n} ({:.2}%)",
+                    100.0 * pass as f64 / n as f64
+                )
+            })
+        })
+        .collect();
+        let (frames_tx, frames_ok) = (total("frames_tx"), total("frames_ok"));
         if frames_tx > 0 {
             let per = 1.0 - (frames_ok.min(frames_tx) as f64 / frames_tx as f64);
             derived.push(format!(
@@ -102,98 +99,71 @@ pub fn summary() -> String {
         // the flight-recorder hooks in the RX paths) grouped by reason.
         let mut fail_by_reason: BTreeMap<&str, u64> = BTreeMap::new();
         for (name, value) in &counters {
-            if let Some(pos) = name.find(".rx.fail.") {
-                let reason = &name[pos + ".rx.fail.".len()..];
+            if let Some((_, reason)) = name.split_once(".rx.fail.") {
                 if !reason.is_empty() {
                     *fail_by_reason.entry(reason).or_insert(0) += value;
                 }
             }
         }
-        for (reason, total) in &fail_by_reason {
-            derived.push(format!("  rx.fail.{reason:<20} {total}"));
-        }
-        if !derived.is_empty() {
-            let _ = writeln!(out, "-- derived --");
-            for l in derived {
-                let _ = writeln!(out, "{l}");
-            }
-        }
+        derived.extend(
+            fail_by_reason
+                .iter()
+                .map(|(reason, n)| format!("  rx.fail.{reason:<20} {n}")),
+        );
+        section(&mut out, "derived", derived);
+        section(
+            &mut out,
+            "counters",
+            counters.iter().map(|(name, v)| format!("  {name:<40} {v}")),
+        );
 
-        if !counters.is_empty() {
-            let _ = writeln!(out, "-- counters --");
-            for (name, value) in &counters {
-                let _ = writeln!(out, "  {name:<40} {value}");
-            }
-        }
-
-        // Labeled families, one line per cell, `name{labels}` style.
-        let mut labeled_lines: Vec<String> = Vec::new();
-        for f in sorted_counter_families() {
-            for (labels, value) in f.snapshot() {
-                labeled_lines.push(format!("  {:<40} {value}", cell_name(f.name(), &labels)));
-            }
-        }
-        if !labeled_lines.is_empty() {
-            let _ = writeln!(out, "-- labeled counters --");
-            for l in labeled_lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
-        let mut gauge_lines: Vec<String> = Vec::new();
-        for f in sorted_gauge_families() {
-            for (labels, value) in f.snapshot() {
-                gauge_lines.push(format!("  {:<40} {value:.4}", cell_name(f.name(), &labels)));
-            }
-        }
-        if !gauge_lines.is_empty() {
-            let _ = writeln!(out, "-- gauges --");
-            for l in gauge_lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
-        let mut lhist_lines: Vec<String> = Vec::new();
-        for f in sorted_hist_families() {
-            for (labels, stats) in f.snapshot() {
-                if stats.count == 0 {
-                    continue;
+        // Labeled cells, one line per cell, `name{labels}` style.
+        section(
+            &mut out,
+            "labeled counters",
+            sorted(&registry().counters, Metric::labeled)
+                .into_iter()
+                .flat_map(|c| {
+                    c.cells()
+                        .into_iter()
+                        .map(move |(l, v)| format!("  {:<40} {v}", cell_name(c.name(), &l)))
+                }),
+        );
+        section(
+            &mut out,
+            "gauges",
+            gauges().into_iter().flat_map(|(g, cells)| {
+                cells
+                    .into_iter()
+                    .map(move |(l, v)| format!("  {:<40} {v:.4}", cell_name(g.name(), &l)))
+            }),
+        );
+        section(
+            &mut out,
+            "labeled histograms",
+            sorted(&registry().histograms, Metric::labeled)
+                .into_iter()
+                .flat_map(|h| {
+                    h.cells()
+                        .into_iter()
+                        .filter(|(_, s)| s.count > 0)
+                        .map(move |(l, s)| {
+                            format!("  {}", stats_line(&cell_name(h.name(), &l), &s))
+                        })
+                }),
+        );
+        section(
+            &mut out,
+            "value histograms",
+            flat_histograms().into_iter().map(|h| {
+                let s = h.stats();
+                if s.count == 0 {
+                    format!("  {:<40} (empty)", h.name())
+                } else {
+                    format!("  {}", stats_line(h.name(), &s))
                 }
-                lhist_lines.push(format!(
-                    "  {:<40} n={} mean={:.3} p50={:.3} p99={:.3}",
-                    cell_name(f.name(), &labels),
-                    stats.count,
-                    stats.mean.unwrap_or(f64::NAN),
-                    stats.p50.unwrap_or(f64::NAN),
-                    stats.p99.unwrap_or(f64::NAN),
-                ));
-            }
-        }
-        if !lhist_lines.is_empty() {
-            let _ = writeln!(out, "-- labeled histograms --");
-            for l in lhist_lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
-
-        let vhists = crate::registry::registry().value_hists.lock().unwrap();
-        if !vhists.is_empty() {
-            let _ = writeln!(out, "-- value histograms --");
-            for h in vhists.iter() {
-                let n = h.count();
-                if n == 0 {
-                    let _ = writeln!(out, "  {:<40} (empty)", h.name());
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "  {:<40} n={n} mean={:.3} p50={:.3} p99={:.3}",
-                    h.name(),
-                    h.mean().unwrap_or(f64::NAN),
-                    h.quantile(0.5).unwrap_or(f64::NAN),
-                    h.quantile(0.99).unwrap_or(f64::NAN),
-                );
-            }
-        }
-        drop(vhists);
+            }),
+        );
 
         // Instant events still buffered in the trace ring, by name. Span
         // timing lives in the exact profile table below, not in the ring.
@@ -203,98 +173,139 @@ pub fn summary() -> String {
                 *events.entry(ev.name).or_insert(0) += 1;
             }
         }
-        if !events.is_empty() {
-            let _ = writeln!(out, "-- events --");
-            for (name, n) in &events {
-                let _ = writeln!(out, "  {name:<40} n={n}");
-            }
-        }
+        section(
+            &mut out,
+            "events",
+            events.iter().map(|(name, n)| format!("  {name:<40} n={n}")),
+        );
 
         // Health rules: one watchdog tick, then every armed rule with its
         // verdict — firing/latched alerts stand out, healthy rules read "ok".
-        let alerts = crate::health::evaluate_health();
-        if !alerts.is_empty() {
-            let _ = writeln!(out, "-- alerts --");
-            for a in &alerts {
-                let status = if a.firing {
-                    "FIRING"
-                } else if a.latched {
-                    "latched"
-                } else {
-                    "ok"
+        section(
+            &mut out,
+            "alerts",
+            crate::health::evaluate_health().iter().map(|a| {
+                let status = match (a.firing, a.latched) {
+                    (true, _) => "FIRING",
+                    (false, true) => "latched",
+                    (false, false) => "ok",
                 };
                 let value = a
                     .value
                     .map_or_else(|| "n/a".to_string(), |v| format!("{v:.4}"));
-                let _ = writeln!(
-                    out,
+                format!(
                     "  {:<40} {status} ({} {} {}, value {value}, fired {}x)",
                     a.name,
                     a.signal.metric(),
                     a.cmp.symbol(),
                     a.threshold,
                     a.fired_count,
-                );
-            }
-        }
+                )
+            }),
+        );
 
         out.push_str(&crate::profile::profile_summary());
         out
     }
 }
 
+/// Appends `-- title --` and `lines`, one per line, unless there are none.
+#[cfg(feature = "enabled")]
+fn section(out: &mut String, title: &str, lines: impl IntoIterator<Item = String>) {
+    let mut lines = lines.into_iter().peekable();
+    if lines.peek().is_some() {
+        let _ = writeln!(out, "-- {title} --");
+        for l in lines {
+            let _ = writeln!(out, "{l}");
+        }
+    }
+}
+
+/// `name n=… mean=… p50=… p99=…` for one histogram cell.
+#[cfg(feature = "enabled")]
+fn stats_line(name: &str, s: &HistStats) -> String {
+    format!(
+        "{name:<40} n={} mean={:.3} p50={:.3} p99={:.3}",
+        s.count,
+        s.mean.unwrap_or(f64::NAN),
+        s.p50.unwrap_or(f64::NAN),
+        s.p99.unwrap_or(f64::NAN),
+    )
+}
+
 /// Renders `name{labels}` (or just `name` for the empty label set).
 #[cfg(feature = "enabled")]
-fn cell_name(name: &str, labels: &crate::labeled::LabelSet) -> String {
+fn cell_name(name: &str, labels: &LabelSet) -> String {
     format!("{name}{}", labels.render())
 }
 
-/// Registered counter families, sorted by name for stable output.
+/// Histograms whose empty-label cell was written, in registration order.
 #[cfg(feature = "enabled")]
-fn sorted_counter_families() -> Vec<&'static crate::labeled::CounterFamily> {
-    let mut v: Vec<_> = crate::registry::registry()
-        .counter_families
-        .lock()
-        .unwrap()
-        .clone();
-    v.sort_by_key(|f| f.name());
+fn flat_histograms() -> Vec<&'static Histogram> {
+    let mut v = listed(&registry().histograms);
+    v.retain(|h| h.flat());
     v
 }
 
+/// The registered metrics of one kind that `keep` accepts, sorted by name
+/// (a stable sort: call sites sharing a name stay in registration order).
 #[cfg(feature = "enabled")]
-fn sorted_gauge_families() -> Vec<&'static crate::labeled::GaugeFamily> {
-    let mut v: Vec<_> = crate::registry::registry()
-        .gauge_families
-        .lock()
-        .unwrap()
-        .clone();
-    v.sort_by_key(|f| f.name());
+fn sorted<C: Cell>(
+    list: &Mutex<Vec<&'static Metric<C>>>,
+    keep: impl Fn(&Metric<C>) -> bool,
+) -> Vec<&'static Metric<C>> {
+    let mut v = listed(list);
+    v.retain(|m| keep(m));
+    v.sort_by_key(|m| m.name());
     v
 }
 
+/// Registered gauges sorted by name, each with its set cells: the inline
+/// cell (empty labels) first, then the labeled ones.
 #[cfg(feature = "enabled")]
-fn sorted_hist_families() -> Vec<&'static crate::labeled::HistogramFamily> {
-    let mut v: Vec<_> = crate::registry::registry()
-        .hist_families
-        .lock()
-        .unwrap()
-        .clone();
-    v.sort_by_key(|f| f.name());
-    v
+fn gauges() -> Vec<(&'static Gauge, Vec<(LabelSet, f64)>)> {
+    sorted(&registry().gauges, |_| true)
+        .into_iter()
+        .map(|g| {
+            let inline = g.get().map(|value| (LabelSet::default(), value));
+            (g, inline.into_iter().chain(g.cells()).collect())
+        })
+        .collect()
 }
 
-/// Renders a label set as a JSON object: `{"k":"v",…}`.
+/// Writes a histogram cell's `count`, `sum` (when `with_sum`), `mean`,
+/// `p50` and `p99` members.
 #[cfg(feature = "enabled")]
-pub(crate) fn labels_json(pairs: &[(&'static str, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+fn stats_fields(w: &mut Writer, s: &HistStats, with_sum: bool) {
+    w.field("count", s.count);
+    if with_sum {
+        w.field("sum", s.sum);
     }
-    out.push('}');
-    out
+    w.field("mean", s.mean)
+        .field("p50", s.p50)
+        .field("p99", s.p99);
+}
+
+/// Writes the member `"key":[…]` of `u64`s.
+#[cfg(feature = "enabled")]
+fn u64_array(w: &mut Writer, key: &str, vals: &[u64]) {
+    w.key(key).begin_array();
+    for &v in vals {
+        w.value(v);
+    }
+    w.end_array();
+}
+
+/// Writes `{"labels":{…},"value":v}` cells of one metric.
+#[cfg(feature = "enabled")]
+fn value_cells<V: crate::json::Value>(w: &mut Writer, cells: Vec<(LabelSet, V)>) {
+    w.key("cells").begin_array();
+    for (labels, value) in cells {
+        w.begin_object();
+        labels.write_field(w);
+        w.field("value", value).end_object();
+    }
+    w.end_array();
 }
 
 /// Renders the complete current telemetry state as one JSON object — the
@@ -302,367 +313,231 @@ pub(crate) fn labels_json(pairs: &[(&'static str, String)]) -> String {
 /// for mid-run introspection.
 ///
 /// Top-level shape (`schema` = `"wazabee.telemetry.snapshot/1"`):
-/// `counters` (name → value), `labeled_counters` / `gauges` /
-/// `labeled_histograms` (per-family cell arrays), `value_histograms`,
-/// `alerts` (one watchdog tick over every armed [`crate::HealthRule`]),
-/// `stages` (the scope profile: count, self/total, p50/p99) and
-/// `wall_series`. With the `enabled` feature off, only
+/// `counters` (name → empty-label value, summed over call sites sharing the
+/// name), `labeled_counters` / `gauges` / `labeled_histograms` (per-metric
+/// cell arrays), `value_histograms` (empty-label histogram cells), `alerts`
+/// (one watchdog tick over every armed [`crate::HealthRule`]), `stages` (the
+/// scope profile: count, self/total, p50/p99) and `wall_series`. A metric
+/// appears in `counters` / `value_histograms` only if its empty-label cell
+/// was written. With the `enabled` feature off, only
 /// `{"schema":…,"enabled":false}`.
 #[must_use]
 pub fn snapshot_json() -> String {
-    let mut out = String::from("{\"schema\":\"wazabee.telemetry.snapshot/1\"");
-    #[cfg(not(feature = "enabled"))]
-    {
-        out.push_str(",\"enabled\":false}");
-        out
-    }
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object()
+        .field("schema", "wazabee.telemetry.snapshot/1")
+        .field("enabled", cfg!(feature = "enabled"));
     #[cfg(feature = "enabled")]
     {
-        out.push_str(",\"enabled\":true");
-
-        out.push_str(",\"counters\":{");
-        for (i, (name, value)) in merged_counters().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{value}", json_escape(name));
+        w.key("counters").begin_object();
+        for (name, value) in merged_counters() {
+            w.field(name, value);
         }
-        out.push('}');
+        w.end_object();
 
-        out.push_str(",\"labeled_counters\":[");
-        for (i, f) in sorted_counter_families().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"cells\":[", json_escape(f.name()));
-            for (j, (labels, value)) in f.snapshot().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"labels\":{},\"value\":{value}}}",
-                    labels_json(labels.pairs())
-                );
-            }
-            out.push_str("]}");
+        w.key("labeled_counters").begin_array();
+        for c in sorted(&registry().counters, Metric::labeled) {
+            w.begin_object().field("name", c.name());
+            value_cells(&mut w, c.cells());
+            w.end_object();
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"gauges\":[");
-        for (i, f) in sorted_gauge_families().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"cells\":[", json_escape(f.name()));
-            for (j, (labels, value)) in f.snapshot().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"labels\":{},\"value\":{}}}",
-                    labels_json(labels.pairs()),
-                    json_f64(*value)
-                );
-            }
-            out.push_str("]}");
+        w.key("gauges").begin_array();
+        for (g, cells) in gauges() {
+            w.begin_object().field("name", g.name());
+            value_cells(&mut w, cells);
+            w.end_object();
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"labeled_histograms\":[");
-        for (i, f) in sorted_hist_families().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.key("labeled_histograms").begin_array();
+        for h in sorted(&registry().histograms, Metric::labeled) {
+            let (lo, hi) = h.range();
+            w.begin_object()
+                .field("name", h.name())
+                .field("lo", lo)
+                .field("hi", hi)
+                .key("cells")
+                .begin_array();
+            for (labels, stats) in h.cells() {
+                w.begin_object();
+                labels.write_field(&mut w);
+                stats_fields(&mut w, &stats, true);
+                w.end_object();
             }
-            let (lo, hi) = f.range();
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"lo\":{},\"hi\":{},\"cells\":[",
-                json_escape(f.name()),
-                json_f64(lo),
-                json_f64(hi)
-            );
-            for (j, (labels, stats)) in f.snapshot().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"labels\":{},\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
-                    labels_json(labels.pairs()),
-                    stats.count,
-                    json_f64(stats.sum),
-                    json_opt_f64(stats.mean),
-                    json_opt_f64(stats.p50),
-                    json_opt_f64(stats.p99)
-                );
-            }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"value_histograms\":[");
-        {
-            let vhists = crate::registry::registry().value_hists.lock().unwrap();
-            for (i, h) in vhists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
-                    json_escape(h.name()),
-                    h.count(),
-                    json_opt_f64(h.mean()),
-                    json_opt_f64(h.quantile(0.5)),
-                    json_opt_f64(h.quantile(0.99))
-                );
-            }
+        w.key("value_histograms").begin_array();
+        for h in flat_histograms() {
+            w.begin_object().field("name", h.name());
+            stats_fields(&mut w, &h.stats(), false);
+            w.end_object();
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"alerts\":[");
-        for (i, a) in crate::health::evaluate_health().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::health::alert_json(a));
+        w.key("alerts").begin_array();
+        for a in crate::health::evaluate_health() {
+            crate::health::write_alert(&mut w, &a);
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"stages\":[");
-        for (i, row) in crate::profile::profile_report().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\
-                 \"p50_ns\":{},\"p99_ns\":{}}}",
-                json_escape(row.name),
-                row.count,
-                row.total_ns,
-                row.self_ns,
-                row.p50_ns,
-                row.p99_ns
-            );
+        w.key("stages").begin_array();
+        for row in crate::profile::profile_report() {
+            w.begin_object()
+                .field("name", row.name)
+                .field("count", row.count)
+                .field("total_ns", row.total_ns)
+                .field("self_ns", row.self_ns)
+                .field("p50_ns", row.p50_ns)
+                .field("p99_ns", row.p99_ns)
+                .end_object();
         }
-        out.push(']');
+        w.end_array();
 
-        out.push_str(",\"wall_series\":[");
-        {
-            let mut series: Vec<_> = crate::registry::registry()
-                .wall_series
-                .lock()
-                .unwrap()
-                .clone();
-            series.sort_by_key(|s| s.name());
-            for (i, s) in series.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"series\":\"{}\",\"points\":[",
-                    json_escape(s.name())
-                );
-                for (j, p) in s.snapshot().iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{},{}]", p.t, json_f64(p.value));
-                }
-                out.push_str("]}");
+        w.key("wall_series").begin_array();
+        for s in crate::timeseries::registered_wall_series() {
+            w.begin_object()
+                .field("series", s.name())
+                .key("points")
+                .begin_array();
+            for p in s.snapshot() {
+                w.begin_array().value(p.t).value(p.value).end_array();
             }
+            w.end_array().end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array();
     }
-}
-
-/// Escapes a string for a JSON string literal (quotes not included).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    w.end_object();
     out
 }
 
-/// Formats an f64 as a JSON value (`null` for non-finite).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
-}
-
-#[cfg(feature = "enabled")]
-fn json_u64_array(vals: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
+/// Writes one JSONL record — the object `body` fills — and a newline,
+/// rendering through the reused `line` buffer.
+fn write_line(
+    out: &mut dyn Write,
+    line: &mut String,
+    body: impl FnOnce(&mut Writer),
+) -> io::Result<()> {
+    line.clear();
+    let mut w = Writer::new(line);
+    w.begin_object();
+    body(&mut w);
+    w.end_object();
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// Writes every registered metric and buffered trace record as JSON Lines.
 ///
 /// Record shapes (one JSON object per line, `type` discriminates):
-/// `counter`, `value_histogram`, `labeled_counter`, `gauge`,
-/// `labeled_histogram`, `stage`, `wall_series`, `trace`.
-/// The trace ring is *not* drained — records stay available to [`summary`].
-pub fn write_jsonl(w: &mut dyn Write) -> io::Result<()> {
-    for (name, value) in &merged_counters() {
-        writeln!(
-            w,
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-            json_escape(name)
-        )?;
+/// `counter`, `value_histogram` (empty-label histogram cells),
+/// `labeled_counter`, `gauge`, `labeled_histogram`, `stage`, `wall_series`,
+/// `trace`. The trace ring is *not* drained — records stay available to
+/// [`summary`].
+pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
+    let mut line = String::new();
+    for (name, value) in merged_counters() {
+        write_line(out, &mut line, |w| {
+            w.field("type", "counter")
+                .field("name", name)
+                .field("value", value);
+        })?;
     }
     #[cfg(feature = "enabled")]
     {
-        for h in crate::registry::registry()
-            .value_hists
-            .lock()
-            .unwrap()
-            .iter()
-        {
+        for h in flat_histograms() {
             let (lo, hi) = h.range();
             let (under, interior, over) = h.snapshot();
-            writeln!(
-                w,
-                "{{\"type\":\"value_histogram\",\"name\":\"{}\",\"lo\":{},\"hi\":{},\
-                 \"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\
-                 \"underflow\":{under},\"overflow\":{over},\"buckets\":{}}}",
-                json_escape(h.name()),
-                json_f64(lo),
-                json_f64(hi),
-                h.count(),
-                json_f64(h.sum()),
-                json_opt_f64(h.mean()),
-                json_opt_f64(h.quantile(0.5)),
-                json_opt_f64(h.quantile(0.99)),
-                json_u64_array(&interior),
-            )?;
+            write_line(out, &mut line, |w| {
+                w.field("type", "value_histogram")
+                    .field("name", h.name())
+                    .field("lo", lo)
+                    .field("hi", hi);
+                stats_fields(w, &h.stats(), true);
+                w.field("underflow", under).field("overflow", over);
+                u64_array(w, "buckets", &interior);
+            })?;
         }
-        for f in sorted_counter_families() {
-            for (labels, value) in f.snapshot() {
-                writeln!(
-                    w,
-                    "{{\"type\":\"labeled_counter\",\"name\":\"{}\",\"labels\":{},\"value\":{value}}}",
-                    json_escape(f.name()),
-                    labels_json(labels.pairs()),
-                )?;
+        for c in sorted(&registry().counters, Metric::labeled) {
+            for (labels, value) in c.cells() {
+                write_line(out, &mut line, |w| {
+                    w.field("type", "labeled_counter").field("name", c.name());
+                    labels.write_field(w);
+                    w.field("value", value);
+                })?;
             }
         }
-        for f in sorted_gauge_families() {
-            for (labels, value) in f.snapshot() {
-                writeln!(
-                    w,
-                    "{{\"type\":\"gauge\",\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                    json_escape(f.name()),
-                    labels_json(labels.pairs()),
-                    json_f64(value),
-                )?;
+        for (g, cells) in gauges() {
+            for (labels, value) in cells {
+                write_line(out, &mut line, |w| {
+                    w.field("type", "gauge").field("name", g.name());
+                    labels.write_field(w);
+                    w.field("value", value);
+                })?;
             }
         }
-        for f in sorted_hist_families() {
-            let (lo, hi) = f.range();
-            for (labels, stats) in f.snapshot() {
-                writeln!(
-                    w,
-                    "{{\"type\":\"labeled_histogram\",\"name\":\"{}\",\"labels\":{},\
-                     \"lo\":{},\"hi\":{},\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
-                    json_escape(f.name()),
-                    labels_json(labels.pairs()),
-                    json_f64(lo),
-                    json_f64(hi),
-                    stats.count,
-                    json_f64(stats.sum),
-                    json_opt_f64(stats.mean),
-                    json_opt_f64(stats.p50),
-                    json_opt_f64(stats.p99),
-                )?;
+        for h in sorted(&registry().histograms, Metric::labeled) {
+            let (lo, hi) = h.range();
+            for (labels, stats) in h.cells() {
+                write_line(out, &mut line, |w| {
+                    w.field("type", "labeled_histogram").field("name", h.name());
+                    labels.write_field(w);
+                    w.field("lo", lo).field("hi", hi);
+                    stats_fields(w, &stats, true);
+                })?;
             }
         }
         for row in crate::profile::profile_report() {
-            writeln!(
-                w,
-                "{{\"type\":\"stage\",\"name\":\"{}\",\"count\":{},\"total_ns\":{},\
-                 \"self_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"buckets\":{}}}",
-                json_escape(row.name),
-                row.count,
-                row.total_ns,
-                row.self_ns,
-                row.p50_ns,
-                row.p99_ns,
-                json_u64_array(&row.buckets),
-            )?;
+            write_line(out, &mut line, |w| {
+                w.field("type", "stage")
+                    .field("name", row.name)
+                    .field("count", row.count)
+                    .field("total_ns", row.total_ns)
+                    .field("self_ns", row.self_ns)
+                    .field("p50_ns", row.p50_ns)
+                    .field("p99_ns", row.p99_ns);
+                u64_array(w, "buckets", &row.buckets);
+            })?;
         }
-        {
-            let mut series: Vec<_> = crate::registry::registry()
-                .wall_series
-                .lock()
-                .unwrap()
-                .clone();
-            series.sort_by_key(|s| s.name());
-            for s in series {
-                for p in s.snapshot() {
-                    writeln!(
-                        w,
-                        "{{\"type\":\"wall_series\",\"series\":\"{}\",\"t_ns\":{},\"value\":{}}}",
-                        json_escape(s.name()),
-                        p.t,
-                        json_f64(p.value),
-                    )?;
-                }
+        for s in crate::timeseries::registered_wall_series() {
+            for p in s.snapshot() {
+                write_line(out, &mut line, |w| {
+                    w.field("type", "wall_series")
+                        .field("series", s.name())
+                        .field("t_ns", p.t)
+                        .field("value", p.value);
+                })?;
             }
         }
     }
     for ev in snapshot_trace() {
-        let (kind, dur, value) = match ev.kind {
-            TraceKind::SpanEnter => ("enter", "null".to_string(), "null".to_string()),
-            TraceKind::SpanExit { dur_ns } => ("exit", format!("{dur_ns}"), "null".to_string()),
-            TraceKind::Instant { value } => ("instant", "null".to_string(), json_opt_f64(value)),
-        };
-        #[cfg(feature = "enabled")]
-        let causal = format!(
-            ",\"span_id\":{},\"parent_id\":{},\"thread\":{},\"args\":{}",
-            ev.span_id,
-            ev.parent_id,
-            ev.thread_id,
-            crate::trace_export::span_args_json(&ev.args),
-        );
-        #[cfg(not(feature = "enabled"))]
-        let causal = String::new();
-        writeln!(
-            w,
-            "{{\"type\":\"trace\",\"ts_ns\":{},\"name\":\"{}\",\"kind\":\"{kind}\",\
-             \"dur_ns\":{dur},\"value\":{value}{causal}}}",
-            ev.ts_ns,
-            json_escape(ev.name),
-        )?;
+        write_line(out, &mut line, |w| {
+            let (kind, dur_ns, value) = match ev.kind {
+                TraceKind::SpanEnter => ("enter", None, None),
+                TraceKind::SpanExit { dur_ns } => ("exit", Some(dur_ns), None),
+                TraceKind::Instant { value } => ("instant", None, value),
+            };
+            w.field("type", "trace")
+                .field("ts_ns", ev.ts_ns)
+                .field("name", ev.name)
+                .field("kind", kind)
+                .field("dur_ns", dur_ns)
+                .field("value", value);
+            #[cfg(feature = "enabled")]
+            {
+                w.field("span_id", ev.span_id)
+                    .field("parent_id", ev.parent_id)
+                    .field("thread", ev.thread_id)
+                    .key("args")
+                    .begin_object();
+                crate::trace_export::write_args(w, &ev.args);
+                w.end_object();
+            }
+        })?;
     }
     Ok(())
 }
@@ -732,7 +607,7 @@ mod tests {
     fn jsonl_lines_are_well_formed() {
         let _lock = crate::test_lock();
         crate::counter!("sink.test.jsonl.count").add(2);
-        crate::value_histogram!("sink.test.jsonl.vals", 0.0, 8.0).record(3.0);
+        crate::histogram!("sink.test.jsonl.vals", 0.0, 8.0).record(3.0);
         crate::event!("sink.test.jsonl.ev", 1.25);
         drop(crate::scope!("sink.test.jsonl.scope"));
         let mut buf = Vec::new();
@@ -762,8 +637,16 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let _lock = crate::test_lock();
+        crate::counter!("sink.test.\"q\"\\\n\u{1}").inc();
+        let mut buf = Vec::new();
+        write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.contains("\"name\":\"sink.test.\\\"q\\\"\\\\\\n\\u0001\""),
+            "{text}"
+        );
+        assert!(snapshot_json().contains("\"sink.test.\\\"q\\\"\\\\\\n\\u0001\":1"));
     }
 
     #[test]

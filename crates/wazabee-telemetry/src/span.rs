@@ -100,18 +100,6 @@ impl From<bool> for ArgValue {
     }
 }
 
-impl std::fmt::Display for ArgValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgValue::U64(v) => write!(f, "{v}"),
-            ArgValue::I64(v) => write!(f, "{v}"),
-            ArgValue::F64(v) => write!(f, "{v}"),
-            ArgValue::Str(v) => write!(f, "{v}"),
-            ArgValue::Bool(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 /// A bounded, copyable set of span/event arguments (at most
 /// [`MAX_SPAN_ARGS`]; extras are silently dropped). Built by the [`crate::scope!`]
 /// and [`crate::event!`] macros via [`SpanArgs::with`].
@@ -148,13 +136,6 @@ impl SpanArgs {
     #[must_use]
     pub fn pairs(&self) -> &[(&'static str, ArgValue)] {
         &self.pairs[..self.len as usize]
-    }
-
-    /// True when no argument was recorded.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 

@@ -18,7 +18,8 @@
 //! and counted, so a long-running process can record forever.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+
+use crate::json::{Fixed, Writer};
 
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,12 +71,6 @@ impl Series {
         &self.name
     }
 
-    /// The `(key, value)` labels, in declaration order.
-    #[must_use]
-    pub fn labels(&self) -> &[(String, String)] {
-        &self.labels
-    }
-
     /// Appends a point, evicting the oldest past capacity.
     pub fn push(&mut self, t: u64, value: f64) {
         if self.points.len() == self.capacity {
@@ -108,41 +103,30 @@ impl Series {
         self.evicted
     }
 
-    fn labels_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":\"{}\"",
-                crate::sink::json_escape(k),
-                crate::sink::json_escape(v)
-            );
-        }
-        out.push('}');
-        out
-    }
-
     /// One JSONL record per point:
     /// `{"type":"timeseries","series":…,"labels":{…},"t":…,"value":…}`.
     ///
     /// Values are rendered with six fractional digits, so equal recordings
     /// serialize byte-identically — the determinism contract of the sim's
-    /// `timeseries.jsonl` artifact.
+    /// `timeseries.jsonl` artifact. Non-finite values render as `null`.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let labels = self.labels_json();
         let mut out = String::new();
         for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"timeseries\",\"series\":\"{}\",\"labels\":{labels},\"t\":{},\"value\":{:.6}}}",
-                crate::sink::json_escape(&self.name),
-                p.t,
-                p.value
-            );
+            let mut w = Writer::new(&mut out);
+            w.begin_object()
+                .field("type", "timeseries")
+                .field("series", &self.name)
+                .key("labels")
+                .begin_object();
+            for (k, v) in &self.labels {
+                w.field(k, v);
+            }
+            w.end_object()
+                .field("t", p.t)
+                .field("value", Fixed(p.value, 6))
+                .end_object();
+            out.push('\n');
         }
         out
     }
@@ -202,11 +186,6 @@ impl SeriesSet {
             .find(|s| s.name == name && labels_eq(&s.labels, labels))
     }
 
-    /// Drops every series.
-    pub fn clear(&mut self) {
-        self.series.clear();
-    }
-
     /// Renders every series as JSON Lines (see [`Series::to_jsonl`]).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -215,11 +194,6 @@ impl SeriesSet {
             out.push_str(&s.to_jsonl());
         }
         out
-    }
-
-    /// Writes the JSONL rendering to `path`, truncating it.
-    pub fn write_jsonl_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
     }
 }
 
@@ -279,7 +253,11 @@ impl WallSeries {
             if !self.registered.load(Ordering::Relaxed)
                 && !self.registered.swap(true, Ordering::AcqRel)
             {
-                crate::registry::register_wall_series(self);
+                crate::registry::registry()
+                    .wall_series
+                    .lock()
+                    .unwrap()
+                    .push(self);
             }
             let t = crate::span::now_ns();
             let mut points = self.points.lock().unwrap();
@@ -307,6 +285,14 @@ impl WallSeries {
     pub(crate) fn reset(&self) {
         self.points.lock().unwrap().clear();
     }
+}
+
+/// Registered wall-clock series, sorted by name.
+#[cfg(feature = "enabled")]
+pub(crate) fn registered_wall_series() -> Vec<&'static WallSeries> {
+    let mut v = crate::registry::listed(&crate::registry::registry().wall_series);
+    v.sort_by_key(|s| s.name());
+    v
 }
 
 #[cfg(test)]

@@ -28,11 +28,10 @@ use std::path::Path;
 
 #[cfg(feature = "enabled")]
 use std::collections::HashSet;
-#[cfg(feature = "enabled")]
-use std::fmt::Write as _;
 
 #[cfg(feature = "enabled")]
-use crate::sink::json_escape;
+use crate::json::Fixed;
+use crate::json::Writer;
 #[cfg(feature = "enabled")]
 use crate::span::{snapshot_trace, ArgValue, SpanArgs, TraceEvent, TraceKind};
 
@@ -47,10 +46,9 @@ pub const ENV_TRACE_OUT: &str = "WAZABEE_TRACE_OUT";
 /// document (`{"traceEvents":[]}`).
 #[must_use]
 pub fn trace_chrome_json() -> String {
-    #[cfg(not(feature = "enabled"))]
-    {
-        "{\"traceEvents\":[]}".to_string()
-    }
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("traceEvents").begin_array();
     #[cfg(feature = "enabled")]
     {
         let events = snapshot_trace();
@@ -71,157 +69,98 @@ pub fn trace_chrome_json() -> String {
             }
         }
 
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |line: String, out: &mut String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&line);
-        };
-
-        emit(
-            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"wazabee\"}}"
-                .to_string(),
-            &mut out,
-        );
+        w.begin_object()
+            .field("ph", "M")
+            .field("pid", 1u8)
+            .field("name", "process_name")
+            .key("args")
+            .begin_object()
+            .field("name", "wazabee")
+            .end_object()
+            .end_object();
 
         for ev in &events {
             let orphaned = ev.parent_id != 0 && !live_spans.contains(&ev.parent_id);
-            match ev.kind {
-                TraceKind::SpanEnter => {
-                    if exited.contains(&ev.span_id) {
-                        continue; // rendered as a complete event at its exit
-                    }
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":1,\"tid\":{},\
-                             \"ts\":{},\"args\":{}}}",
-                            json_escape(ev.name),
-                            ev.thread_id,
-                            micros(ev.ts_ns),
-                            args_object(ev, orphaned),
-                        ),
-                        &mut out,
-                    );
-                }
+            let (ph, start_ns, dur_ns) = match ev.kind {
+                // Rendered as a complete event at its exit.
+                TraceKind::SpanEnter if exited.contains(&ev.span_id) => continue,
+                TraceKind::SpanEnter => ("B", ev.ts_ns, None),
                 TraceKind::SpanExit { dur_ns } => {
-                    let start_ns = ev.ts_ns.saturating_sub(dur_ns);
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                             \"ts\":{},\"dur\":{},\"args\":{}}}",
-                            json_escape(ev.name),
-                            ev.thread_id,
-                            micros(start_ns),
-                            micros(dur_ns),
-                            args_object(ev, orphaned),
-                        ),
-                        &mut out,
-                    );
+                    ("X", ev.ts_ns.saturating_sub(dur_ns), Some(dur_ns))
                 }
-                TraceKind::Instant { value } => {
-                    let mut args = args_object(ev, orphaned);
-                    if let Some(v) = value {
-                        if v.is_finite() {
-                            args.truncate(args.len() - 1);
-                            if args.len() > 1 {
-                                args.push(',');
-                            }
-                            let _ = write!(args, "\"value\":{v}}}");
-                        }
-                    }
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-                             \"tid\":{},\"ts\":{},\"args\":{args}}}",
-                            json_escape(ev.name),
-                            ev.thread_id,
-                            micros(ev.ts_ns),
-                        ),
-                        &mut out,
-                    );
-                }
+                TraceKind::Instant { .. } => ("i", ev.ts_ns, None),
+            };
+            w.begin_object().field("name", ev.name).field("ph", ph);
+            if ph == "i" {
+                w.field("s", "t");
             }
+            w.field("pid", 1u8)
+                .field("tid", ev.thread_id)
+                .field("ts", micros(start_ns));
+            if let Some(dur_ns) = dur_ns {
+                w.field("dur", micros(dur_ns));
+            }
+            args_object(&mut w, ev, orphaned);
+            w.end_object();
         }
-        let _ = write!(
-            out,
-            "],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"evicted_records\":{dropped}}}}}"
-        );
-        out
+        w.end_array()
+            .field("displayTimeUnit", "ns")
+            .key("otherData")
+            .begin_object()
+            .field("evicted_records", dropped)
+            .end_object();
     }
+    #[cfg(not(feature = "enabled"))]
+    w.end_array();
+    w.end_object();
+    out
 }
 
 /// Nanoseconds → fractional microseconds with exactly three decimals, the
 /// resolution Chrome Trace's µs timebase can carry without losing ns.
 #[cfg(feature = "enabled")]
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+fn micros(ns: u64) -> Fixed {
+    Fixed(ns as f64 / 1e3, 3)
 }
 
-/// Renders a record's Chrome `args` object: causal ids first, then the
+/// Writes a record's Chrome `args` member: causal ids first, then the
 /// user's key/value pairs, then the orphan marker when the parent span's
-/// records were evicted from the ring.
+/// records were evicted from the ring, then an instant's finite value.
 #[cfg(feature = "enabled")]
-fn args_object(ev: &TraceEvent, orphaned: bool) -> String {
-    let mut out = String::from("{");
+fn args_object(w: &mut Writer, ev: &TraceEvent, orphaned: bool) {
+    w.key("args").begin_object();
     if ev.span_id != 0 {
-        let _ = write!(out, "\"span_id\":{}", ev.span_id);
+        w.field("span_id", ev.span_id);
     }
     if ev.parent_id != 0 {
-        if out.len() > 1 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"parent\":{}", ev.parent_id);
+        w.field("parent", ev.parent_id);
     }
-    for (k, v) in ev.args.pairs() {
-        if out.len() > 1 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(k), arg_json(v));
-    }
+    write_args(w, &ev.args);
     if orphaned {
-        if out.len() > 1 {
-            out.push(',');
-        }
-        out.push_str("\"parent_evicted\":true");
+        w.field("parent_evicted", true);
     }
-    out.push('}');
-    out
+    if let TraceKind::Instant { value: Some(v) } = ev.kind {
+        if v.is_finite() {
+            w.field("value", v);
+        }
+    }
+    w.end_object();
 }
 
-/// Renders one argument value as a JSON value.
-#[cfg(feature = "enabled")]
-fn arg_json(v: &ArgValue) -> String {
-    match v {
-        ArgValue::U64(v) => format!("{v}"),
-        ArgValue::I64(v) => format!("{v}"),
-        ArgValue::F64(v) => {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        ArgValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        ArgValue::Bool(b) => format!("{b}"),
-    }
-}
-
-/// Renders a [`SpanArgs`] set alone as a JSON object (used by the JSONL
+/// Writes a [`SpanArgs`] set as object members (shared with the JSONL
 /// sink's trace lines).
 #[cfg(feature = "enabled")]
-pub(crate) fn span_args_json(args: &SpanArgs) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.pairs().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(k), arg_json(v));
+pub(crate) fn write_args(w: &mut Writer, args: &SpanArgs) {
+    for &(k, v) in args.pairs() {
+        w.key(k);
+        match v {
+            ArgValue::U64(v) => w.value(v),
+            ArgValue::I64(v) => w.value(v),
+            ArgValue::F64(v) => w.value(v),
+            ArgValue::Str(s) => w.value(s),
+            ArgValue::Bool(b) => w.value(b),
+        };
     }
-    out.push('}');
-    out
 }
 
 /// Writes the Chrome Trace document (see [`trace_chrome_json`]) to `path`,
@@ -301,9 +240,15 @@ mod tests {
 
     #[test]
     fn micros_keeps_nanosecond_resolution() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(1), "0.001");
-        assert_eq!(micros(1_234_567), "1234.567");
+        let render = |ns| {
+            let mut out = String::new();
+            Writer::new(&mut out).value(micros(ns));
+            out
+        };
+        assert_eq!(render(0), "0.000");
+        assert_eq!(render(1), "0.001");
+        assert_eq!(render(1_234_567), "1234.567");
+        assert_eq!(render(86_400_000_000_999), "86400000000.999");
     }
 
     #[test]

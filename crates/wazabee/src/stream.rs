@@ -404,7 +404,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         wazabee_telemetry::counter!("wazabee.stream.attempts").inc();
         for &d in distances {
             wazabee_telemetry::counter!("wazabee.rx.despread.symbols").inc();
-            wazabee_telemetry::value_histogram!("wazabee.rx.despread_hamming", 0.0, 32.0)
+            wazabee_telemetry::histogram!("wazabee.rx.despread_hamming", 0.0, 32.0)
                 .record(d as f64);
         }
         let mut tr = wazabee_flightrec::begin("wazabee.rx");

@@ -1,9 +1,9 @@
 //! Shared helpers for the cross-crate integration tests.
 //!
-//! The vendored `serde` is a no-op shim, so every JSON artifact in this
-//! workspace is hand-formatted at the producer. This module supplies the
-//! consumer side: a small recursive-descent JSON parser the observability
-//! tests use to round-trip snapshot and time-series output. It accepts
+//! Every JSON artifact in this workspace is written by the one compact
+//! writer, `wazabee_telemetry::json`. This module supplies an independent
+//! consumer side: a small recursive-descent JSON parser the tests use to
+//! round-trip snapshot, report, time-series and writer output. It accepts
 //! standard JSON (RFC 8259) minus escapes beyond `\" \\ / \n \r \t \uXXXX`.
 
 /// A parsed JSON value.

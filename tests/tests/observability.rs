@@ -34,12 +34,16 @@ const COORD: u16 = 0x0042;
 /// Touches one metric of every kind so the snapshot has something to show.
 fn populate_metrics() {
     wazabee_telemetry::counter!("obs.test.counter").add(3);
-    wazabee_telemetry::labeled_counter!("obs.test.labeled")
-        .add(&[("channel", "15"), ("node", "xbee-3")], 7);
-    wazabee_telemetry::labeled_gauge!("obs.test.gauge").set(&[("stage", "fir")], 0.25);
-    wazabee_telemetry::labeled_histogram!("obs.test.lhist", 0.0, 64.0)
-        .record(&[("stage", "fir")], 17.0);
-    wazabee_telemetry::value_histogram!("obs.test.vhist", 0.0, 64.0).record(5.0);
+    wazabee_telemetry::counter!("obs.test.labeled")
+        .with(&[("channel", "15"), ("node", "xbee-3")])
+        .add(7);
+    wazabee_telemetry::gauge!("obs.test.gauge")
+        .with(&[("stage", "fir")])
+        .set(0.25);
+    wazabee_telemetry::histogram!("obs.test.lhist", 0.0, 64.0)
+        .with(&[("stage", "fir")])
+        .record(17.0);
+    wazabee_telemetry::histogram!("obs.test.vhist", 0.0, 64.0).record(5.0);
     {
         let _s = wazabee_telemetry::scope!("obs.test.stage");
         std::hint::black_box(0u64);
@@ -133,6 +137,45 @@ fn snapshot_json_round_trips_through_a_parser() {
     let pair = points[0].as_array().unwrap();
     assert_eq!(pair[1].as_f64(), Some(42.0));
 
+    wazabee_telemetry::reset();
+}
+
+/// Call sites sharing a name sum once in `counters`; one counter with both
+/// an empty-label cell and labeled cells appears once in each section.
+#[test]
+fn one_metric_name_appears_once_per_section() {
+    let _l = lock();
+    wazabee_telemetry::reset();
+    wazabee_telemetry::counter!("obs.same.x").add(2);
+    wazabee_telemetry::counter!("obs.same.x").add(3);
+    let both = wazabee_telemetry::counter!("obs.same.both");
+    both.inc();
+    both.with(&[("node", "1")]).add(4);
+
+    let snap = parse_json(&wazabee_telemetry::snapshot_json()).unwrap();
+    let flat: Vec<(&str, f64)> = (snap.get("counters").unwrap().members().unwrap().iter())
+        .filter(|(k, _)| k.starts_with("obs.same."))
+        .map(|(k, v)| (k.as_str(), v.as_f64().unwrap()))
+        .collect();
+    assert_eq!(flat, [("obs.same.both", 1.0), ("obs.same.x", 5.0)]);
+    let labeled: Vec<&Json> = (snap.get("labeled_counters").unwrap().as_array().unwrap())
+        .iter()
+        .filter(|f| {
+            f.get("name")
+                .and_then(Json::as_str)
+                .unwrap()
+                .starts_with("obs.same.")
+        })
+        .collect();
+    assert_eq!(labeled.len(), 1);
+    let cells = labeled[0].get("cells").unwrap().as_array().unwrap();
+    let node = cells[0].get("labels").and_then(|l| l.get("node"));
+    assert_eq!(
+        (labeled[0].get("name").and_then(Json::as_str), cells.len()),
+        (Some("obs.same.both"), 1)
+    );
+    assert_eq!(node.and_then(Json::as_str), Some("1"));
+    assert_eq!(cells[0].get("value").and_then(Json::as_f64), Some(4.0));
     wazabee_telemetry::reset();
 }
 
@@ -363,6 +406,20 @@ fn timeline_artifact_is_identical_across_worker_counts() {
     assert_eq!(serial, four, "timeline artifacts diverged across workers");
 }
 
+/// A time series may hold non-finite points; its JSONL must still parse,
+/// with those values as `null`.
+#[test]
+fn non_finite_series_points_render_as_null() {
+    let mut set = wazabee_telemetry::SeriesSet::new(8);
+    for (t, v) in [(10, f64::NAN), (20, f64::INFINITY), (30, 0.5)] {
+        set.record("obs.series", &[("node", "1")], t, v);
+    }
+    let values: Vec<Json> = (set.to_jsonl().lines())
+        .map(|line| parse_json(line).unwrap().get("value").cloned().unwrap())
+        .collect();
+    assert_eq!(values, [Json::Null, Json::Null, Json::Num(0.5)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -401,8 +458,9 @@ fn reset_clears_every_observability_surface() {
     // Flat + labeled counters read zero through cached statics.
     assert_eq!(wazabee_telemetry::counter!("obs.test.counter").get(), 0);
     assert_eq!(
-        wazabee_telemetry::labeled_counter!("obs.test.labeled")
-            .get(&[("channel", "15"), ("node", "xbee-3")]),
+        wazabee_telemetry::counter!("obs.test.labeled")
+            .with(&[("channel", "15"), ("node", "xbee-3")])
+            .get(),
         0
     );
 
@@ -500,8 +558,8 @@ fn par_map_sweep_cells_do_not_leak_global_state() {
     // site, and the closure re-executes the same site for every cell.
     let run_cell = || {
         wazabee_telemetry::reset();
-        let labeled = wazabee_telemetry::labeled_counter!("obs.cell.labeled");
-        labeled.add(&[("channel", "15")], 7);
+        let labeled = wazabee_telemetry::counter!("obs.cell.labeled").with(&[("channel", "15")]);
+        labeled.add(7);
         let counter = wazabee_telemetry::counter!("obs.cell.counter");
         counter.add(3);
         {
@@ -512,11 +570,7 @@ fn par_map_sweep_cells_do_not_leak_global_state() {
             .iter()
             .find(|row| row.name == "obs.cell.stage")
             .map_or(0, |row| row.count);
-        (
-            labeled.get(&[("channel", "15")]),
-            counter.get(),
-            stage_count,
-        )
+        (labeled.get(), counter.get(), stage_count)
     };
 
     let first = run_cell();

@@ -19,6 +19,7 @@ use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::io::SampleFormat;
 use wazabee_dsp::{Iq, IqBuf};
 use wazabee_flightrec::pcap::read_pcap;
+use wazabee_integration::{parse_json, Json};
 use wazabee_serve::{proto, ServeConfig, Server};
 
 const SPS: usize = 8;
@@ -125,8 +126,13 @@ fn concurrent_tcp_sessions_recover_all_frames_with_artifacts() {
         let jsonl = std::fs::read_to_string(dir.join("frames.jsonl")).unwrap();
         assert_eq!(jsonl.lines().count(), frames);
         assert!(jsonl.lines().all(|l| l.contains("\"fcs_ok\":true")));
-        let rep = std::fs::read_to_string(dir.join("report.json")).unwrap();
-        assert!(rep.contains(&format!("\"frames\": {frames}")));
+        let rep = parse_json(&std::fs::read_to_string(dir.join("report.json")).unwrap())
+            .expect("report.json parses");
+        assert_eq!(
+            rep.get("frames").and_then(Json::as_f64),
+            Some(frames as f64)
+        );
+        assert_eq!(rep.get("name").and_then(Json::as_str), Some(&*report.name));
     }
     let _ = std::fs::remove_dir_all(&out);
 }
