@@ -24,7 +24,9 @@
 #      BENCH_rx_throughput.json, the packed despreading kernel is at
 #      least 3x faster than the scalar reference, and the planar
 #      discriminator is at least 2x faster than its f32 scalar twin (a
-#      "SIMD" kernel that stopped vectorizing fails here)
+#      "SIMD" kernel that stopped vectorizing fails here), and the streaming
+#      sync search is at least 4x faster than the byte-per-bit oracle on
+#      frame-like lanes (a prefilter that stopped screening fails here)
 #  11. stream-throughput smoke: the streaming receiver emits a well-formed
 #      BENCH_stream_throughput.json and recovers >= 2 frames behind a decoy
 #      sync hit, in both feature states
@@ -64,7 +66,8 @@
 #      line counts of crates/ tests/ examples/ and of wazabee-telemetry are
 #      printed so each change's net line count shows in the log
 #  19. perf regression gate: fresh smoke-run BENCH figures — including the
-#      discriminator simd_speedup row, the 1024-node
+#      discriminator simd_speedup row, the correlator's packed_vs_oracle
+#      ratio, the 1024-node
 #      multi-channel sim/wall ratio, and the serve plane's per-session
 #      paced decode rate — must stay within WAZABEE_PERF_TOLERANCE
 #      (default 50%) of the committed artifacts/ baselines, failing loudly
@@ -157,11 +160,18 @@ vs_scalar = disc["simd_vs_scalar"]
 assert vs_scalar >= 2.0, (
     f"planar discriminator only {vs_scalar:.2f}x faster than its scalar twin "
     f"(need >= 2x): the kernel no longer vectorizes")
+corr = doc["correlate"]
+assert corr["hits"] > 0, "sync search found no hits on frame-like lanes"
+vs_oracle = corr["packed_vs_oracle"]
+assert vs_oracle >= 4.0, (
+    f"streaming sync search only {vs_oracle:.2f}x faster than the byte-per-bit "
+    f"oracle (need >= 4x): the prefilter no longer screens")
 print(f"BENCH_rx_throughput.json well-formed: "
       f"{rx['frames_per_sec']:.0f} frames/s, "
       f"{despread['packed_msymbols_per_sec']:.1f} Msym/s packed, "
       f"{speedup:.1f}x over scalar, "
-      f"discriminator {vs_scalar:.1f}x over its scalar twin")
+      f"discriminator {vs_scalar:.1f}x over its scalar twin, "
+      f"sync search {vs_oracle:.1f}x over the oracle")
 EOF
 
 check_stream_json() {
@@ -549,6 +559,8 @@ gate("despread.packed_msymbols_per_sec",
      rx_b["despread"]["packed_msymbols_per_sec"])
 gate("discriminate.simd_speedup",
      rx_f["discriminate"]["simd_speedup"], rx_b["discriminate"]["simd_speedup"])
+gate("correlate.packed_vs_oracle",
+     rx_f["correlate"]["packed_vs_oracle"], rx_b["correlate"]["packed_vs_oracle"])
 
 st_f, st_b = load(fresh_stream_path), load("artifacts/BENCH_stream_throughput.json")
 gate("stream.frames_per_sec",

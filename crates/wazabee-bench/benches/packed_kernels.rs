@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the packed-bitstream kernels against their scalar
-//! references: sync-pattern correlation (short 32-bit access address and the
+//! references: sync search (the streaming correlator on a frame-like lane
+//! with the 32-bit diverted access address, and the one-shot search for the
 //! long 319-bit SHR image) and 31-bit MSK-block despreading.
 //!
 //! These are the inner loops of every receive path; the packed variants are
@@ -8,10 +9,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use wazabee::msk::{correspondence_table, despread_msk_block_packed, despread_msk_block_scalar};
+use wazabee_bench::lanes::{frame_like_lane, oracle_hits};
 use wazabee_dot154::Dot154Modem;
-use wazabee_dsp::correlate::find_pattern_scalar;
+use wazabee_dsp::correlate::{find_pattern_scalar, PatternMatch};
 use wazabee_dsp::packed::find_pattern_packed;
-use wazabee_dsp::PackedBits;
+use wazabee_dsp::{PackedBits, StreamCorrelator};
 
 /// A deterministic pseudo-random bit stream (no RNG needed — an LCG walk).
 fn bit_stream(len: usize, seed: u64) -> Vec<u8> {
@@ -28,40 +30,36 @@ fn bit_stream(len: usize, seed: u64) -> Vec<u8> {
 
 fn correlate_benches(c: &mut Criterion) {
     const STREAM_BITS: usize = 16_384;
+    // The streaming receiver's search: the 32-bit diverted access address
+    // at its default budget of 3, over a lane of frames whose preambles
+    // repeat the sync symbol (dense candidates and hits).
+    let sync = wazabee::access_address_pattern();
+    let packed_sync = PackedBits::from_bits(&sync);
+    let lane = frame_like_lane(0xC0FFEE, STREAM_BITS, 0.02);
+    let packed_lane = PackedBits::from_bits(&lane);
+    // The one-shot 802.15.4 SHR search, absent entirely from a random
+    // stream so the whole stream is scanned.
     let stream = bit_stream(STREAM_BITS, 0xC0FFEE);
     let packed_stream = PackedBits::from_bits(&stream);
-    // A 32-bit pattern planted near the end so the correlator scans the
-    // whole stream (worst case), and the 319-bit SHR image absent entirely.
-    let mut planted = stream.clone();
-    let short_pattern = bit_stream(32, 0xACCE55);
-    let at = STREAM_BITS - 64;
-    planted[at..at + 32].copy_from_slice(&short_pattern);
-    let packed_planted = PackedBits::from_bits(&planted);
-    let packed_short = PackedBits::from_bits(&short_pattern);
     let shr = Dot154Modem::shr_msk_image();
     let packed_shr = Dot154Modem::shr_msk_image_packed();
 
     let mut g = c.benchmark_group("correlate_short_32bit");
     g.throughput(Throughput::Elements(STREAM_BITS as u64));
+    let mut hits: Vec<PatternMatch> = Vec::new();
     g.bench_function("packed", |b| {
         b.iter(|| {
-            find_pattern_packed(
-                std::hint::black_box(&packed_planted),
-                std::hint::black_box(&packed_short),
+            hits.clear();
+            StreamCorrelator::new(std::hint::black_box(&packed_sync), 3).feed_packed(
+                std::hint::black_box(&packed_lane),
                 0,
-                2,
-            )
+                &mut hits,
+            );
+            hits.len()
         })
     });
     g.bench_function("scalar", |b| {
-        b.iter(|| {
-            find_pattern_scalar(
-                std::hint::black_box(&planted),
-                std::hint::black_box(&short_pattern),
-                0,
-                2,
-            )
-        })
+        b.iter(|| oracle_hits(std::hint::black_box(&lane), std::hint::black_box(&sync), 3).len())
     });
     g.finish();
 

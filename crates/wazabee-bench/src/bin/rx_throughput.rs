@@ -10,7 +10,10 @@
 //!   kernel and the scalar byte-per-bit reference, plus their ratio,
 //! * discriminator throughput in Msamples per second for the planar SIMD
 //!   kernel, its `f32` scalar twin and the interleaved `f64` reference, plus
-//!   the SIMD kernel's ratio to each.
+//!   the SIMD kernel's ratio to each,
+//! * sync-search throughput in Mbit/s on frame-like lanes for the streaming
+//!   correlator and the byte-per-bit oracle (restarted past each hit), plus
+//!   their ratio and the hit rate per alignment.
 //!
 //! Writes `BENCH_rx_throughput.json` to the current directory or the path
 //! given with `--out`.
@@ -22,9 +25,11 @@ use std::time::Instant;
 
 use wazabee::msk::{correspondence_table, despread_msk_block_packed, despread_msk_block_scalar};
 use wazabee::WazaBeeRx;
+use wazabee_bench::lanes::{frame_like_lane, oracle_hits};
 use wazabee_ble::{BleModem, BlePhy};
 use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
-use wazabee_dsp::PackedBits;
+use wazabee_dsp::correlate::PatternMatch;
+use wazabee_dsp::{PackedBits, StreamCorrelator};
 use wazabee_radio::{Link, LinkConfig, RfFrame};
 use wazabee_telemetry::json::{Fixed, Writer};
 
@@ -159,6 +164,51 @@ fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64, f64) {
     (msps(simd_secs), msps(scalar_secs), msps(f64_secs))
 }
 
+/// Sync-search micro-benchmark: the diverted access address at the default
+/// budget of 3 over frame-like lanes, fed to the streaming correlator in
+/// 512-bit chunks (one 4096-sample push at 8 samples per bit) and searched
+/// by the byte-per-bit oracle restarted one bit past each hit; both hit
+/// lists must agree. Returns (packed Mbit/s, oracle Mbit/s, hits).
+fn bench_correlate(lane_bits: usize, lanes: usize) -> (f64, f64, usize) {
+    const CHUNK_BITS: usize = 512;
+    let sync = wazabee::access_address_pattern();
+    let pattern = PackedBits::from_bits(&sync);
+    let lanes: Vec<Vec<u8>> = (0..lanes)
+        .map(|k| frame_like_lane(0x5EED + k as u64, lane_bits, 0.02))
+        .collect();
+    // Each chunk is its own packed stream, fed from bit 0: the correlator
+    // carries its own look-back across chunks, so it never reads the bits
+    // an engine lane has already trimmed.
+    let chunks: Vec<Vec<PackedBits>> = lanes
+        .iter()
+        .map(|lane| lane.chunks(CHUNK_BITS).map(PackedBits::from_bits).collect())
+        .collect();
+
+    let start = Instant::now();
+    let mut packed_hits: Vec<Vec<PatternMatch>> = Vec::new();
+    for lane in &chunks {
+        let mut corr = StreamCorrelator::new(&pattern, 3);
+        let mut hits = Vec::new();
+        for chunk in lane {
+            corr.feed_packed(chunk, 0, &mut hits);
+        }
+        packed_hits.push(hits);
+    }
+    let packed_secs = start.elapsed().as_secs_f64().max(1e-9);
+
+    let start = Instant::now();
+    let oracle: Vec<Vec<PatternMatch>> = lanes
+        .iter()
+        .map(|lane| oracle_hits(lane, &sync, 3))
+        .collect();
+    let oracle_secs = start.elapsed().as_secs_f64().max(1e-9);
+
+    assert_eq!(packed_hits, oracle, "streaming/oracle sync divergence");
+    let mbps = |secs: f64| (lane_bits * lanes.len()) as f64 / secs / 1e6;
+    let hits = packed_hits.iter().map(Vec::len).sum();
+    (mbps(packed_secs), mbps(oracle_secs), hits)
+}
+
 fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_rx_throughput.json".to_string();
@@ -202,10 +252,19 @@ fn main() {
         bench_discriminate(&captures, if smoke { 16 } else { 64 });
     let simd_speedup = simd_msps / f64_msps;
     let simd_vs_scalar = simd_msps / scalar_msps;
+    let (lane_bits, lanes) = if smoke { (1 << 18, 4) } else { (1 << 20, 8) };
+    eprintln!("searching {lanes} frame-like lanes of {lane_bits} bits, packed vs oracle ...");
+    let (corr_mbps, oracle_mbps, sync_hits) = bench_correlate(lane_bits, lanes);
+    let corr_vs_oracle = corr_mbps / oracle_mbps;
+    let hit_rate = sync_hits as f64 / (lane_bits * lanes) as f64;
 
     println!("rx: {decoded}/{frames} frames decoded in {rx_secs:.3} s = {frames_per_sec:.1} frames/sec ({threads} threads)");
     println!("despread: packed {packed_msym:.2} Msym/s, scalar {scalar_msym:.2} Msym/s");
     println!("despread speedup (packed/scalar): {speedup:.2}x");
+    println!(
+        "correlate: packed {corr_mbps:.2} Mbit/s, oracle {oracle_mbps:.2} Mbit/s -> {corr_vs_oracle:.2}x, {sync_hits} hits ({:.3}% of alignments)",
+        hit_rate * 100.0
+    );
     println!(
         "discriminate: planar {simd_msps:.2} Msamples/s, scalar {scalar_msps:.2} Msamples/s, f64 {f64_msps:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x, simd_vs_scalar {simd_vs_scalar:.2}x"
     );
@@ -237,6 +296,15 @@ fn main() {
         .field("f64_msamples_per_sec", Fixed(f64_msps, 3))
         .field("simd_speedup", Fixed(simd_speedup, 3))
         .field("simd_vs_scalar", Fixed(simd_vs_scalar, 3))
+        .end_object()
+        .key("correlate")
+        .begin_object()
+        .field("lane_bits", lane_bits * lanes)
+        .field("hits", sync_hits)
+        .field("hit_rate", Fixed(hit_rate, 6))
+        .field("packed_mbits_per_sec", Fixed(corr_mbps, 3))
+        .field("oracle_mbits_per_sec", Fixed(oracle_mbps, 3))
+        .field("packed_vs_oracle", Fixed(corr_vs_oracle, 3))
         .end_object()
         .end_object();
     json.push('\n');

@@ -9,6 +9,7 @@
 //! over all sixteen Zigbee channels on two chip models, under an office
 //! channel shared with WiFi on channels 6 and 11.
 
+pub mod lanes;
 pub mod sweep;
 pub mod table3;
 

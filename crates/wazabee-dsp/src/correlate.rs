@@ -3,7 +3,11 @@
 //! Radio receivers find the start of a frame by correlating the incoming bit
 //! stream against a known pattern (BLE: the access address; 802.15.4: the
 //! preamble/SFD chips). WazaBee's RX primitive abuses exactly this machinery,
-//! so the simulator exposes it as a first-class operation.
+//! so the simulator exposes it as a first-class operation. The search every
+//! receive path runs is word-packed ([`crate::packed::find_pattern_packed`]
+//! and its streaming form [`crate::stream::StreamCorrelator`]); this module
+//! keeps the match type, soft correlation, and the byte-per-bit oracle that
+//! search is tested against.
 
 use crate::bits::hamming;
 
@@ -16,9 +20,9 @@ pub struct PatternMatch {
     pub errors: usize,
 }
 
-/// The scalar byte-per-bit reference implementation of
-/// [`crate::packed::find_pattern_packed`]: O(n·m), kept for property tests
-/// and micro-benchmarks against the packed fast path.
+/// The byte-per-bit reference of [`crate::packed::find_pattern_packed`]:
+/// one Hamming distance per alignment, O(n·m). No receive path calls it; it
+/// is the oracle the packed sync search is tested and benchmarked against.
 pub fn find_pattern_scalar(
     stream: &[u8],
     pattern: &[u8],
@@ -36,26 +40,6 @@ pub fn find_pattern_scalar(
         }
     }
     None
-}
-
-/// The scalar byte-per-bit reference implementation of
-/// [`crate::packed::best_pattern_match_packed`].
-pub fn best_pattern_match_scalar(stream: &[u8], pattern: &[u8]) -> Option<PatternMatch> {
-    if pattern.is_empty() || stream.len() < pattern.len() {
-        return None;
-    }
-    let last = stream.len() - pattern.len();
-    let mut best: Option<PatternMatch> = None;
-    for index in 0..=last {
-        let errors = hamming(&stream[index..index + pattern.len()], pattern);
-        if best.is_none_or(|b| errors < b.errors) {
-            best = Some(PatternMatch { index, errors });
-            if errors == 0 {
-                break;
-            }
-        }
-    }
-    best
 }
 
 /// Soft correlation of a bipolar template against a soft-decision stream:
@@ -94,7 +78,7 @@ pub fn argmax(values: &[f64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::{best_pattern_match_packed, find_pattern_packed, PackedBits};
+    use crate::packed::{find_pattern_packed, PackedBits};
 
     /// Runs the packed correlator on byte-per-bit inputs, checked against
     /// the scalar twin.
@@ -154,20 +138,6 @@ mod tests {
         assert!(find_pattern(&[1, 0], &[1, 0, 1], 0, 3).is_none());
         assert!(find_pattern(&[], &[1], 0, 0).is_none());
         assert!(find_pattern(&[1], &[], 0, 0).is_none());
-    }
-
-    #[test]
-    fn best_match_minimises_errors() {
-        let stream = [1, 0, 0, 1, 1, 1, 0, 1];
-        let pattern = [1, 1, 1, 1];
-        let b = best_pattern_match_packed(
-            &PackedBits::from_bits(&stream),
-            &PackedBits::from_bits(&pattern),
-        )
-        .unwrap();
-        assert_eq!(Some(b), best_pattern_match_scalar(&stream, &pattern));
-        assert_eq!(b.index, 2); // earliest of the 1-error alignments
-        assert_eq!(b.errors, 1);
     }
 
     #[test]

@@ -20,15 +20,17 @@
 //! * [`Fir`] and [`gaussian`]/[`halfsine`] — pulse shaping for GFSK and O-QPSK,
 //! * [`discriminator`] — FM discrimination (the receiver side of FSK),
 //! * [`AwgnSource`] — deterministic, seedable channel noise,
-//! * [`correlate`] — sync-word and PN-sequence correlation,
+//! * [`correlate`] — match type, soft correlation and the byte-per-bit
+//!   sync-search oracle,
 //! * [`io`] — shared IQ sample-format codecs (`.cf32`, RTL-SDR u8
 //!   offset-128) used by the flight recorder and the serve ingest plane,
 //! * [`bits`] — LSB-first bit packing shared by both protocols,
 //! * [`packed`] — word-packed bit streams: XOR+`count_ones` Hamming and
-//!   sliding-register sync correlation, the fast path behind [`correlate`],
-//! * [`stream`] — the stateful form of the sync correlator: the sliding
-//!   register persists across chunk boundaries so search resumes from an
-//!   arbitrary bit offset.
+//!   the one sync search, a pigeonhole prefilter over 64 alignments per
+//!   step that scores only its candidates,
+//! * [`stream`] — the stateful form of that search: the look-back bits
+//!   persist across chunk boundaries so search resumes from an arbitrary
+//!   bit offset.
 //!
 //! ## Example: a complete FSK link in a few lines
 //!

@@ -6,8 +6,10 @@
 //! stream 64 bits per `u64` word (bit *k* of the stream in word `k / 64` at
 //! position `k % 64`, matching the LSB-first on-air order of
 //! [`crate::bits::bytes_to_bits_lsb`]), so Hamming distance becomes
-//! XOR + `count_ones` and sync correlation becomes a sliding shift register —
-//! the same trick real radio correlator hardware plays.
+//! XOR + `count_ones`. Sync correlation screens 64 alignments per step: a
+//! pigeonhole prefilter built from shifted whole words rules out nearly
+//! every alignment, and only the candidates it leaves are scored with
+//! `count_ones` (see [`find_pattern_packed`]).
 //!
 //! Scalar byte-per-bit reference implementations remain available in
 //! [`crate::bits`] and [`crate::correlate`]; property tests assert the two
@@ -98,6 +100,15 @@ impl PackedBits {
         } else {
             v & ((1u64 << count) - 1)
         }
+    }
+
+    /// The 64 bits starting at `start`, LSB-first, reading zeros past the
+    /// end of the stream — the word feed of the sync search.
+    pub(crate) fn word_at(&self, start: usize) -> u64 {
+        let (k, shift) = (start / 64, start % 64);
+        let lo = self.words.get(k).copied().unwrap_or(0);
+        let hi = self.words.get(k + 1).copied().unwrap_or(0);
+        (lo >> shift) | ((hi << 1) << (63 - shift))
     }
 
     /// Extracts `count ≤ 32` bits starting at `start` as a `u32` — the shape
@@ -256,10 +267,10 @@ pub fn pack_u64(bits: &[u8]) -> u64 {
 /// `max_errors` mismatches, scanning from `start` — bit-identical to the
 /// scalar [`crate::correlate::find_pattern_scalar`], but word-packed.
 ///
-/// Patterns of 64 bits or fewer run through a sliding shift register (one
-/// shift + XOR + `count_ones` per stream bit, independent of pattern
-/// length); longer patterns compare whole 64-bit words per alignment with
-/// early exit once the error budget is blown.
+/// This is the first-hit form of the workspace's one sync search (the
+/// pigeonhole-prefiltered block kernel behind
+/// [`crate::stream::StreamCorrelator`]): 64 alignments are screened per
+/// step and only the candidates are scored, for patterns of any length.
 ///
 /// # Examples
 ///
@@ -295,135 +306,170 @@ pub fn find_pattern_packed(
     if start > last {
         return None;
     }
-    if m <= 64 {
-        find_short(stream, pattern, start, last, max_errors)
-    } else {
-        find_long(stream, pattern, start, last, max_errors, false)
-    }
+    let words = stream.words();
+    let mut found = None;
+    SyncSearch::new(pattern.words(), m, max_errors).scan(
+        |k| words.get(k).copied().unwrap_or(0),
+        start,
+        last,
+        |index, errors| {
+            found = Some(PatternMatch { index, errors });
+            false
+        },
+    );
+    found
 }
 
-/// Finds the best (fewest-errors) alignment of `pattern` in `stream` —
-/// bit-identical to [`crate::correlate::best_pattern_match_scalar`]. Ties
-/// take the earliest index; an exact match short-circuits.
-pub fn best_pattern_match_packed(
-    stream: &PackedBits,
-    pattern: &PackedBits,
-) -> Option<PatternMatch> {
-    let m = pattern.len();
-    if m == 0 || stream.len() < m {
-        return None;
-    }
-    let last = stream.len() - m;
-    if m <= 64 {
-        best_short(stream, pattern, last)
-    } else {
-        // A best-match search is a threshold search whose budget tightens as
-        // better alignments appear.
-        find_long(stream, pattern, 0, last, usize::MAX, true)
-    }
-}
-
-/// Sliding-register search for patterns of 64 bits or fewer: the register
-/// shifts right as stream bits arrive at the top, so after consuming bit
-/// `i ≥ m − 1` it holds the window starting at `i − m + 1` in LSB-first
-/// order, ready for a single XOR + `count_ones` against the packed pattern.
-fn find_short(
-    stream: &PackedBits,
-    pattern: &PackedBits,
-    start: usize,
-    last: usize,
+/// A pattern and error budget set up for the sync search: a pigeonhole
+/// prefilter that screens 64 alignments per step, and an exact scorer for
+/// the candidates it lets through. `P` holds the packed pattern words: one
+/// inline word for the streaming correlator, a borrowed slice for the
+/// one-shot search, so neither allocates.
+///
+/// Split the `m`-bit pattern into `e + 1` disjoint segments. An alignment
+/// within `e` errors leaves at least one segment without an error, so it
+/// matches that segment exactly. For a block of 64 alignment starts, the
+/// stream word shifted by `j` XORed with pattern bit `j` (inverted and
+/// broadcast) has bit `i` set exactly when alignment `i` agrees on bit `j`.
+/// ANDing those words over a segment and ORing the segments gives the
+/// candidate alignments, with no branch and no `count_ones` per alignment.
+/// Only the candidates are scored, in ascending order, so the hits are
+/// those of a per-alignment search. With `e + 1 > m` every alignment is a
+/// candidate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SyncSearch<P> {
+    pattern: P,
+    len: usize,
     max_errors: usize,
-) -> Option<PatternMatch> {
-    let m = pattern.len();
-    let pat = pattern.words()[0];
-    let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-    // Preload the register with the window ending just before the first
-    // candidate alignment, then slide.
-    let mut reg = stream.extract(start, m - 1) << 1;
-    for index in start..=last {
-        reg = (reg >> 1) | (u64::from(stream.bit(index + m - 1)) << (m - 1));
-        let errors = ((reg ^ pat) & mask).count_ones() as usize;
-        if errors <= max_errors {
-            return Some(PatternMatch { index, errors });
-        }
-    }
-    None
+    /// Prefilter segments: `e + 1`, or none when that exceeds `len` and
+    /// every alignment is a candidate.
+    segments: usize,
+    /// Bits per segment; the first `longer` segments hold one more.
+    size: usize,
+    longer: usize,
 }
 
-fn best_short(stream: &PackedBits, pattern: &PackedBits, last: usize) -> Option<PatternMatch> {
-    let m = pattern.len();
-    let pat = pattern.words()[0];
-    let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-    let mut reg = stream.extract(0, m - 1) << 1;
-    let mut best: Option<PatternMatch> = None;
-    for index in 0..=last {
-        reg = (reg >> 1) | (u64::from(stream.bit(index + m - 1)) << (m - 1));
-        let errors = ((reg ^ pat) & mask).count_ones() as usize;
-        if best.is_none_or(|b| errors < b.errors) {
-            best = Some(PatternMatch { index, errors });
-            if errors == 0 {
-                break;
-            }
+impl<P: AsRef<[u64]>> SyncSearch<P> {
+    /// Sets up the search for the `len`-bit pattern packed LSB-first in
+    /// `pattern` (exactly `len.div_ceil(64)` words), with error budget
+    /// `max_errors`.
+    pub(crate) fn new(pattern: P, len: usize, max_errors: usize) -> Self {
+        debug_assert!(len > 0, "sync search needs a non-empty pattern");
+        debug_assert_eq!(pattern.as_ref().len(), len.div_ceil(64));
+        let segments = max_errors.saturating_add(1);
+        let segments = if segments > len { 0 } else { segments };
+        SyncSearch {
+            pattern,
+            len,
+            max_errors,
+            segments,
+            size: len.checked_div(segments).unwrap_or(0),
+            longer: len.checked_rem(segments).unwrap_or(0),
         }
     }
-    best
-}
 
-/// Word-per-alignment search for patterns longer than 64 bits. In threshold
-/// mode (`best = false`) it returns the first alignment within `max_errors`;
-/// in best mode it keeps the running minimum, using it as an early-exit
-/// budget for subsequent alignments.
-fn find_long(
-    stream: &PackedBits,
-    pattern: &PackedBits,
-    start: usize,
-    last: usize,
-    max_errors: usize,
-    best_mode: bool,
-) -> Option<PatternMatch> {
-    let m = pattern.len();
-    let words = pattern.words();
-    let full_words = m / 64;
-    let tail = m % 64;
-    let mut best: Option<PatternMatch> = None;
-    for index in start..=last {
-        let budget = if best_mode {
-            best.map_or(usize::MAX, |b| b.errors.saturating_sub(1))
-        } else {
-            max_errors
-        };
-        let mut errors = 0usize;
-        for (w, &pw) in words.iter().enumerate().take(full_words) {
-            errors += (stream.extract(index + w * 64, 64) ^ pw).count_ones() as usize;
-            if errors > budget {
-                break;
-            }
-        }
-        if tail != 0 && errors <= budget {
-            errors += (stream.extract(index + full_words * 64, tail) ^ words[full_words])
-                .count_ones() as usize;
-        }
-        if errors > budget {
-            continue;
-        }
-        if best_mode {
-            if best.is_none_or(|b| errors < b.errors) {
-                best = Some(PatternMatch { index, errors });
-                if errors == 0 {
-                    break;
+    /// Pattern length in bits.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The error budget a hit must stay within.
+    pub(crate) fn max_errors(&self) -> usize {
+        self.max_errors
+    }
+
+    /// Scores alignments `first..=last` of a stream read a word at a time:
+    /// `word(k)` returns stream bits `64k..64k + 64`, LSB-first, with any
+    /// value past the stream's end. Every alignment within the budget is
+    /// passed to `hit` as `(index, errors)` in ascending order, until `hit`
+    /// returns `false`. Needs `last + len() <=` the stream length.
+    pub(crate) fn scan(
+        &self,
+        word: impl Fn(usize) -> u64,
+        first: usize,
+        last: usize,
+        mut hit: impl FnMut(usize, usize) -> bool,
+    ) {
+        for block in first / 64..=last / 64 {
+            let base = block * 64;
+            let block_word = |q: usize| word(block + q);
+            let valid = (u64::MAX << first.saturating_sub(base))
+                & (u64::MAX >> (63 - (last - base).min(63)));
+            let mut cand = self.candidates(&block_word) & valid;
+            while cand != 0 {
+                let i = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                if let Some(errors) = self.score(&block_word, i) {
+                    if !hit(base + i, errors) {
+                        return;
+                    }
                 }
             }
-        } else {
-            return Some(PatternMatch { index, errors });
         }
     }
-    best
+
+    /// The prefilter: bit `i` is set when the alignment starting at bit `i`
+    /// of `word(0)` matches at least one segment exactly.
+    #[inline(always)]
+    fn candidates(&self, word: &impl Fn(usize) -> u64) -> u64 {
+        if self.segments == 0 {
+            return u64::MAX;
+        }
+        let pattern = self.pattern.as_ref();
+        // For pattern bit `j`, bit `i` of the window's low half is stream
+        // bit `i + j` and bit 0 of `inverse` is pattern bit `j` inverted;
+        // both are refilled every 64 pattern bits.
+        let mut window = u128::from(word(0)) | (u128::from(word(1)) << 64);
+        let mut inverse = !pattern[0];
+        let (mut j, mut refill) = (0, 64);
+        let mut cand = 0;
+        for g in 0..self.segments {
+            let end = j + self.size + usize::from(g < self.longer);
+            let mut run = u64::MAX;
+            while j < end {
+                if j == refill {
+                    let q = j / 64;
+                    window = u128::from(word(q)) | (u128::from(word(q + 1)) << 64);
+                    inverse = !pattern[q];
+                    refill += 64;
+                }
+                let stop = end.min(refill);
+                for _ in j..stop {
+                    run &= window as u64 ^ (inverse & 1).wrapping_neg();
+                    window >>= 1;
+                    inverse >>= 1;
+                }
+                j = stop;
+            }
+            cand |= run;
+        }
+        cand
+    }
+
+    /// The errors of the alignment starting at bit `i` of `word(0)`, or
+    /// `None` once they exceed the budget.
+    #[inline(always)]
+    fn score(&self, word: &impl Fn(usize) -> u64, i: usize) -> Option<usize> {
+        let mut errors = 0;
+        let mut lo = word(0);
+        for (q, &pat) in self.pattern.as_ref().iter().enumerate() {
+            let next = word(q + 1);
+            let window = (lo >> i) | ((next << 1) << (63 - i));
+            let mask = u64::MAX >> (64 - (self.len - 64 * q).min(64));
+            errors += ((window ^ pat) & mask).count_ones() as usize;
+            if errors > self.max_errors {
+                return None;
+            }
+            lo = next;
+        }
+        Some(errors)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlate::{best_pattern_match_scalar, find_pattern_scalar};
+    use crate::correlate::find_pattern_scalar;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -550,22 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn best_match_agrees_with_scalar() {
-        for (sseed, pseed, n, m) in [(40u64, 41u64, 300usize, 32usize), (42, 43, 400, 319)] {
-            let stream = random_bits(sseed, n);
-            let pattern = random_bits(pseed, m);
-            assert_eq!(
-                best_pattern_match_packed(
-                    &PackedBits::from_bits(&stream),
-                    &PackedBits::from_bits(&pattern)
-                ),
-                best_pattern_match_scalar(&stream, &pattern),
-                "n {n} m {m}"
-            );
-        }
-    }
-
-    #[test]
     fn degenerate_inputs_find_nothing() {
         let empty = PackedBits::from_bits(&[]);
         let one = PackedBits::from_bits(&[1]);
@@ -573,8 +603,6 @@ mod tests {
         assert_eq!(find_pattern_packed(&two, &empty, 0, 0), None);
         assert_eq!(find_pattern_packed(&one, &two, 0, 2), None);
         assert_eq!(find_pattern_packed(&two, &two, 1, 2), None);
-        assert_eq!(best_pattern_match_packed(&one, &two), None);
-        assert_eq!(best_pattern_match_packed(&two, &empty), None);
     }
 
     #[test]

@@ -4,24 +4,25 @@
 //! first match in this buffer?" — fine for one-shot captures, useless for a
 //! receiver that ingests IQ in arbitrary chunks: restarting the search on
 //! every chunk is quadratic and loses matches that straddle a boundary.
-//! [`StreamCorrelator`] is the streaming form of the same sliding shift
-//! register: the register (and an absolute consumed-bit counter) is carried
+//! [`StreamCorrelator`] is the streaming form of the same search: it carries
+//! the last `pattern_len() − 1` bits and an absolute consumed-bit counter
 //! across calls, so feeding the same bits in any chunking reports the same
 //! matches at the same absolute indexes — exactly what a real radio's
-//! always-armed access-address correlator does.
+//! always-armed access-address correlator does. Each call screens 64
+//! alignments per step with the pigeonhole prefilter and scores only the
+//! candidates (see [`crate::packed::find_pattern_packed`]).
 
 use crate::correlate::PatternMatch;
-use crate::packed::PackedBits;
+use crate::packed::{PackedBits, SyncSearch};
 
-/// A sliding-register sync correlator that persists across chunk boundaries.
+/// A streaming sync correlator that persists across chunk boundaries.
 ///
-/// Bits are pushed in stream order; once at least `pattern_len()` bits have
-/// been consumed, every push compares the register window against the packed
-/// pattern and reports a [`PatternMatch`] (with the *absolute* index of the
-/// window start) whenever the Hamming distance is within the error budget.
-/// Unlike the one-shot search, *every* qualifying alignment is reported, not
-/// just the first — the caller decides which attempt to act on and which to
-/// re-arm past.
+/// Bits are fed in stream order; every alignment whose last bit is among
+/// the fed bits is compared against the pattern, and a [`PatternMatch`]
+/// (with the *absolute* index of the window start) is reported whenever the
+/// Hamming distance is within the error budget. Unlike the one-shot search,
+/// *every* qualifying alignment is reported, not just the first — the
+/// caller decides which attempt to act on and which to re-arm past.
 ///
 /// # Examples
 ///
@@ -40,11 +41,10 @@ use crate::packed::PackedBits;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamCorrelator {
-    pat: u64,
-    mask: u64,
-    len: usize,
-    max_errors: usize,
-    reg: u64,
+    search: SyncSearch<[u64; 1]>,
+    /// The last `pattern_len() − 1` consumed bits, oldest in bit 0: the
+    /// look-back that completes alignments straddling a call boundary.
+    tail: u64,
     consumed: usize,
 }
 
@@ -62,31 +62,28 @@ impl StreamCorrelator {
             "streaming correlator needs a 1..=64-bit pattern, got {m}"
         );
         StreamCorrelator {
-            pat: pattern.words()[0],
-            mask: if m == 64 { u64::MAX } else { (1u64 << m) - 1 },
-            len: m,
-            max_errors,
-            reg: 0,
+            search: SyncSearch::new([pattern.words()[0]], m, max_errors),
+            tail: 0,
             consumed: 0,
         }
     }
 
-    /// Clears the sliding register and the consumed-bit counter, returning
+    /// Clears the look-back bits and the consumed-bit counter, returning
     /// the correlator to its freshly constructed state (same pattern, same
     /// error budget) — the recycle path of pooled receive engines.
     pub fn reset(&mut self) {
-        self.reg = 0;
+        self.tail = 0;
         self.consumed = 0;
     }
 
     /// Pattern length in bits.
     pub fn pattern_len(&self) -> usize {
-        self.len
+        self.search.len()
     }
 
     /// The error budget alignments must stay within to be reported.
     pub fn max_errors(&self) -> usize {
-        self.max_errors
+        self.search.max_errors()
     }
 
     /// Total bits consumed since construction. Every alignment with
@@ -95,40 +92,18 @@ impl StreamCorrelator {
         self.consumed
     }
 
-    /// Consumes one bit (masked to its lowest bit); reports the alignment
-    /// ending at this bit if it is complete and within the error budget.
-    pub fn push(&mut self, bit: u8) -> Option<PatternMatch> {
-        self.reg = (self.reg >> 1) | (u64::from(bit & 1) << (self.len - 1));
-        self.consumed += 1;
-        self.score(self.reg, self.consumed)
-    }
-
-    /// The alignment held in `reg` after `consumed` bits, if it is complete
-    /// and within the error budget.
-    #[inline(always)]
-    fn score(&self, reg: u64, consumed: usize) -> Option<PatternMatch> {
-        if consumed < self.len {
-            return None;
-        }
-        let errors = ((reg ^ self.pat) & self.mask).count_ones() as usize;
-        (errors <= self.max_errors).then(|| PatternMatch {
-            index: consumed - self.len,
-            errors,
-        })
-    }
-
-    /// Consumes a 0/1 slice, appending every qualifying alignment to `out`.
+    /// Consumes a 0/1 slice (values masked to their lowest bit), appending
+    /// every qualifying alignment to `out`.
     pub fn feed_bits(&mut self, bits: &[u8], out: &mut Vec<PatternMatch>) {
-        for &b in bits {
-            out.extend(self.push(b));
-        }
+        self.feed_packed(&PackedBits::from_bits(bits), 0, out);
     }
 
     /// Consumes bits `from..stream.len()` of a packed stream, appending every
-    /// qualifying alignment to `out` — the shape the receive engine uses
-    /// after appending freshly demodulated bits to a lane. Equal to
-    /// [`StreamCorrelator::push`] over each bit in turn, but reads the stream
-    /// a word at a time and shifts its bits out of a register.
+    /// qualifying alignment to `out` in ascending order — the shape the
+    /// receive engine uses after appending freshly demodulated bits to a
+    /// lane. Bits before `from` are never read: the alignments that reach
+    /// back before it take their first bits from the correlator's own
+    /// look-back.
     ///
     /// # Panics
     ///
@@ -139,31 +114,44 @@ impl StreamCorrelator {
             from <= end,
             "feed_packed start {from} exceeds stream length {end}"
         );
-        let top = self.len - 1;
-        let (mut reg, mut consumed) = (self.reg, self.consumed);
-        let mut k = from;
-        while k < end {
-            let shift = k % 64;
-            let take = (64 - shift).min(end - k);
-            let mut word = stream.words()[k / 64] >> shift;
-            for _ in 0..take {
-                reg = (reg >> 1) | ((word & 1) << top);
-                word >>= 1;
-                consumed += 1;
-                if let Some(pm) = self.score(reg, consumed) {
-                    out.push(pm);
-                }
-            }
-            k += take;
+        let fresh = end - from;
+        if fresh == 0 {
+            return;
         }
-        self.reg = reg;
-        self.consumed = consumed;
+        // The scan reads the look-back bits followed by the fresh ones:
+        // bit `s` of that view is absolute bit `consumed − back + s`.
+        let back = self.pattern_len() - 1;
+        let head = self.tail | (stream.word_at(from) << back);
+        let word = |k: usize| {
+            if k == 0 {
+                head
+            } else {
+                stream.word_at(from + 64 * k - back)
+            }
+        };
+        let consumed = self.consumed;
+        // Alignments that would start before bit 0 of the stream are void.
+        let first = back.saturating_sub(consumed);
+        if first < fresh {
+            self.search.scan(word, first, fresh - 1, |s, errors| {
+                out.push(PatternMatch {
+                    index: consumed + s - back,
+                    errors,
+                });
+                true
+            });
+        }
+        let (k, shift) = (fresh / 64, fresh % 64);
+        let window = (word(k) >> shift) | ((word(k + 1) << 1) << (63 - shift));
+        self.tail = window & !(u64::MAX << back);
+        self.consumed += fresh;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlate::find_pattern_scalar;
     use crate::packed::find_pattern_packed;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -173,16 +161,12 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..=1u8)).collect()
     }
 
-    /// Reference: every alignment within the budget, via the one-shot search
-    /// restarted one bit past each hit.
-    fn all_matches(
-        stream: &PackedBits,
-        pattern: &PackedBits,
-        max_errors: usize,
-    ) -> Vec<PatternMatch> {
+    /// The oracle: every alignment within the budget, via the byte-per-bit
+    /// search restarted one bit past each hit.
+    fn all_matches(bits: &[u8], pattern: &[u8], max_errors: usize) -> Vec<PatternMatch> {
         let mut out = Vec::new();
         let mut start = 0usize;
-        while let Some(m) = find_pattern_packed(stream, pattern, start, max_errors) {
+        while let Some(m) = find_pattern_scalar(bits, pattern, start, max_errors) {
             start = m.index + 1;
             out.push(m);
         }
@@ -199,16 +183,22 @@ mod tests {
             (93, 32, 3),
             (94, 64, 6),
         ] {
-            let pattern = PackedBits::from_bits(&random_bits(seed, m));
+            let pattern_bits = random_bits(seed, m);
+            let pattern = PackedBits::from_bits(&pattern_bits);
             let mut corr = StreamCorrelator::new(&pattern, max_errors);
             let mut got = Vec::new();
             corr.feed_bits(&bits, &mut got);
-            assert_eq!(
-                got,
-                all_matches(&stream, &pattern, max_errors),
-                "m {m} max_errors {max_errors}"
-            );
+            let want = all_matches(&bits, &pattern_bits, max_errors);
+            assert_eq!(got, want, "m {m} max_errors {max_errors}");
             assert_eq!(corr.consumed(), bits.len());
+            // The one-shot first-hit search, restarted, agrees too.
+            let mut one_shot = Vec::new();
+            let mut start = 0;
+            while let Some(pm) = find_pattern_packed(&stream, &pattern, start, max_errors) {
+                start = pm.index + 1;
+                one_shot.push(pm);
+            }
+            assert_eq!(one_shot, want, "m {m} max_errors {max_errors} (one-shot)");
         }
     }
 
@@ -234,36 +224,65 @@ mod tests {
         let stream = PackedBits::from_bits(&bits);
         let mut rng = ChaCha8Rng::seed_from_u64(103);
         for m in 1..=64usize {
-            let pattern = PackedBits::from_bits(&random_bits(200 + m as u64, m));
-            // A budget loose enough that every pattern length has hits.
-            let max_errors = m * 2 / 5;
-            let mut want = Vec::new();
-            StreamCorrelator::new(&pattern, max_errors).feed_bits(&bits, &mut want);
-            assert!(!want.is_empty(), "m {m}: no hits to compare");
+            let pattern_bits = random_bits(200 + m as u64, m);
+            let pattern = PackedBits::from_bits(&pattern_bits);
+            // Every budget: the prefilter's segments shrink to single bits
+            // at e = m − 1, and from e = m on (e + 1 > m, up to an
+            // unbounded budget) every alignment is a candidate and a hit.
+            for max_errors in (0..=m + 1).chain([usize::MAX]) {
+                let want = all_matches(&bits, &pattern_bits, max_errors);
+                if max_errors >= m {
+                    assert_eq!(want.len(), bits.len() - m + 1, "m {m} e {max_errors}");
+                }
 
-            // Start anywhere (the earlier bits fed per bit), then grow a
-            // packed lane in random chunks and feed only the fresh tail each
-            // time — the engine's ingest loop.
-            let from = rng.gen_range(0..=bits.len());
-            let mut corr = StreamCorrelator::new(&pattern, max_errors);
-            let mut got = Vec::new();
-            corr.feed_bits(&bits[..from], &mut got);
-            let mut lane = PackedBits::from_bits(&bits[..from]);
-            let mut k = from;
-            while k < bits.len() {
-                let next = (k + rng.gen_range(0..=150usize)).min(bits.len());
-                lane.extend_from_bits(&bits[k..next]);
-                corr.feed_packed(&lane, k, &mut got);
-                k = next;
+                // Start anywhere (the earlier bits fed as one slice), then
+                // grow a packed lane in random chunks and feed only the
+                // fresh tail each time — the engine's ingest loop.
+                let from = rng.gen_range(0..=bits.len());
+                let mut corr = StreamCorrelator::new(&pattern, max_errors);
+                let mut got = Vec::new();
+                corr.feed_bits(&bits[..from], &mut got);
+                let mut lane = PackedBits::from_bits(&bits[..from]);
+                let mut k = from;
+                while k < bits.len() {
+                    let next = (k + rng.gen_range(0..=150usize)).min(bits.len());
+                    lane.extend_from_bits(&bits[k..next]);
+                    corr.feed_packed(&lane, k, &mut got);
+                    k = next;
+                }
+                // Feeding a full stream from `from` in one call agrees too.
+                let mut once = StreamCorrelator::new(&pattern, max_errors);
+                let mut once_got = Vec::new();
+                once.feed_bits(&bits[..from], &mut once_got);
+                once.feed_packed(&stream, from, &mut once_got);
+                assert_eq!(got, want, "m {m} e {max_errors} from {from}");
+                assert_eq!(
+                    once_got, want,
+                    "m {m} e {max_errors} from {from} (one call)"
+                );
+                assert_eq!(corr.consumed(), bits.len());
             }
-            // Feeding a full stream from `from` in one call agrees too.
-            let mut once = StreamCorrelator::new(&pattern, max_errors);
-            let mut once_got = Vec::new();
-            once.feed_bits(&bits[..from], &mut once_got);
-            once.feed_packed(&stream, from, &mut once_got);
-            assert_eq!(got, want, "m {m} from {from}");
-            assert_eq!(once_got, want, "m {m} from {from} (one call)");
-            assert_eq!(corr.consumed(), bits.len());
+        }
+    }
+
+    #[test]
+    fn feed_packed_never_reads_before_from() {
+        // Garbage in every bit before `from` must not change a single hit:
+        // the look-back comes from the correlator, not the stream.
+        let bits = random_bits(104, 600);
+        let pattern_bits = random_bits(105, 32);
+        let pattern = PackedBits::from_bits(&pattern_bits);
+        let want = all_matches(&bits, &pattern_bits, 12);
+        for split in [1usize, 31, 63, 64, 65, 300] {
+            let mut corr = StreamCorrelator::new(&pattern, 12);
+            let mut got = Vec::new();
+            corr.feed_bits(&bits[..split], &mut got);
+            let mut poisoned = bits.clone();
+            for b in &mut poisoned[..split] {
+                *b ^= 1;
+            }
+            corr.feed_packed(&PackedBits::from_bits(&poisoned), split, &mut got);
+            assert_eq!(got, want, "split {split}");
         }
     }
 

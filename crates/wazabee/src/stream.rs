@@ -60,7 +60,7 @@ struct Lane {
     /// Demodulated hard bits, trimmed at the front; bit `k` here is absolute
     /// bit `base_bits + k`.
     bits: PackedBits,
-    /// Persistent sliding-register correlator (absolute indexes).
+    /// Persistent sync correlator (absolute indexes).
     corr: StreamCorrelator,
     /// Pending sync hits at absolute indexes `>= armed`, in stream order.
     matches: VecDeque<PatternMatch>,
@@ -113,6 +113,8 @@ pub struct StreamingRx<'a, R> {
     /// Scratch for the all-phase window sums: `sums_scratch[t]` sums the
     /// `sps` differences starting at the slowest lane's cursor plus `t`.
     sums_scratch: Vec<f32>,
+    /// Scratch for one lane's fresh sync hits before the armed filter.
+    hits_scratch: Vec<PatternMatch>,
     /// Absolute bit index of local bit 0 (same for every lane).
     base_bits: usize,
     lanes: Vec<Lane>,
@@ -131,10 +133,11 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
     pub fn stream(&self) -> StreamingRx<'_, R> {
         let pattern = PackedBits::from_bits(self.sync_bits());
         let sps = self.radio().samples_per_symbol();
+        let corr = StreamCorrelator::new(&pattern, self.max_sync_errors());
         let lanes = (0..sps)
             .map(|_| Lane {
                 bits: PackedBits::default(),
-                corr: StreamCorrelator::new(&pattern, self.max_sync_errors()),
+                corr: corr.clone(),
                 matches: VecDeque::new(),
             })
             .collect();
@@ -145,6 +148,7 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
             samples: IqBuf::new(),
             diffs: Vec::new(),
             sums_scratch: Vec::new(),
+            hits_scratch: Vec::new(),
             base_bits: 0,
             lanes,
             armed: 0,
@@ -210,6 +214,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         self.samples.clear();
         self.diffs.clear();
         self.sums_scratch.clear();
+        self.hits_scratch.clear();
         self.base_bits = 0;
         self.armed = 0;
         self.attempts = 0;
@@ -284,12 +289,12 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         }
         let _s = wazabee_telemetry::scope!("stream.correlate");
         let armed = self.armed;
-        let mut hits = Vec::new();
+        let hits = &mut self.hits_scratch;
         for lane in &mut self.lanes {
             // The correlator has consumed every bit up to its absolute count;
             // feed it the fresh tail.
             let from = lane.corr.consumed() - self.base_bits;
-            lane.corr.feed_packed(&lane.bits, from, &mut hits);
+            lane.corr.feed_packed(&lane.bits, from, hits);
             lane.matches
                 .extend(hits.drain(..).filter(|pm| pm.index >= armed));
         }

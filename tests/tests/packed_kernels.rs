@@ -1,17 +1,20 @@
 //! Cross-crate equivalence tests for the packed-bitstream fast path and the
 //! deterministic parallel sweep engine.
 //!
-//! The packed kernels (word-packed Hamming, sliding-register correlation,
-//! `u32` despreading tables) must agree bit-for-bit with the scalar
-//! references they replaced, on arbitrary streams — and the parallel channel
+//! The packed kernels (word-packed Hamming, the pigeonhole-prefiltered
+//! sync search in its one-shot and streaming forms, `u32` despreading
+//! tables) must agree bit-for-bit with the scalar references they replaced,
+//! on arbitrary streams and on frame-like lanes — and the parallel channel
 //! sweep must produce byte-identical artifacts at any thread count.
 
 use proptest::prelude::*;
+use wazabee_bench::lanes::{frame_like_lane, oracle_hits};
 use wazabee_bench::table3::{render_table, run_primitive, Primitive, Table3Config};
 use wazabee_chips::{cc1352r1, nrf52832};
-use wazabee_dsp::correlate::{best_pattern_match_scalar, find_pattern_scalar};
-use wazabee_dsp::packed::{best_pattern_match_packed, find_pattern_packed};
-use wazabee_dsp::PackedBits;
+use wazabee_dot154::Dot154Modem;
+use wazabee_dsp::correlate::find_pattern_scalar;
+use wazabee_dsp::packed::find_pattern_packed;
+use wazabee_dsp::{PackedBits, StreamCorrelator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,25 +32,84 @@ proptest! {
         prop_assert_eq!(pa.hamming(&pb), wazabee_dsp::bits::hamming(&a, &b));
     }
 
-    /// The packed correlator (the kernel every receive path uses) returns
-    /// the same match — index and error count — as the scalar reference, for
-    /// short patterns (sliding register) and long ones (word compare).
+    /// The packed one-shot search returns the same first match — index and
+    /// error count — as the scalar reference, for patterns of one word or
+    /// less and for longer ones (multi-word prefilter and scoring).
     #[test]
     fn prop_find_pattern_matches_scalar(
         stream in proptest::collection::vec(0u8..=1, 0..400),
-        pattern in proptest::collection::vec(0u8..=1, 1..100),
+        pattern in proptest::collection::vec(0u8..=1, 1..200),
         start in 0usize..50,
-        max_errors in 0usize..6,
+        max_errors in 0usize..40,
     ) {
         let (ps, pp) = (PackedBits::from_bits(&stream), PackedBits::from_bits(&pattern));
         prop_assert_eq!(
             find_pattern_packed(&ps, &pp, start, max_errors),
             find_pattern_scalar(&stream, &pattern, start, max_errors)
         );
-        prop_assert_eq!(
-            best_pattern_match_packed(&ps, &pp),
-            best_pattern_match_scalar(&stream, &pattern)
-        );
+    }
+
+    /// The 319-bit 802.15.4 SHR image, planted with bit flips in a random
+    /// stream, is found where the scalar reference finds it at the modem's
+    /// budget of 32, with no errors allowed, and with every alignment a
+    /// candidate (budget = pattern length).
+    #[test]
+    fn prop_find_shr_matches_scalar(
+        lead in proptest::collection::vec(0u8..=1, 0..300),
+        trail in proptest::collection::vec(0u8..=1, 0..100),
+        flips in proptest::collection::vec(0usize..319, 0..40),
+        start in 0usize..64,
+    ) {
+        let shr = Dot154Modem::shr_msk_image();
+        let mut stream = lead;
+        let at = stream.len();
+        stream.extend_from_slice(&shr);
+        stream.extend(trail);
+        for f in flips {
+            stream[at + f] ^= 1;
+        }
+        let ps = PackedBits::from_bits(&stream);
+        for max_errors in [0, 32, shr.len()] {
+            prop_assert_eq!(
+                find_pattern_packed(&ps, Dot154Modem::shr_msk_image_packed(), start, max_errors),
+                find_pattern_scalar(&stream, &shr, start, max_errors),
+                "budget {}", max_errors
+            );
+        }
+    }
+
+    /// On frame-like lanes, where the sync symbol repeats through every
+    /// preamble and prefilter candidates are dense, the streaming
+    /// correlator reports exactly the oracle's hits for any chunking, even
+    /// when the lane is trimmed to the fresh bits after every feed.
+    #[test]
+    fn prop_stream_correlator_matches_oracle_on_frame_like_lanes(
+        seed in any::<u64>(),
+        flip in 0.0f64..0.15,
+        max_errors in 0usize..=8,
+        chunks in proptest::collection::vec(0usize..300, 1..12),
+    ) {
+        let bits = frame_like_lane(seed, 3000, flip);
+        let sync = wazabee::access_address_pattern();
+        let mut corr = StreamCorrelator::new(&PackedBits::from_bits(&sync), max_errors);
+        let mut got = Vec::new();
+        let mut lane = PackedBits::default();
+        // Absolute index of the lane's bit 0.
+        let mut base = 0;
+        let mut k = 0;
+        for &chunk in chunks.iter().cycle() {
+            if k == bits.len() {
+                break;
+            }
+            let next = (k + chunk.max(1)).min(bits.len());
+            lane.extend_from_bits(&bits[k..next]);
+            corr.feed_packed(&lane, k - base, &mut got);
+            let spent = lane.len() / 64;
+            lane.drop_front_words(spent);
+            base += spent * 64;
+            k = next;
+        }
+        prop_assert_eq!(got, oracle_hits(&bits, &sync, max_errors));
     }
 
     /// Packed Algorithm-1 despreading equals the scalar reference on any
