@@ -43,7 +43,8 @@
 #      answer 503 with the collisions rule latched (and the delivery-ratio
 #      rule armed), /trace must serve live Chrome Trace JSON, and the
 #      WAZABEE_TRACE_OUT dump must hold rx.decode spans with frame args and
-#      resolvable parents; a --no-attacker run must answer /healthz 200;
+#      resolvable parents, only M/X/i phases and otherData.evicted_records;
+#      a --no-attacker run must answer /healthz 200;
 #      the --no-default-features run must write no trace file
 #  15. shard-equivalence gate: a 256-node / 8-channel attacked cell is run
 #      under WAZABEE_THREADS=1 and =4 in both feature states; the committed
@@ -325,6 +326,10 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 events = doc["traceEvents"]
 assert events, "WAZABEE_TRACE_OUT dump is empty"
+# One record per closed span: only metadata, complete spans and instants.
+phases = {e.get("ph") for e in events}
+assert phases <= {"M", "X", "i"}, f"unexpected trace phases {sorted(map(str, phases))}"
+assert "evicted_records" in doc.get("otherData", {}), "trace dump lacks otherData.evicted_records"
 spans = {e["args"]["span_id"] for e in events
          if e.get("args", {}).get("span_id") is not None}
 decodes = [e for e in events if e.get("name") == "rx.decode"]

@@ -34,7 +34,7 @@ fn correlate_benches(c: &mut Criterion) {
     // at its default budget of 3, over a lane of frames whose preambles
     // repeat the sync symbol (dense candidates and hits).
     let sync = wazabee::access_address_pattern();
-    let packed_sync = PackedBits::from_bits(&sync);
+    let packed_sync = PackedBits::from_bits(sync);
     let lane = frame_like_lane(0xC0FFEE, STREAM_BITS, 0.02);
     let packed_lane = PackedBits::from_bits(&lane);
     // The one-shot 802.15.4 SHR search, absent entirely from a random
@@ -59,7 +59,7 @@ fn correlate_benches(c: &mut Criterion) {
         })
     });
     g.bench_function("scalar", |b| {
-        b.iter(|| oracle_hits(std::hint::black_box(&lane), std::hint::black_box(&sync), 3).len())
+        b.iter(|| oracle_hits(std::hint::black_box(&lane), std::hint::black_box(sync), 3).len())
     });
     g.finish();
 

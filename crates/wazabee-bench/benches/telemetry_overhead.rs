@@ -13,6 +13,8 @@
 //! `wazabee-telemetry` (run with `--no-default-features`) asserts the
 //! disabled build really is dead code.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use wazabee_ble::gfsk::{demodulate_aligned, modulate, GfskParams};
 use wazabee_ble::BlePhy;
@@ -71,13 +73,31 @@ fn bench_instrumented_kernels(c: &mut Criterion) {
         })
     });
     // One timing probe: two clock reads, the thread-local child-time and
-    // current-span swaps, four relaxed atomic adds and two trace-ring
-    // appends (enter + exit).
+    // current-span swaps, four relaxed atomic adds and one trace-ring
+    // append (the completed span, pushed when it closes).
     p.bench_function("scope_enter_drop", |b| {
         b.iter(|| {
             let _s = wazabee_telemetry::scope!("bench.scope");
             std::hint::black_box(());
         })
+    });
+    // The same probe while a second thread runs scopes in a loop, so both
+    // contend for the one trace-ring lock — as netsim's shard threads and
+    // serve's workers do.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let _s = wazabee_telemetry::scope!("bench.scope.rival");
+            }
+        });
+        p.bench_function("scope_enter_drop_contended", |b| {
+            b.iter(|| {
+                let _s = wazabee_telemetry::scope!("bench.scope");
+                std::hint::black_box(());
+            })
+        });
+        stop.store(true, Ordering::Relaxed);
     });
     // The same with two static args — the cost of one
     // `scope!("rx.decode", ...)` around a committing decode attempt.

@@ -172,7 +172,7 @@ fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64, f64) {
 fn bench_correlate(lane_bits: usize, lanes: usize) -> (f64, f64, usize) {
     const CHUNK_BITS: usize = 512;
     let sync = wazabee::access_address_pattern();
-    let pattern = PackedBits::from_bits(&sync);
+    let pattern = PackedBits::from_bits(sync);
     let lanes: Vec<Vec<u8>> = (0..lanes)
         .map(|k| frame_like_lane(0x5EED + k as u64, lane_bits, 0.02))
         .collect();
@@ -199,7 +199,7 @@ fn bench_correlate(lane_bits: usize, lanes: usize) -> (f64, f64, usize) {
     let start = Instant::now();
     let oracle: Vec<Vec<PatternMatch>> = lanes
         .iter()
-        .map(|lane| oracle_hits(lane, &sync, 3))
+        .map(|lane| oracle_hits(lane, sync, 3))
         .collect();
     let oracle_secs = start.elapsed().as_secs_f64().max(1e-9);
 

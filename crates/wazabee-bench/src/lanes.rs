@@ -70,7 +70,7 @@ mod tests {
     fn preamble_carries_the_sync_pattern() {
         let lane = frame_like_lane(1, 4096, 0.0);
         let sync = wazabee::access_address_pattern();
-        let hits = lane.windows(32).filter(|w| *w == sync.as_slice()).count();
+        let hits = lane.windows(32).filter(|w| *w == sync).count();
         assert!(hits >= 8, "only {hits} exact sync hits in a clean lane");
         assert_eq!(frame_like_lane(1, 4096, 0.0), lane, "same seed, same lane");
         assert_eq!(frame_like_lane(2, 1000, 0.1).len(), 1000);

@@ -17,9 +17,10 @@
 //! `Copy` handle hot sites keep.
 //!
 //! One timing probe, [`Scope`] ([`scope!`]), feeds an exact per-site profile
-//! (count, self/total time, log₂ buckets, p50/p99) and the bounded causal
-//! trace ring that [`event!`] instants share; [`health_rule!`] arms alerts
-//! and [`timeseries!`] samples wall-clock series.
+//! (count, self/total time, log₂ buckets, p50/p99) and, with one
+//! completed-span record per closed scope, the bounded causal trace ring
+//! that [`event!`] instants share; [`health_rule!`] arms alerts and
+//! [`timeseries!`] samples wall-clock series.
 //!
 //! Sinks: the console [`summary`] (with derived sync-success / CRC / FCS /
 //! PER rates), JSONL ([`write_jsonl`], [`dump_from_env`] for
@@ -75,7 +76,7 @@ pub use profile::{profile_report, profile_summary, Scope, ScopeGuard, StageRow};
 pub use server::{serve, serve_from_env, ENV_ADDR};
 pub use sink::{dump_from_env, dump_jsonl_to, snapshot_json, summary, write_jsonl, ENV_OUT};
 pub use span::{
-    current_span_id, drain_trace, event, event_with, ArgValue, SpanArgs, TraceEvent, TraceKind,
+    current_span_id, drain_trace, event_with, ArgValue, SpanArgs, TraceEvent, TraceKind,
     MAX_SPAN_ARGS, TRACE_CAPACITY,
 };
 pub use timeseries::{Point, Series, SeriesSet, WallSeries, SERIES_CAPACITY};
@@ -92,7 +93,7 @@ pub use trace_export::{dump_trace_from_env, dump_trace_to, trace_chrome_json, EN
 /// Latched health alerts unlatch; armed rules stay armed.
 pub fn reset() {
     registry::reset();
-    span::clear();
+    drain_trace();
     span::reset_ids();
 }
 
@@ -141,11 +142,12 @@ macro_rules! histogram {
 /// when the returned [`ScopeGuard`] drops.
 ///
 /// One probe feeds every timing view: the profile row (count, self/total
-/// time, log₂ duration buckets — see [`profile_report`]) and an enter/exit
-/// pair in the causal trace ring. Scopes nest per thread: each one's parent
-/// is the scope open on the same thread, and its total is billed to that
-/// parent's child time. Up to [`MAX_SPAN_ARGS`] static key/value arguments
-/// ride along into the trace:
+/// time, log₂ duration buckets — see [`profile_report`]) and one
+/// completed-span record, pushed to the causal trace ring when the scope
+/// closes. Scopes nest per thread: each one's parent is the scope open on
+/// the same thread, and its total is billed to that parent's child time.
+/// Up to [`MAX_SPAN_ARGS`] static key/value arguments ride along into the
+/// trace:
 ///
 /// ```
 /// # use wazabee_telemetry as tel;
@@ -159,13 +161,9 @@ macro_rules! histogram {
 /// ```
 #[macro_export]
 macro_rules! scope {
-    ($name:expr) => {{
+    ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
         static __WZB_SCOPE: $crate::Scope = $crate::Scope::new($name);
-        __WZB_SCOPE.enter($crate::SpanArgs::new())
-    }};
-    ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {{
-        static __WZB_SCOPE: $crate::Scope = $crate::Scope::new($name);
-        __WZB_SCOPE.enter($crate::SpanArgs::new()$(.with(stringify!($k), $v))+)
+        __WZB_SCOPE.enter($crate::SpanArgs::new()$(.with(stringify!($k), $v))*)
     }};
 }
 
@@ -174,24 +172,14 @@ macro_rules! scope {
 /// (`event!("rx.resync", offset = bit)`).
 #[macro_export]
 macro_rules! event {
-    ($name:expr) => {
-        $crate::event($name, None)
+    ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {
+        $crate::event_with($name, None, $crate::SpanArgs::new()$(.with(stringify!($k), $v))*)
     };
-    ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
-        $crate::event_with(
-            $name,
-            None,
-            $crate::SpanArgs::new()$(.with(stringify!($k), $v))+,
-        )
-    };
-    ($name:expr, $value:expr) => {
-        $crate::event($name, Some($value as f64))
-    };
-    ($name:expr, $value:expr, $($k:ident = $v:expr),+ $(,)?) => {
+    ($name:expr, $value:expr $(, $k:ident = $v:expr)* $(,)?) => {
         $crate::event_with(
             $name,
             Some($value as f64),
-            $crate::SpanArgs::new()$(.with(stringify!($k), $v))+,
+            $crate::SpanArgs::new()$(.with(stringify!($k), $v))*,
         )
     };
 }

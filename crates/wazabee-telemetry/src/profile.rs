@@ -2,8 +2,8 @@
 //! [`crate::scope!`] and closed when the returned [`ScopeGuard`] drops.
 //!
 //! A scope is a named region of the pipeline (`stream.demod`, `rx.decode`,
-//! `sim.superpose`, `ble.gfsk.modulate_ns`, …). Each enter and each exit
-//! reads the clock once and feeds three views from that one reading:
+//! `sim.superpose`, `ble.gfsk.modulate_ns`, …). Opening and closing each
+//! read the clock once, and those two readings feed three views:
 //!
 //! * the **profile** — per call site a static [`Scope`] holds relaxed-atomic
 //!   count, total (inclusive) and self (exclusive) nanoseconds, and 64 log₂
@@ -11,9 +11,10 @@
 //!   without locks. Self time comes from a thread-local child-time cell:
 //!   each closing scope bills its total to the enclosing one, and a caller
 //!   whose total is large but whose self is small is just a caller;
-//! * the **trace** — an enter and an exit record in the bounded causal ring
-//!   (see [`crate::drain_trace`]), carrying the span id, the parent span
-//!   open on the same thread and up to [`crate::MAX_SPAN_ARGS`] arguments;
+//! * the **trace** — one completed-span record (start and duration) pushed
+//!   to the bounded causal ring when the scope closes (see
+//!   [`crate::drain_trace`]), carrying the span id, the parent span open on
+//!   the same thread and up to [`crate::MAX_SPAN_ARGS`] arguments;
 //! * the **current span** — the thread-local id events and the flight
 //!   recorder attach to ([`crate::current_span_id`]).
 //!
@@ -80,8 +81,8 @@ impl Scope {
         self.name
     }
 
-    /// Opens the scope: profile bookkeeping, an enter record in the trace
-    /// ring, and this scope becomes the thread's current span.
+    /// Opens the scope: profile bookkeeping, and this scope becomes the
+    /// thread's current span. Its trace record is pushed when it closes.
     #[inline]
     #[must_use = "the scope closes when the guard drops; binding it to _ drops immediately"]
     pub fn enter(&'static self, args: SpanArgs) -> ScopeGuard {
@@ -94,7 +95,7 @@ impl Scope {
             // Start a fresh child accumulator for this nesting level; the
             // parent's accumulated child time is parked in the guard.
             let parent_child_ns = CHILD_NS.with(|c| c.replace(0));
-            let (span_id, parent_id) = crate::span::open(self.name, start_ns, args);
+            let (span_id, parent_id) = crate::span::open();
             ScopeGuard {
                 scope: self,
                 start_ns,
@@ -197,7 +198,7 @@ impl Drop for ScopeGuard {
             s.buckets[log2_bucket(total)].fetch_add(1, Ordering::Relaxed);
             crate::span::close(
                 s.name,
-                end_ns,
+                self.start_ns,
                 total,
                 self.span_id,
                 self.parent_id,
@@ -420,8 +421,8 @@ mod tests {
                 .iter()
                 .filter(|e| e.name == "profile.test.once")
                 .count(),
-            2,
-            "one enter and one exit record"
+            1,
+            "one completed-span record"
         );
     }
 
@@ -461,25 +462,25 @@ mod tests {
         assert_eq!((parent.count, child.count), (1, 1));
         assert_eq!(parent.self_ns + child.total_ns, parent.total_ns);
         assert!(parent.p50_ns <= parent.p99_ns);
-        let exit = |id: u64| {
+        let span = |id: u64| {
             events
                 .iter()
-                .find(|e| e.span_id == id && matches!(e.kind, TraceKind::SpanExit { .. }))
+                .find(|e| e.span_id == id)
                 .copied()
-                .unwrap_or_else(|| panic!("no exit record for span {id}"))
+                .unwrap_or_else(|| panic!("no record for span {id}"))
         };
-        let (pe, ce) = (exit(parent_id), exit(child_id));
+        let (pe, ce) = (span(parent_id), span(child_id));
         // The trace durations are the profile's totals: one clock reading
         // per edge feeds both.
         assert_eq!(
             pe.kind,
-            TraceKind::SpanExit {
+            TraceKind::Span {
                 dur_ns: parent.total_ns
             }
         );
         assert_eq!(
             ce.kind,
-            TraceKind::SpanExit {
+            TraceKind::Span {
                 dur_ns: child.total_ns
             }
         );

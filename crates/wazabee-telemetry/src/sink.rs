@@ -168,7 +168,7 @@ pub fn summary() -> String {
         // Instant events still buffered in the trace ring, by name. Span
         // timing lives in the exact profile table below, not in the ring.
         let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for ev in snapshot_trace() {
+        for ev in snapshot_trace().0 {
             if let TraceKind::Instant { .. } = ev.kind {
                 *events.entry(ev.name).or_insert(0) += 1;
             }
@@ -436,8 +436,9 @@ fn write_line(
 /// Record shapes (one JSON object per line, `type` discriminates):
 /// `counter`, `value_histogram` (empty-label histogram cells),
 /// `labeled_counter`, `gauge`, `labeled_histogram`, `stage`, `wall_series`,
-/// `trace`. The trace ring is *not* drained — records stay available to
-/// [`summary`].
+/// `trace`. A `trace` line's `kind` is `span` (one per closed span: `ts_ns`
+/// its start, `dur_ns` its duration) or `instant`. The trace ring is *not*
+/// drained — records stay available to [`summary`].
 pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
     let mut line = String::new();
     for (name, value) in merged_counters() {
@@ -514,11 +515,10 @@ pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
             }
         }
     }
-    for ev in snapshot_trace() {
+    for ev in snapshot_trace().0 {
         write_line(out, &mut line, |w| {
             let (kind, dur_ns, value) = match ev.kind {
-                TraceKind::SpanEnter => ("enter", None, None),
-                TraceKind::SpanExit { dur_ns } => ("exit", Some(dur_ns), None),
+                TraceKind::Span { dur_ns } => ("span", Some(dur_ns), None),
                 TraceKind::Instant { value } => ("instant", None, value),
             };
             w.field("type", "trace")
@@ -633,6 +633,38 @@ mod tests {
             );
             assert_eq!(line.matches('"').count() % 2, 0, "bad line: {line}");
         }
+    }
+
+    /// A span's JSONL line brackets the work it timed, and its duration
+    /// is the profile's total for that one call.
+    #[test]
+    fn jsonl_span_line_brackets_the_work() {
+        let _lock = crate::test_lock();
+        crate::reset();
+        let now = crate::span::now_ns;
+        let before = now();
+        let inside = {
+            let _s = crate::scope!("sink.test.span");
+            now()
+        };
+        let after = now();
+        let mut buf = Vec::new();
+        write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"sink.test.span\",\"kind\":\"span\""))
+            .unwrap_or_else(|| panic!("no span line:\n{text}"));
+        let num = |key: &str| -> u64 {
+            let v = line.split(&format!("\"{key}\":")).nth(1).unwrap();
+            v[..v.find(',').unwrap()].parse().unwrap()
+        };
+        let (start, end) = (num("ts_ns"), num("ts_ns") + num("dur_ns"));
+        assert!(before <= start && start <= inside && inside <= end && end <= after);
+        let row = crate::profile::profile_report();
+        let row = row.iter().find(|r| r.name == "sink.test.span").unwrap();
+        assert_eq!((row.count, row.total_ns), (1, num("dur_ns")));
+        crate::reset();
     }
 
     #[test]

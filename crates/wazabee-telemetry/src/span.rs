@@ -10,10 +10,12 @@
 //! per-frame timeline, and for the flight recorder to point a captured PCAP
 //! frame at the exact trace slice that decoded it.
 //!
-//! Spans are the trace side of [`crate::scope!`]: enter on construction,
-//! exit (with duration) on drop. Each thread keeps its own current-span
-//! cell, so nesting is tracked per thread without any cross-thread locking
-//! beyond the ring push.
+//! Spans are the trace side of [`crate::scope!`]: opening one only hands
+//! out its id and makes it the thread's current span; closing it pushes
+//! one completed record (start, duration, ids, args). A closed parent is
+//! therefore always newer in the ring than its children. Each thread keeps
+//! its own current-span cell, so nesting is tracked per thread without any
+//! cross-thread locking beyond the one ring push.
 
 #[cfg(feature = "enabled")]
 use std::cell::Cell;
@@ -149,11 +151,9 @@ impl Default for SpanArgs {
 /// What a trace record describes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceKind {
-    /// A span opened.
-    SpanEnter,
-    /// A span closed; duration in nanoseconds.
-    SpanExit {
-        /// Time between enter and exit.
+    /// A closed span, recorded once when it closed.
+    Span {
+        /// Time between open and close, in nanoseconds.
         dur_ns: u64,
     },
     /// An instantaneous event, optionally carrying a value.
@@ -166,7 +166,8 @@ pub enum TraceKind {
 /// One record in the trace ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the first telemetry record of the process.
+    /// Nanoseconds since the first telemetry record of the process: a
+    /// span's start, an instant's moment.
     pub ts_ns: u64,
     /// The span/event name.
     pub name: &'static str,
@@ -190,15 +191,10 @@ struct Ring {
 }
 
 #[cfg(feature = "enabled")]
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(Ring {
-            buf: VecDeque::with_capacity(TRACE_CAPACITY),
-            dropped: 0,
-        })
-    })
-}
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    buf: VecDeque::new(),
+    dropped: 0,
+});
 
 #[cfg(feature = "enabled")]
 fn epoch() -> Instant {
@@ -225,20 +221,13 @@ thread_local! {
     /// Id of the innermost span currently open on this thread (0 = none).
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
     /// This thread's dense trace id, assigned on first use.
-    static THREAD_ID: Cell<u64> = const { Cell::new(0) };
+    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
 }
 
 /// This thread's dense trace id (assigned on first call, 1-based).
 #[cfg(feature = "enabled")]
 pub(crate) fn thread_trace_id() -> u64 {
-    THREAD_ID.with(|c| {
-        let mut id = c.get();
-        if id == 0 {
-            id = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-            c.set(id);
-        }
-        id
-    })
+    THREAD_ID.with(|id| *id)
 }
 
 /// Id of the innermost trace span currently open on the calling thread, or 0
@@ -266,7 +255,7 @@ pub(crate) fn reset_ids() {
 
 #[cfg(feature = "enabled")]
 fn push(ev: TraceEvent) {
-    let mut ring = ring().lock().unwrap();
+    let mut ring = RING.lock().unwrap();
     if ring.buf.len() == TRACE_CAPACITY {
         ring.buf.pop_front();
         ring.dropped += 1;
@@ -274,15 +263,10 @@ fn push(ev: TraceEvent) {
     ring.buf.push_back(ev);
 }
 
-/// Records an instantaneous event (see also the [`crate::event!`] macro).
+/// Records an instantaneous event carrying an optional value and key/value
+/// arguments (see the [`crate::event!`] macro).
 ///
 /// The event is parented to the span currently open on this thread.
-#[inline]
-pub fn event(name: &'static str, value: Option<f64>) {
-    event_with(name, value, SpanArgs::new());
-}
-
-/// Records an instantaneous event carrying key/value arguments.
 #[inline]
 pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
     #[cfg(feature = "enabled")]
@@ -304,7 +288,7 @@ pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
 pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
     #[cfg(feature = "enabled")]
     {
-        let mut ring = ring().lock().unwrap();
+        let mut ring = RING.lock().unwrap();
         let events = ring.buf.drain(..).collect();
         let dropped = ring.dropped;
         ring.dropped = 0;
@@ -314,57 +298,36 @@ pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
     (Vec::new(), 0)
 }
 
-/// Empties the ring without returning anything.
-pub(crate) fn clear() {
-    #[cfg(feature = "enabled")]
-    {
-        let mut ring = ring().lock().unwrap();
-        ring.buf.clear();
-        ring.dropped = 0;
-    }
-}
-
-/// Peeks at the buffered records without draining.
+/// Peeks at the buffered records (and the evicted-record count since the
+/// last drain) without draining, both read under one lock so the
+/// count describes exactly these records.
 #[must_use]
-pub(crate) fn snapshot_trace() -> Vec<TraceEvent> {
+pub(crate) fn snapshot_trace() -> (Vec<TraceEvent>, u64) {
     #[cfg(feature = "enabled")]
     {
-        ring().lock().unwrap().buf.iter().copied().collect()
+        let ring = RING.lock().unwrap();
+        (ring.buf.iter().copied().collect(), ring.dropped)
     }
     #[cfg(not(feature = "enabled"))]
-    Vec::new()
+    (Vec::new(), 0)
 }
 
-/// Evicted-record count since the last drain/clear.
+/// Opens a span: hands out its id and makes it the thread's current span.
+/// Nothing is recorded until [`close`]. Returns `(span_id, parent_id)`.
 #[cfg(feature = "enabled")]
-pub(crate) fn dropped_count() -> u64 {
-    ring().lock().unwrap().dropped
-}
-
-/// Opens a span at `ts_ns`: hands out its id, makes it the thread's
-/// current span and records the enter event. Returns `(span_id, parent_id)`.
-#[cfg(feature = "enabled")]
-pub(crate) fn open(name: &'static str, ts_ns: u64, args: SpanArgs) -> (u64, u64) {
+pub(crate) fn open() -> (u64, u64) {
     let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent_id = CURRENT_SPAN.with(|c| c.replace(span_id));
-    push(TraceEvent {
-        ts_ns,
-        name,
-        kind: TraceKind::SpanEnter,
-        span_id,
-        parent_id,
-        thread_id: thread_trace_id(),
-        args,
-    });
     (span_id, parent_id)
 }
 
-/// Closes a span opened by [`open`] at `ts_ns` after `dur_ns`: restores the
-/// parent as the thread's current span and records the exit event.
+/// Closes a span opened by [`open`] at `start_ns` and lasting `dur_ns`:
+/// restores the parent as the thread's current span and records the span's
+/// one completed record.
 #[cfg(feature = "enabled")]
 pub(crate) fn close(
     name: &'static str,
-    ts_ns: u64,
+    start_ns: u64,
     dur_ns: u64,
     span_id: u64,
     parent_id: u64,
@@ -372,9 +335,9 @@ pub(crate) fn close(
 ) {
     CURRENT_SPAN.with(|c| c.set(parent_id));
     push(TraceEvent {
-        ts_ns,
+        ts_ns: start_ns,
         name,
-        kind: TraceKind::SpanExit { dur_ns },
+        kind: TraceKind::Span { dur_ns },
         span_id,
         parent_id,
         thread_id: thread_trace_id(),
@@ -389,43 +352,40 @@ mod tests {
     #[test]
     fn spans_nest_and_drain() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         {
             let _outer = crate::scope!("span.test.outer");
             {
                 let _inner = crate::scope!("span.test.inner");
-                event("span.test.mark", Some(1.5));
+                crate::event!("span.test.mark", 1.5);
             }
         }
         let (events, dropped) = drain_trace();
         assert_eq!(dropped, 0);
+        // One record per span, pushed when it closes: innermost first.
         let names: Vec<_> = events.iter().map(|e| e.name).collect();
         assert_eq!(
             names,
-            [
-                "span.test.outer",
-                "span.test.inner",
-                "span.test.mark",
-                "span.test.inner",
-                "span.test.outer",
-            ]
+            ["span.test.mark", "span.test.inner", "span.test.outer"]
         );
-        assert!(matches!(events[0].kind, TraceKind::SpanEnter));
-        assert!(matches!(events[3].kind, TraceKind::SpanExit { .. }));
+        let [mark, inner, outer] = [events[0], events[1], events[2]];
         assert!(matches!(
-            events[2].kind,
+            mark.kind,
             TraceKind::Instant { value: Some(v) } if (v - 1.5).abs() < 1e-12
         ));
-        // Timestamps are monotone.
-        for w in events.windows(2) {
-            assert!(w[0].ts_ns <= w[1].ts_ns);
-        }
+        let end = |e: TraceEvent| match e.kind {
+            TraceKind::Span { dur_ns } => e.ts_ns + dur_ns,
+            TraceKind::Instant { .. } => panic!("{e:?} is not a span"),
+        };
+        // Each span's [start, start + dur] brackets what it encloses.
+        assert!(outer.ts_ns <= inner.ts_ns && inner.ts_ns <= mark.ts_ns);
+        assert!(mark.ts_ns <= end(inner) && end(inner) <= end(outer));
     }
 
     #[test]
     fn causal_links_connect_parent_child_and_events() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         {
             let outer = crate::scope!("span.test.causal.outer");
             let outer_id = outer.id();
@@ -434,46 +394,30 @@ mod tests {
             {
                 let inner = crate::scope!("span.test.causal.inner");
                 assert_eq!(current_span_id(), inner.id());
-                event("span.test.causal.mark", None);
+                crate::event!("span.test.causal.mark");
             }
             // Inner closed: the outer span is current again.
             assert_eq!(current_span_id(), outer_id);
         }
         assert_eq!(current_span_id(), 0);
         let (events, _) = drain_trace();
-        let outer_enter = events
-            .iter()
-            .find(|e| e.name == "span.test.causal.outer" && e.kind == TraceKind::SpanEnter)
-            .unwrap();
-        let inner_enter = events
-            .iter()
-            .find(|e| e.name == "span.test.causal.inner" && e.kind == TraceKind::SpanEnter)
-            .unwrap();
-        let mark = events
-            .iter()
-            .find(|e| e.name == "span.test.causal.mark")
-            .unwrap();
-        assert_eq!(outer_enter.parent_id, 0);
-        assert_eq!(inner_enter.parent_id, outer_enter.span_id);
-        assert_eq!(mark.parent_id, inner_enter.span_id);
+        let find = |name: &str| *events.iter().find(|e| e.name == name).unwrap();
+        let outer = find("span.test.causal.outer");
+        let inner = find("span.test.causal.inner");
+        let mark = find("span.test.causal.mark");
+        assert_eq!(outer.parent_id, 0);
+        assert_eq!(inner.parent_id, outer.span_id);
+        assert_eq!(mark.parent_id, inner.span_id);
         assert_eq!(mark.span_id, 0);
-        // Enter and exit of the same span share one id.
-        let inner_exit = events
-            .iter()
-            .find(|e| {
-                e.name == "span.test.causal.inner" && matches!(e.kind, TraceKind::SpanExit { .. })
-            })
-            .unwrap();
-        assert_eq!(inner_exit.span_id, inner_enter.span_id);
         // All on the same thread here.
-        assert_eq!(outer_enter.thread_id, inner_enter.thread_id);
-        assert_ne!(outer_enter.thread_id, 0);
+        assert_eq!(outer.thread_id, inner.thread_id);
+        assert_ne!(outer.thread_id, 0);
     }
 
     #[test]
     fn args_are_recorded_and_capped() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         {
             let _s = crate::scope!(
                 "span.test.args",
@@ -485,28 +429,19 @@ mod tests {
             );
         }
         let (events, _) = drain_trace();
-        let enter = events
-            .iter()
-            .find(|e| e.kind == TraceKind::SpanEnter)
-            .unwrap();
-        let pairs = enter.args.pairs();
+        assert_eq!(events.len(), 1);
+        let pairs = events[0].args.pairs();
         assert_eq!(pairs.len(), MAX_SPAN_ARGS);
         assert_eq!(pairs[0], ("frame", ArgValue::U64(7)));
         assert_eq!(pairs[1], ("chan", ArgValue::U64(15)));
         assert_eq!(pairs[2], ("cfo", ArgValue::F64(-1250.5)));
         assert_eq!(pairs[3], ("kind", ArgValue::Str("zigbee")));
-        // Exit carries the same args.
-        let exit = events
-            .iter()
-            .find(|e| matches!(e.kind, TraceKind::SpanExit { .. }))
-            .unwrap();
-        assert_eq!(exit.args.pairs(), pairs);
     }
 
     #[test]
     fn threads_get_distinct_ids_and_independent_stacks() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         let here = thread_trace_id();
         let (there, there_parent) = std::thread::spawn(|| {
             let _s = crate::scope!("span.test.thread");
@@ -523,21 +458,45 @@ mod tests {
     #[test]
     fn reset_ids_restarts_span_sequence() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         let before = crate::scope!("span.test.seq").id();
         assert_ne!(before, 0);
         reset_ids();
         let after = crate::scope!("span.test.seq").id();
         assert_eq!(after, 1);
-        clear();
+        drain_trace();
+    }
+
+    /// A parent's record is pushed after all of its children's, so closing
+    /// a parent that outlived a ring's worth of children still records it.
+    #[test]
+    fn parent_closed_after_a_flood_of_children_stays_in_the_ring() {
+        let _lock = crate::test_lock();
+        drain_trace();
+        let n = TRACE_CAPACITY + 10;
+        let parent_id = {
+            let parent = crate::scope!("span.test.flood.parent");
+            for _ in 0..n {
+                let _child = crate::scope!("span.test.flood.child");
+            }
+            parent.id()
+        };
+        let (events, dropped) = drain_trace();
+        assert_eq!(dropped, (n + 1 - TRACE_CAPACITY) as u64);
+        let (parent, children) = events.split_last().unwrap();
+        assert_eq!(
+            (parent.name, parent.span_id),
+            ("span.test.flood.parent", parent_id)
+        );
+        assert!(children.iter().all(|c| c.parent_id == parent_id));
     }
 
     #[test]
     fn ring_evicts_oldest() {
         let _lock = crate::test_lock();
-        clear();
+        drain_trace();
         for _ in 0..TRACE_CAPACITY + 10 {
-            event("span.test.flood", None);
+            crate::event!("span.test.flood");
         }
         let (events, dropped) = drain_trace();
         assert_eq!(events.len(), TRACE_CAPACITY);

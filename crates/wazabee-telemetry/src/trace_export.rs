@@ -4,19 +4,19 @@
 //! The exporter walks the ring *without draining it* and emits one
 //! `traceEvents` array:
 //!
-//! * a closed span (its `SpanExit` record is in the ring) becomes one
-//!   complete event (`"ph":"X"`) spanning enter→exit, carrying the span's
-//!   `id`/`parent` and user args;
-//! * a span whose exit was never recorded (still open, or the exit was
-//!   evicted) becomes a begin event (`"ph":"B"`) so the tail of a long run
-//!   still renders;
+//! * a span record (one per closed span) becomes one complete event
+//!   (`"ph":"X"`) spanning its start and duration, carrying the span's
+//!   `id`/`parent` and user args; a span still open has no record yet and
+//!   appears once it closes;
 //! * an instant event (`event!`) becomes `"ph":"i"` scoped to its thread.
 //!
 //! Timestamps are microseconds since the process's telemetry epoch, kept
 //! fractional to preserve nanosecond resolution. Records whose parent span
-//! was evicted from the bounded ring are marked `"parent_evicted":true`
-//! instead of pretending to be roots — the causal chain is either resolvable
-//! or explicitly broken, never silently wrong.
+//! has no record in the ring are marked `"parent_evicted":true` instead of
+//! pretending to be roots — the causal chain is either resolvable or
+//! explicitly broken, never silently wrong. A parent's record is always
+//! newer than its children's, so that marker means the parent is still
+//! open or the ring was drained since.
 //!
 //! Set `WAZABEE_TRACE_OUT=PATH` and the bench binaries / example session
 //! guard call [`dump_trace_from_env`] on exit; [`dump_trace_to`] writes the
@@ -51,23 +51,15 @@ pub fn trace_chrome_json() -> String {
     w.begin_object().key("traceEvents").begin_array();
     #[cfg(feature = "enabled")]
     {
-        let events = snapshot_trace();
-        let dropped = crate::span::dropped_count();
+        let (events, dropped) = snapshot_trace();
 
-        // Which span ids still have records in the ring? A nonzero parent
-        // outside this set was evicted — mark, don't guess.
-        let mut live_spans: HashSet<u64> = HashSet::with_capacity(events.len());
-        // Which span ids have their exit in the ring? Those enters are
-        // subsumed by the complete ("X") event built from the exit.
-        let mut exited: HashSet<u64> = HashSet::new();
-        for ev in &events {
-            if ev.span_id != 0 {
-                live_spans.insert(ev.span_id);
-            }
-            if matches!(ev.kind, TraceKind::SpanExit { .. }) {
-                exited.insert(ev.span_id);
-            }
-        }
+        // Which span ids have a record in the ring? A nonzero parent outside
+        // this set is unresolvable — mark, don't guess.
+        let live_spans: HashSet<u64> = events
+            .iter()
+            .filter(|ev| ev.span_id != 0)
+            .map(|ev| ev.span_id)
+            .collect();
 
         w.begin_object()
             .field("ph", "M")
@@ -81,23 +73,15 @@ pub fn trace_chrome_json() -> String {
 
         for ev in &events {
             let orphaned = ev.parent_id != 0 && !live_spans.contains(&ev.parent_id);
-            let (ph, start_ns, dur_ns) = match ev.kind {
-                // Rendered as a complete event at its exit.
-                TraceKind::SpanEnter if exited.contains(&ev.span_id) => continue,
-                TraceKind::SpanEnter => ("B", ev.ts_ns, None),
-                TraceKind::SpanExit { dur_ns } => {
-                    ("X", ev.ts_ns.saturating_sub(dur_ns), Some(dur_ns))
-                }
-                TraceKind::Instant { .. } => ("i", ev.ts_ns, None),
+            w.begin_object().field("name", ev.name);
+            match ev.kind {
+                TraceKind::Span { .. } => w.field("ph", "X"),
+                TraceKind::Instant { .. } => w.field("ph", "i").field("s", "t"),
             };
-            w.begin_object().field("name", ev.name).field("ph", ph);
-            if ph == "i" {
-                w.field("s", "t");
-            }
             w.field("pid", 1u8)
                 .field("tid", ev.thread_id)
-                .field("ts", micros(start_ns));
-            if let Some(dur_ns) = dur_ns {
+                .field("ts", micros(ev.ts_ns));
+            if let TraceKind::Span { dur_ns } = ev.kind {
                 w.field("dur", micros(dur_ns));
             }
             args_object(&mut w, ev, orphaned);
@@ -124,8 +108,8 @@ fn micros(ns: u64) -> Fixed {
 }
 
 /// Writes a record's Chrome `args` member: causal ids first, then the
-/// user's key/value pairs, then the orphan marker when the parent span's
-/// records were evicted from the ring, then an instant's finite value.
+/// user's key/value pairs, then the orphan marker when the parent span has
+/// no record in the ring, then an instant's finite value.
 #[cfg(feature = "enabled")]
 fn args_object(w: &mut Writer, ev: &TraceEvent, orphaned: bool) {
     w.key("args").begin_object();
@@ -224,17 +208,28 @@ mod tests {
         crate::reset();
     }
 
+    /// A still-open span has no record yet: its closed children point at
+    /// it with the orphan marker, and once it closes it renders as "X" and
+    /// the same children resolve with no marker.
     #[test]
-    fn open_span_renders_as_begin_event() {
+    fn open_span_appears_once_it_closes() {
         let _lock = crate::test_lock();
         crate::reset();
+        let child = "\"name\":\"export.test.open.child\"";
         let guard = crate::scope!("export.test.open");
-        let doc = trace_chrome_json();
-        assert!(
-            doc.contains("\"name\":\"export.test.open\",\"ph\":\"B\""),
-            "{doc}"
-        );
+        drop(crate::scope!("export.test.open.child"));
+        let open = trace_chrome_json();
+        assert!(!open.contains("\"export.test.open\""), "{open}");
+        assert!(open.contains(child), "{open}");
+        assert!(open.contains("\"parent_evicted\":true"), "{open}");
         drop(guard);
+        let closed = trace_chrome_json();
+        assert!(
+            closed.contains("\"name\":\"export.test.open\",\"ph\":\"X\""),
+            "{closed}"
+        );
+        assert!(closed.contains(child), "{closed}");
+        assert!(!closed.contains("parent_evicted"), "{closed}");
         crate::reset();
     }
 

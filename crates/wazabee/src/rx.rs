@@ -6,6 +6,8 @@
 //! against the sixteen MSK images by Hamming distance to recover symbols —
 //! tolerating both the GMSK≈MSK approximation error and channel bitflips.
 
+use std::sync::OnceLock;
+
 use wazabee_dot154::modem::ReceivedPpdu;
 use wazabee_dot154::msk::{boundary_msk_bit, closest_symbol_msk_packed, pn_msk_image};
 use wazabee_dot154::pn::pn_sequence;
@@ -46,11 +48,22 @@ pub enum DespreadTable {
 ///
 /// Because the 802.15.4 preamble is eight `0000` symbols, this pattern
 /// repeats throughout the preamble and guarantees symbol-aligned sync.
-pub fn access_address_pattern() -> Vec<u8> {
-    let pn0 = pn_sequence(0);
-    let mut bits = vec![boundary_msk_bit(pn0[31], pn0[0], false)];
-    bits.extend(pn_msk_image(0));
-    bits
+/// Computed once and cached.
+pub fn access_address_pattern() -> &'static [u8] {
+    static PATTERN: OnceLock<Vec<u8>> = OnceLock::new();
+    PATTERN.get_or_init(|| {
+        let pn0 = pn_sequence(0);
+        let mut bits = vec![boundary_msk_bit(pn0[31], pn0[0], false)];
+        bits.extend(pn_msk_image(0));
+        bits
+    })
+}
+
+/// The sync pattern in word-packed form — the shape the streaming
+/// correlator consumes. Computed once and cached.
+pub(crate) fn access_address_packed() -> &'static PackedBits {
+    static PACKED: OnceLock<PackedBits> = OnceLock::new();
+    PACKED.get_or_init(|| PackedBits::from_bits(access_address_pattern()))
 }
 
 /// The same pattern packed as the 32-bit value a real chip's access-address
@@ -141,10 +154,6 @@ pub struct WazaBeeRx<R> {
     table: DespreadTable,
     max_sync_errors: usize,
     max_despread_distance: Option<usize>,
-    /// The diverted access-address sync pattern, computed once at
-    /// construction — real hardware programs its correlator register once,
-    /// and the software model should not rebuild the pattern per receive.
-    sync_bits: Vec<u8>,
 }
 
 /// Upper bound on captured bits: enough for the remaining preamble, SFD,
@@ -173,7 +182,6 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
             table: DespreadTable::Algorithm1,
             max_sync_errors: 3,
             max_despread_distance: None,
-            sync_bits: access_address_pattern(),
         })
     }
 
@@ -204,11 +212,6 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
     /// The underlying radio.
     pub fn radio(&self) -> &R {
         &self.radio
-    }
-
-    /// The diverted access-address sync pattern programmed at construction.
-    pub(crate) fn sync_bits(&self) -> &[u8] {
-        &self.sync_bits
     }
 
     /// The configured correlator tolerance (bits out of 32).

@@ -43,7 +43,9 @@ use wazabee_flightrec::{FrameKind, TraceHandle};
 
 use crate::error::WazaBeeError;
 use crate::radio::RawFskRadio;
-use crate::rx::{estimate_cfo_hz_synced, rx_failure, DecodeOutcome, WazaBeeRx};
+use crate::rx::{
+    access_address_packed, estimate_cfo_hz_synced, rx_failure, DecodeOutcome, WazaBeeRx,
+};
 
 /// Once the retained region grows this many bits past the low-water mark,
 /// the front of the buffers is released.
@@ -131,9 +133,9 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
     /// Opens a chunk-fed streaming receiver over this primitive's radio and
     /// configuration. See [`StreamingRx`].
     pub fn stream(&self) -> StreamingRx<'_, R> {
-        let pattern = PackedBits::from_bits(self.sync_bits());
+        let pattern = access_address_packed();
         let sps = self.radio().samples_per_symbol();
-        let corr = StreamCorrelator::new(&pattern, self.max_sync_errors());
+        let corr = StreamCorrelator::new(pattern, self.max_sync_errors());
         let lanes = (0..sps)
             .map(|_| Lane {
                 bits: PackedBits::default(),

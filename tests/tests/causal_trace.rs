@@ -12,7 +12,7 @@ use wazabee_ble::{BleModem, BlePhy};
 use wazabee_dot154::fcs::append_fcs;
 use wazabee_dot154::Ppdu;
 use wazabee_integration::{parse_json, Json};
-use wazabee_telemetry::{TraceEvent, TraceKind, TRACE_CAPACITY};
+use wazabee_telemetry::{TraceEvent, TRACE_CAPACITY};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -20,12 +20,12 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Finds the enter record for a span by name.
-fn enter<'a>(events: &'a [TraceEvent], name: &str) -> &'a TraceEvent {
+/// Finds a span's one record by id.
+fn span(events: &[TraceEvent], id: u64) -> &TraceEvent {
     events
         .iter()
-        .find(|e| e.name == name && matches!(e.kind, TraceKind::SpanEnter))
-        .unwrap_or_else(|| panic!("no enter record for {name}"))
+        .find(|e| e.span_id == id)
+        .unwrap_or_else(|| panic!("no record for span {id}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -55,30 +55,20 @@ fn span_nesting_is_per_thread_and_parents_resolve() {
     assert_eq!(dropped, 0);
 
     for &(outer_id, inner_id) in &ids {
-        let inner_enter = events
-            .iter()
-            .find(|e| e.span_id == inner_id && matches!(e.kind, TraceKind::SpanEnter))
-            .expect("inner enter recorded");
+        let (outer, inner) = (span(&events, outer_id), span(&events, inner_id));
         assert_eq!(
-            inner_enter.parent_id, outer_id,
+            inner.parent_id, outer_id,
             "child must link to its own thread's parent"
         );
         // Parent and child records agree on the thread.
-        let outer_enter = events
-            .iter()
-            .find(|e| e.span_id == outer_id && matches!(e.kind, TraceKind::SpanEnter))
-            .expect("outer enter recorded");
-        assert_eq!(inner_enter.thread_id, outer_enter.thread_id);
-        assert_eq!(outer_enter.parent_id, 0, "outer span is a root");
+        assert_eq!(inner.thread_id, outer.thread_id);
+        assert_eq!(outer.parent_id, 0, "outer span is a root");
     }
 
     // The two workers got distinct thread ids and distinct span ids.
-    let t0 = enter(&events, "ct.outer").thread_id;
-    assert!(
-        events
-            .iter()
-            .filter(|e| e.name == "ct.outer")
-            .any(|e| e.thread_id != t0),
+    assert_ne!(
+        span(&events, ids[0].0).thread_id,
+        span(&events, ids[1].0).thread_id,
         "both workers mapped to one thread id"
     );
     assert_ne!(ids[0], ids[1]);
@@ -95,18 +85,18 @@ fn eviction_marks_orphans_instead_of_inventing_roots() {
     let _l = lock();
     wazabee_telemetry::reset();
 
-    // One long-lived parent, then enough children to evict the parent's
-    // enter record (each child is an enter + exit pair).
+    // One long-lived parent, then more children than the ring holds (one
+    // record each), so the oldest are evicted.
     let parent = wazabee_telemetry::scope!("ct.evicted.parent");
     let parent_id = parent.id();
-    for k in 0..TRACE_CAPACITY {
+    for k in 0..TRACE_CAPACITY + 1 {
         let _child = wazabee_telemetry::scope!("ct.child", k = k);
     }
 
     let doc = wazabee_telemetry::trace_chrome_json();
     let json = parse_json(&doc).expect("export is valid JSON");
 
-    // The parent's own records were pushed out of the ring...
+    // The parent is still open, so it has no record in the ring...
     let events = json.get("traceEvents").unwrap().as_array().unwrap();
     assert!(
         !events.iter().any(|e| {
@@ -115,7 +105,7 @@ fn eviction_marks_orphans_instead_of_inventing_roots() {
                 .and_then(Json::as_f64)
                 == Some(parent_id as f64)
         }),
-        "parent record unexpectedly still in the ring"
+        "open parent unexpectedly has a record in the ring"
     );
     // ...so surviving children are explicitly flagged, not silently reparented.
     let children: Vec<&Json> = events
@@ -132,7 +122,7 @@ fn eviction_marks_orphans_instead_of_inventing_roots() {
         assert_eq!(
             args.get("parent_evicted").and_then(Json::as_bool),
             Some(true),
-            "child of an evicted parent must carry the orphan marker: {child:?}"
+            "child of an unrecorded parent must carry the orphan marker: {child:?}"
         );
     }
     // The eviction count is reported, not hidden.

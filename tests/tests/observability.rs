@@ -451,7 +451,7 @@ fn reset_clears_every_observability_surface() {
     let _l = lock();
     wazabee_telemetry::reset();
     populate_metrics();
-    wazabee_telemetry::event("obs.test.trace", Some(1.0));
+    wazabee_telemetry::event!("obs.test.trace", 1.0);
 
     wazabee_telemetry::reset();
 

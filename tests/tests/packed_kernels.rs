@@ -91,7 +91,7 @@ proptest! {
     ) {
         let bits = frame_like_lane(seed, 3000, flip);
         let sync = wazabee::access_address_pattern();
-        let mut corr = StreamCorrelator::new(&PackedBits::from_bits(&sync), max_errors);
+        let mut corr = StreamCorrelator::new(&PackedBits::from_bits(sync), max_errors);
         let mut got = Vec::new();
         let mut lane = PackedBits::default();
         // Absolute index of the lane's bit 0.
@@ -109,7 +109,7 @@ proptest! {
             base += spent * 64;
             k = next;
         }
-        prop_assert_eq!(got, oracle_hits(&bits, &sync, max_errors));
+        prop_assert_eq!(got, oracle_hits(&bits, sync, max_errors));
     }
 
     /// Packed Algorithm-1 despreading equals the scalar reference on any
