@@ -49,7 +49,9 @@
 #  15. shard-equivalence gate: a 256-node / 8-channel attacked cell is run
 #      under WAZABEE_THREADS=1 and =4 in both feature states; the committed
 #      event log and timeline JSONL must be byte-identical — the parallel
-#      channel-sharded simulator may not perturb any committed artifact
+#      channel-sharded simulator may not perturb any committed artifact —
+#      and the event log's sha256 must equal the pinned
+#      artifacts/netsim_shard_check.log.sha256
 #  16. serve-plane smoke: 8 paced loopback client sessions (cf32 and u8
 #      offset-128 wire formats alternating) stream through the multi-tenant
 #      decode service in both feature states; every frame must be recovered
@@ -422,7 +424,17 @@ for features in default no-default; do
             exit 1
         fi
     done
-    echo "$features features: event log + timeline byte-identical across thread counts"
+    pinned=$(cat artifacts/netsim_shard_check.log.sha256)
+    for p in "$p1" "$p4"; do
+        actual=$(sha256sum "$p.log" | cut -d' ' -f1)
+        if [ "$actual" != "$pinned" ]; then
+            echo "ci.sh: $features-features $p.log sha256 $actual differs from the pinned" \
+                "artifacts/netsim_shard_check.log.sha256 ($pinned)" >&2
+            exit 1
+        fi
+    done
+    echo "$features features: event log + timeline byte-identical across thread counts," \
+        "event log matches the pinned sha256"
 done
 
 # Serve-plane smoke: paced concurrent sessions against the multi-tenant

@@ -40,8 +40,11 @@
 //! `--shard-check PREFIX` runs a single 256-node / 8-channel attacked cell
 //! and writes `PREFIX.log` (the committed event log) and `PREFIX.jsonl`
 //! (the sim-time timeline): ci.sh runs it under `WAZABEE_THREADS=1` and
-//! `=4` and byte-compares both files — the shard-equivalence gate.
+//! `=4`, byte-compares both files and checks the log against the sha256
+//! pinned in `artifacts/netsim_shard_check.log.sha256` — the
+//! shard-equivalence gate.
 
+use std::io::Write as _;
 use std::time::Instant as WallInstant;
 
 use wazabee_dot154::mac::MacFrame;
@@ -189,13 +192,14 @@ fn run_cell(cell: Cell) -> CellResult {
 }
 
 /// Runs one cell; with `timeline_interval_us` set, records the sim-time
-/// timeline at that interval and returns its JSONL rendering. `threads`
-/// overrides [`SimConfig::threads`] (None inherits `WAZABEE_THREADS`).
+/// timeline at that interval. Returns the finished simulation too, for the
+/// callers that read its timeline or event log. `threads` overrides
+/// [`SimConfig::threads`] (None inherits `WAZABEE_THREADS`).
 fn run_cell_with(
     cell: Cell,
     timeline_interval_us: Option<u64>,
     threads: Option<usize>,
-) -> (CellResult, Option<String>, Vec<String>) {
+) -> (CellResult, SpectrumSim) {
     let mut cfg = SimConfig::ideal();
     cfg.seed = cell_seed(cell);
     cfg.threads = threads;
@@ -259,8 +263,6 @@ fn run_cell_with(
         wall_secs,
         sim_wall_ratio: sim_secs / wall_secs,
     };
-    let timeline = timeline_interval_us.map(|_| sim.timeline_jsonl());
-    let log = sim.event_log().to_vec();
     {
         // Per-cell delivery gauge: the watchdog's gauge_min rule watches the
         // worst cell across the whole (possibly parallel) sweep.
@@ -270,7 +272,7 @@ fn run_cell_with(
             .with(&[("nodes", &nodes), ("attacker", attacker)])
             .set(result.delivery_ratio);
     }
-    (result, timeline, log)
+    (result, sim)
 }
 
 /// The `--shard-check` mode: one 256-node / 8-channel attacked cell with
@@ -284,15 +286,14 @@ fn shard_check(prefix: &str) {
         attacker: true,
         traffic_ms: 2_000,
     };
-    let (result, timeline, log) = run_cell_with(cell, Some(10_000), None);
-    let mut log_text = log.join("\n");
-    log_text.push('\n');
-    std::fs::write(format!("{prefix}.log"), log_text).expect("write event log");
-    std::fs::write(
-        format!("{prefix}.jsonl"),
-        timeline.expect("timeline enabled"),
-    )
-    .expect("write timeline");
+    let (result, sim) = run_cell_with(cell, Some(10_000), None);
+    let file = std::fs::File::create(format!("{prefix}.log")).expect("create event log");
+    let mut log = std::io::BufWriter::new(file);
+    for record in sim.event_log() {
+        writeln!(log, "{record}").expect("write event log");
+    }
+    log.flush().expect("write event log");
+    std::fs::write(format!("{prefix}.jsonl"), sim.timeline_jsonl()).expect("write timeline");
     eprintln!(
         "shard-check: n={} ch={} sent={} delivered={} collisions={} -> {prefix}.log/.jsonl",
         cell.nodes,
@@ -522,9 +523,8 @@ fn main() {
             attacker: true,
             traffic_ms: 2_000,
         };
-        let (_, timeline, _) = run_cell_with(cell, Some(10_000), None);
-        let jsonl = timeline.expect("timeline was enabled");
-        std::fs::write(&ts_path, jsonl).expect("write timeseries artifact");
+        let (_, sim) = run_cell_with(cell, Some(10_000), None);
+        std::fs::write(&ts_path, sim.timeline_jsonl()).expect("write timeseries artifact");
         eprintln!("wrote {ts_path}");
     }
 

@@ -29,7 +29,8 @@
 //!   every busy period.
 //!
 //! Runs are deterministic: same seed, same node set, same committed event
-//! log — byte-identical across thread counts and IQ chunk sizes.
+//! log — typed [`LogRecord`]s whose rendered lines are byte-identical across
+//! thread counts and IQ chunk sizes.
 //!
 //! ## Example
 //!
@@ -60,11 +61,13 @@
 //! ```
 
 pub mod config;
+mod log;
 pub mod node;
 mod shard;
 mod sim;
 mod spectrum;
 
 pub use config::SimConfig;
-pub use node::{FlooderConfig, JammerConfig, SimNode};
+pub use log::{AlertKind, LogKind, LogRecord, Why};
+pub use node::{FlooderConfig, JammerConfig, NodeClass, SimNode};
 pub use sim::{SimReport, SimStats, SpectrumSim};

@@ -122,15 +122,47 @@ pub(crate) enum NodeKind {
     },
 }
 
-impl NodeKind {
-    pub(crate) fn name(&self) -> &'static str {
+/// A node's behaviour class, without its state: one byte in every keyup
+/// log record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeClass {
+    /// A legitimate Zigbee device.
+    Zigbee,
+    /// A WazaBee injector.
+    WazaBee,
+    /// A reactive jammer.
+    Jammer,
+    /// An ACK spoofer.
+    Spoofer,
+    /// An energy-depletion flooder.
+    Flooder,
+    /// A passive IDS monitor.
+    Ids,
+}
+
+impl NodeClass {
+    /// The class name used in log lines and metric labels.
+    pub fn name(self) -> &'static str {
         match self {
-            NodeKind::Zigbee(_) => "zigbee",
-            NodeKind::WazaBee => "wazabee",
-            NodeKind::Jammer { .. } => "jammer",
-            NodeKind::Spoofer { .. } => "spoofer",
-            NodeKind::Flooder { .. } => "flooder",
-            NodeKind::Ids { .. } => "ids",
+            NodeClass::Zigbee => "zigbee",
+            NodeClass::WazaBee => "wazabee",
+            NodeClass::Jammer => "jammer",
+            NodeClass::Spoofer => "spoofer",
+            NodeClass::Flooder => "flooder",
+            NodeClass::Ids => "ids",
+        }
+    }
+}
+
+impl NodeKind {
+    pub(crate) fn class(&self) -> NodeClass {
+        match self {
+            NodeKind::Zigbee(_) => NodeClass::Zigbee,
+            NodeKind::WazaBee => NodeClass::WazaBee,
+            NodeKind::Jammer { .. } => NodeClass::Jammer,
+            NodeKind::Spoofer { .. } => NodeClass::Spoofer,
+            NodeKind::Flooder { .. } => NodeClass::Flooder,
+            NodeKind::Ids { .. } => NodeClass::Ids,
         }
     }
 }
@@ -166,7 +198,7 @@ impl SimNode {
     /// The node's behaviour class: `"zigbee"`, `"wazabee"`, `"jammer"`,
     /// `"spoofer"`, `"flooder"` or `"ids"`.
     pub fn kind_name(&self) -> &'static str {
-        self.kind.name()
+        self.kind.class().name()
     }
 
     /// The channel the node operates on.

@@ -16,6 +16,8 @@
 //! ([`SimNode::id`]), never on its shard-local index, so the artifacts are
 //! independent of how nodes happen to map onto shards.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use wazabee::{WazaBeeRx, WazaBeeTx};
 use wazabee_ble::{BleModem, BlePhy};
@@ -26,11 +28,11 @@ use wazabee_dsp::iq::Iq;
 use wazabee_dsp::par::par_map_with;
 use wazabee_dsp::resample::fractional_delay_planar_in_place;
 use wazabee_dsp::{AwgnSource, IqBuf, Nco};
-use wazabee_ids::Alert;
 use wazabee_radio::{EventQueue, Instant};
 use wazabee_zigbee::{NodeRole, XbeePayload};
 
 use crate::config::SimConfig;
+use crate::log::{LogKind, LogRecord, Why};
 use crate::node::{NodeKind, SimNode};
 use crate::sim::SimStats;
 use crate::spectrum::{
@@ -59,8 +61,9 @@ pub(crate) enum SimEvent {
 
 /// What one receiver got out of a closed cluster.
 enum Heard {
-    /// Decoded MAC frames plus the count of failed decode attempts.
-    Frames(Vec<MacFrame>, u64),
+    /// Decoded MAC frames plus the count of failed decode attempts. On the
+    /// coherent path every decoding receiver shares one decode's frames.
+    Frames(Arc<[MacFrame]>, u64),
     /// The raw superposed window (IDS monitors).
     Raw(Vec<Iq>),
 }
@@ -70,14 +73,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn alert_kind(alert: &Alert) -> &'static str {
-    match alert {
-        Alert::CrossProtocolFrame { .. } => "cross-protocol",
-        Alert::UnexpectedDot154 { .. } => "unexpected-dot154",
-        Alert::TrafficAnomaly { .. } => "traffic-anomaly",
-    }
 }
 
 /// The per-channel discrete-event engine. See the module docs.
@@ -102,9 +97,9 @@ pub(crate) struct Shard {
     /// unsharded engine.
     cluster_counter: u64,
     pub(crate) stats: SimStats,
-    /// Committed log entries since the facade last drained them, with their
-    /// timestamps for the cross-shard merge.
-    log: Vec<(u64, String)>,
+    /// Records committed since the facade last drained them, in commit
+    /// (hence time) order.
+    pub(crate) log: Vec<LogRecord>,
     /// `(source short address, value)` of every reading handed to the MAC by
     /// this shard's sensors.
     pub(crate) readings_sent: Vec<(u16, u16)>,
@@ -157,11 +152,6 @@ impl Shard {
         self.nodes.len() - 1
     }
 
-    /// Drains the log entries committed since the last drain.
-    pub(crate) fn take_log(&mut self) -> Vec<(u64, String)> {
-        std::mem::take(&mut self.log)
-    }
-
     /// `(readings sent, readings delivered)` for this shard: a reading
     /// counts as delivered when some coordinator on the channel recorded a
     /// matching `(source, value)` pair. One linear pass over coordinator
@@ -190,14 +180,23 @@ impl Shard {
         (sent, delivered)
     }
 
-    fn log_push(&mut self, line: String) {
-        self.log.push((self.now.0, line));
+    /// Commits a record, stamped now, for the node at shard-local `idx`.
+    fn log(&mut self, idx: usize, kind: LogKind) {
+        let node = u32::try_from(self.nodes[idx].id).expect("node ids fit in u32");
+        self.log.push(LogRecord {
+            t: self.now.0,
+            node,
+            kind,
+        });
     }
 
     /// Runs this shard's event loop until `deadline` (inclusive). Safe to
     /// call from a worker thread: nothing here touches state outside the
     /// shard (telemetry counters/stages are thread-safe process-globals).
     pub(crate) fn advance_until(&mut self, deadline: Instant) {
+        // Opened on the thread that runs the shard, so shard work outside
+        // every inner scope (dispatch, MAC, logging) has a row of its own.
+        let _s = wazabee_telemetry::scope!("sim.shard.run", chan = self.channel_number);
         while let Some(when) = self.queue.peek_time() {
             if when > deadline {
                 break;
@@ -215,10 +214,12 @@ impl Shard {
             SimEvent::CsmaCca { node } => self.on_csma_cca(node),
             SimEvent::SendImmediate { node } => self.on_send_immediate(node),
             SimEvent::Inject { node, frame } => {
-                self.log_push(format!(
-                    "t={} inject node={} seq={}",
-                    self.now.0, self.nodes[node].id, frame.sequence
-                ));
+                self.log(
+                    node,
+                    LogKind::Inject {
+                        seq: frame.sequence,
+                    },
+                );
                 self.transmit_wazabee(node, &frame);
             }
             SimEvent::JamBurst { node } => self.on_jam_burst(node),
@@ -276,10 +277,7 @@ impl Shard {
         // An opaque (non-XBee) payload: the victim ACKs the frame but records
         // nothing, so the flood burns its airtime without faking readings.
         let frame = MacFrame::data(config.pan, config.src, config.victim, seq, vec![0xF1, 0x00]);
-        self.log_push(format!(
-            "t={} flood node={} seq={}",
-            self.now.0, self.nodes[idx].id, seq
-        ));
+        self.log(idx, LogKind::Flood { seq });
         self.transmit_wazabee(idx, &frame);
         self.queue.schedule(
             self.now.plus_us(config.interval_us),
@@ -350,10 +348,7 @@ impl Shard {
         }
         self.stats.cca_busy += 1;
         wazabee_telemetry::counter!("sim.cca_busy").inc();
-        self.log_push(format!(
-            "t={} cca-busy node={}",
-            self.now.0, self.nodes[idx].id
-        ));
+        self.log(idx, LogKind::CcaBusy);
         let step = {
             let node = &mut self.nodes[idx];
             let NodeKind::Zigbee(st) = &mut node.kind else {
@@ -369,11 +364,8 @@ impl Shard {
             }
             Some(CsmaStep::Failure) => {
                 self.stats.csma_failures += 1;
-                self.log_push(format!(
-                    "t={} csma-failure node={}",
-                    self.now.0, self.nodes[idx].id
-                ));
-                self.attempt_failed(idx, "channel-access");
+                self.log(idx, LogKind::CsmaFailure);
+                self.attempt_failed(idx, Why::ChannelAccess);
             }
             None => {}
         }
@@ -418,17 +410,14 @@ impl Shard {
                     st.pending.pop_front();
                     st.csma = None;
                 }
-                self.log_push(format!(
-                    "t={} drop-unencodable node={}",
-                    self.now.0, self.nodes[idx].id
-                ));
+                self.log(idx, LogKind::DropUnencodable);
                 self.kick(idx);
             }
         }
     }
 
     /// Head-of-queue success: frame acknowledged, or a no-ACK frame sent.
-    fn complete_head(&mut self, idx: usize, why: &str) {
+    fn complete_head(&mut self, idx: usize, why: Why) {
         let seq = {
             let NodeKind::Zigbee(st) = &mut self.nodes[idx].kind else {
                 return;
@@ -439,17 +428,14 @@ impl Shard {
             st.pending.pop_front().map(|f| f.sequence)
         };
         if let Some(seq) = seq {
-            self.log_push(format!(
-                "t={} complete node={} seq={} why={}",
-                self.now.0, self.nodes[idx].id, seq, why
-            ));
+            self.log(idx, LogKind::Complete { seq, why });
         }
         self.kick(idx);
     }
 
     /// One transmission attempt failed (missed ACK or channel access):
     /// retry with a fresh CSMA attempt, or abandon past the retry budget.
-    fn attempt_failed(&mut self, idx: usize, why: &str) {
+    fn attempt_failed(&mut self, idx: usize, why: Why) {
         let max_retries = self.cfg.csma.max_frame_retries;
         let (abandoned, seq) = {
             let NodeKind::Zigbee(st) = &mut self.nodes[idx].kind else {
@@ -467,17 +453,11 @@ impl Shard {
         };
         if abandoned {
             self.stats.frames_abandoned += 1;
-            self.log_push(format!(
-                "t={} abandon node={} seq={:?} why={}",
-                self.now.0, self.nodes[idx].id, seq, why
-            ));
+            self.log(idx, LogKind::Abandon { seq, why });
         } else {
             self.stats.retries += 1;
             wazabee_telemetry::counter!("sim.retries").inc();
-            self.log_push(format!(
-                "t={} retry node={} seq={:?} why={}",
-                self.now.0, self.nodes[idx].id, seq, why
-            ));
+            self.log(idx, LogKind::Retry { seq, why });
         }
         self.kick(idx);
     }
@@ -488,11 +468,8 @@ impl Shard {
             NodeKind::Zigbee(st) if st.awaiting_ack == Some(seq)
         );
         if pending {
-            self.log_push(format!(
-                "t={} ack-timeout node={} seq={}",
-                self.now.0, self.nodes[idx].id, seq
-            ));
-            self.attempt_failed(idx, "no-ack");
+            self.log(idx, LogKind::AckTimeout { seq });
+            self.attempt_failed(idx, Why::NoAck);
         }
     }
 
@@ -509,10 +486,7 @@ impl Shard {
                 }
                 Some(_) => {
                     // Half-duplex: the radio is keyed, the ACK is lost.
-                    self.log_push(format!(
-                        "t={} ack-suppressed node={}",
-                        self.now.0, self.nodes[idx].id
-                    ));
+                    self.log(idx, LogKind::AckSuppressed);
                     None
                 }
                 None => None,
@@ -544,10 +518,12 @@ impl Shard {
             Radio::Diverted => {
                 self.stats.acks_spoofed += 1;
                 wazabee_telemetry::counter!("sim.acks_spoofed").inc();
-                self.log_push(format!(
-                    "t={} spoofed-ack node={} seq={}",
-                    self.now.0, self.nodes[idx].id, frame.sequence
-                ));
+                self.log(
+                    idx,
+                    LogKind::SpoofedAck {
+                        seq: frame.sequence,
+                    },
+                );
                 self.transmit_wazabee(idx, &frame);
             }
         }
@@ -609,18 +585,13 @@ impl Shard {
                 wazabee_telemetry::counter!("sim.tx").with(&[
                     ("node", &node.id.to_string()),
                     ("channel", &channel.to_string()),
-                    ("kind", node.kind.name()),
+                    ("kind", node.kind.class().name()),
                 ])
             })
             .inc();
-        self.log_push(format!(
-            "t={} keyup node={} kind={} seq={:?} dur={}",
-            start.0,
-            source_id,
-            self.nodes[source].kind_name(),
-            seq,
-            duration_us
-        ));
+        let class = self.nodes[source].kind.class();
+        let dur_us = u32::try_from(duration_us).expect("a keyup lasts under 71 minutes");
+        self.log(source, LogKind::Keyup { class, seq, dur_us });
         if self.air.cluster.is_empty() {
             self.air.cluster_start = start;
         }
@@ -714,7 +685,7 @@ impl Shard {
                 );
             }
             if complete {
-                self.complete_head(src, "sent");
+                self.complete_head(src, Why::Sent);
             }
         }
         if self.air.active == 0 && !self.air.cluster.is_empty() {
@@ -806,7 +777,7 @@ impl Shard {
             Heard::Raw(buf.to_interleaved())
         } else {
             let (frames, failures) = self.decode_buffer(&buf);
-            Heard::Frames(frames, failures)
+            Heard::Frames(frames.into(), failures)
         }
     }
 
@@ -833,13 +804,17 @@ impl Shard {
         if collided {
             self.stats.collisions += 1;
             wazabee_telemetry::counter!("sim.collisions").inc();
-            self.log_push(format!(
-                "t={} collision ch={} cluster={} frames={}",
-                end.0,
-                self.channel_number,
-                cluster_id,
-                frames_in_cluster.len()
-            ));
+            // A collision belongs to the channel, not to a node.
+            self.log.push(LogRecord {
+                t: end.0,
+                node: 0,
+                kind: LogKind::Collision {
+                    ch: self.channel_number,
+                    cluster: u32::try_from(cluster_id).expect("cluster ids fit in u32"),
+                    frames: u32::try_from(frames_in_cluster.len())
+                        .expect("frame counts fit in u32"),
+                },
+            });
         }
 
         // Phase 1 (immutable): superpose and demodulate per receiver, in
@@ -860,7 +835,7 @@ impl Shard {
             // With no per-receiver noise every listener hears bit-identical
             // samples, so one decode is shared — an exact, not approximate,
             // fast path (and inherently sequential).
-            let mut shared: Option<(Vec<MacFrame>, u64)> = None;
+            let mut shared: Option<(Arc<[MacFrame]>, u64)> = None;
             let mut out = Vec::with_capacity(receivers.len());
             for idx in receivers {
                 let decodes = matches!(
@@ -869,14 +844,14 @@ impl Shard {
                 );
                 if decodes {
                     if let Some((frames, fails)) = &shared {
-                        out.push((idx, Heard::Frames(frames.clone(), *fails)));
+                        out.push((idx, Heard::Frames(Arc::clone(frames), *fails)));
                         continue;
                     }
                 }
                 let heard = self.receiver_hears(idx, &cluster, &gains, start, end, cluster_id);
                 if decodes {
                     if let Heard::Frames(frames, fails) = &heard {
-                        shared = Some((frames.clone(), *fails));
+                        shared = Some((Arc::clone(frames), *fails));
                     }
                 }
                 out.push((idx, heard));
@@ -909,8 +884,8 @@ impl Shard {
                         })
                         .add(frames.len() as u64);
                     match &self.nodes[idx].kind {
-                        NodeKind::Zigbee(_) => self.zigbee_rx(idx, frames),
-                        NodeKind::Spoofer { .. } => self.spoofer_rx(idx, frames),
+                        NodeKind::Zigbee(_) => self.zigbee_rx(idx, &frames),
+                        NodeKind::Spoofer { .. } => self.spoofer_rx(idx, &frames),
                         _ => {}
                     }
                 }
@@ -919,25 +894,28 @@ impl Shard {
         }
     }
 
-    fn zigbee_rx(&mut self, idx: usize, frames: Vec<MacFrame>) {
+    fn zigbee_rx(&mut self, idx: usize, frames: &[MacFrame]) {
         let now = self.now;
         for frame in frames {
-            self.log_push(format!(
-                "t={} rx node={} type={:?} seq={}",
-                now.0, self.nodes[idx].id, frame.frame_type, frame.sequence
-            ));
+            self.log(
+                idx,
+                LogKind::Rx {
+                    frame_type: frame.frame_type,
+                    seq: frame.sequence,
+                },
+            );
             if frame.frame_type == FrameType::Ack {
                 let matched = matches!(
                     &self.nodes[idx].kind,
                     NodeKind::Zigbee(st) if st.awaiting_ack == Some(frame.sequence)
                 );
                 if matched {
-                    self.complete_head(idx, "acked");
+                    self.complete_head(idx, Why::Acked);
                 }
                 continue;
             }
             let replies = match &mut self.nodes[idx].kind {
-                NodeKind::Zigbee(st) => st.app.on_receive(&frame, now),
+                NodeKind::Zigbee(st) => st.app.on_receive(frame, now),
                 _ => Vec::new(),
             };
             for reply in replies {
@@ -957,7 +935,7 @@ impl Shard {
         self.kick(idx);
     }
 
-    fn spoofer_rx(&mut self, idx: usize, frames: Vec<MacFrame>) {
+    fn spoofer_rx(&mut self, idx: usize, frames: &[MacFrame]) {
         let now = self.now;
         for frame in frames {
             let spoofable = frame.frame_type == FrameType::Data
@@ -983,12 +961,7 @@ impl Shard {
             _ => return,
         };
         for alert in &new_alerts {
-            self.log_push(format!(
-                "t={} alert node={} kind={}",
-                now.0,
-                self.nodes[idx].id,
-                alert_kind(alert)
-            ));
+            self.log(idx, LogKind::Alert { kind: alert.into() });
         }
         if let NodeKind::Ids { alerts, .. } = &mut self.nodes[idx].kind {
             alerts.extend(new_alerts.into_iter().map(|a| (now, a)));

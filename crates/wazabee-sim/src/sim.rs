@@ -28,11 +28,13 @@
 //! Determinism is a hard contract, not best-effort: the committed event
 //! log, [`SimReport`] and timeline JSONL are byte-identical across
 //! `WAZABEE_THREADS` / [`SimConfig::threads`] values. Each shard commits
-//! `(sim-time, line)` log entries; the facade concatenates shard logs in
-//! shard-creation order and stable-sorts by time, so cross-channel ties
-//! resolve identically at any worker count. Single-channel runs execute the
-//! exact event sequence of the unsharded engine (same queue tie-breaking,
-//! same RNG draws, same noise seeds keyed on global node ids).
+//! typed [`LogRecord`]s stamped with their sim time; the facade
+//! concatenates shard logs in shard-creation order and stable-sorts by
+//! time, so cross-channel ties resolve identically at any worker count.
+//! Records become text only when a reader renders them. Single-channel
+//! runs execute the exact event sequence of the unsharded engine (same
+//! queue tie-breaking, same RNG draws, same noise seeds keyed on global
+//! node ids).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,6 +48,7 @@ use wazabee_telemetry::SeriesSet;
 use wazabee_zigbee::XbeeNode;
 
 use crate::config::SimConfig;
+use crate::log::LogRecord;
 use crate::node::{FlooderConfig, JammerConfig, NodeKind, SimNode, ZigbeeState};
 use crate::shard::{splitmix64, Shard, SimEvent};
 
@@ -162,7 +165,7 @@ pub struct SpectrumSim {
     /// Global node handle → `(shard index, shard-local index)`.
     node_map: Vec<(usize, usize)>,
     /// The merged committed event log.
-    log: Vec<String>,
+    log: Vec<LogRecord>,
     /// After this instant application timers stop generating traffic.
     traffic_deadline: Option<Instant>,
     /// Instance-owned sim-time series recorder, when enabled.
@@ -433,25 +436,18 @@ impl SpectrumSim {
         }
     }
 
-    /// Drains every shard's committed log entries into the merged log:
-    /// concatenate in shard-creation order, stable-sort by sim time. Ties
-    /// therefore resolve by (time, shard, commit order) — a total order
-    /// independent of worker count.
+    /// Drains every shard's committed records into the merged log:
+    /// concatenate in shard-creation order, stable-sort the new tail by sim
+    /// time. Ties therefore resolve by (time, shard, commit order) — a
+    /// total order independent of worker count.
     fn merge_logs(&mut self) {
-        match self.shards.len() {
-            0 => {}
-            1 => self
-                .log
-                .extend(self.shards[0].take_log().into_iter().map(|(_, l)| l)),
-            _ => {
-                let _s = wazabee_telemetry::scope!("sim.shard.merge");
-                let mut merged: Vec<(u64, String)> = Vec::new();
-                for s in &mut self.shards {
-                    merged.extend(s.take_log());
-                }
-                merged.sort_by_key(|e| e.0);
-                self.log.extend(merged.into_iter().map(|(_, l)| l));
-            }
+        let from = self.log.len();
+        for s in &mut self.shards {
+            self.log.append(&mut s.log);
+        }
+        if self.shards.len() > 1 {
+            let _s = wazabee_telemetry::scope!("sim.shard.merge");
+            self.log[from..].sort_by_key(|r| r.t);
         }
     }
 
@@ -525,9 +521,10 @@ impl SpectrumSim {
         total
     }
 
-    /// The committed event log: one deterministic line per MAC/PHY event,
-    /// byte-identical across thread counts and IQ chunk sizes.
-    pub fn event_log(&self) -> &[String] {
+    /// The committed event log: one deterministic record per MAC/PHY
+    /// event, identical across thread counts and IQ chunk sizes. Each
+    /// record renders its log line with `Display`.
+    pub fn event_log(&self) -> &[LogRecord] {
         &self.log
     }
 

@@ -122,7 +122,12 @@ fn csma_resolves_contention_on_retry() {
         1.0,
         "contention must resolve: {:?}\nlog tail: {:#?}",
         report.stats,
-        sim.event_log().iter().rev().take(12).collect::<Vec<_>>()
+        sim.event_log()
+            .iter()
+            .rev()
+            .take(12)
+            .map(|r| r.to_string())
+            .collect::<Vec<_>>()
     );
     let s = &report.stats;
     assert!(
@@ -317,7 +322,11 @@ fn committed_event_log_is_deterministic() {
         );
         sim.inject_at(attacker, Instant(41_500), forged);
         sim.run_until(Instant(0).plus_ms(150));
-        sim.event_log().join("\n")
+        sim.event_log()
+            .iter()
+            .map(|r| r.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
     };
     let a = run(4096);
     let b = run(4096);

@@ -58,7 +58,8 @@ fn run_cell(seed: u64, iq_chunk: usize) -> (String, String) {
     );
     sim.inject_at(attacker, Instant(41_000), forged);
     sim.run_until(Instant(0).plus_ms(130));
-    (sim.event_log().join("\n"), sim.timeline_jsonl())
+    let log: Vec<String> = sim.event_log().iter().map(|r| r.to_string()).collect();
+    (log.join("\n"), sim.timeline_jsonl())
 }
 
 #[test]
@@ -138,7 +139,8 @@ fn run_sharded_cell(seed: u64, threads: usize) -> (String, String) {
     );
     sim.inject_at(attacker, Instant(41_000), forged);
     sim.run_until(Instant(0).plus_ms(130));
-    (sim.event_log().join("\n"), sim.timeline_jsonl())
+    let log: Vec<String> = sim.event_log().iter().map(|r| r.to_string()).collect();
+    (log.join("\n"), sim.timeline_jsonl())
 }
 
 #[test]
