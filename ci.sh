@@ -2,73 +2,75 @@
 # Offline CI for the wazabee workspace. Run from the repo root.
 #
 # Steps:
-#   1. release build, telemetry on (default features)
-#   2. release build, telemetry off (--no-default-features) — proves the
-#      probes compile away
-#   3. full test suite, plus the telemetry crate's own tests with the
-#      feature off (`zero_cost_when_disabled`: zero-sized guards, empty
-#      profile/trace, the disabled snapshot stub)
-#   4. clippy, warnings as errors
-#   5. rustfmt check
-#   6. telemetry-overhead smoke: the Criterion bench compiles and runs in
-#      test mode in both feature states
-#   7. flight-recorder smoke: WAZABEE_CAPTURE_DIR produces PCAP + JSONL
-#      artifacts with default features and none with --no-default-features
-#   8. packed-kernel micro-bench smoke: packed-vs-scalar despread/correlate
+#   1. release build (the one build: telemetry and the flight recorder are
+#      always compiled in and export nothing unless configured)
+#   2. full test suite
+#   3. clippy, warnings as errors
+#   4. rustfmt check
+#   5. telemetry-overhead smoke: the Criterion bench compiles and runs in
+#      test mode
+#   6. flight-recorder smoke: WAZABEE_CAPTURE_DIR produces PCAP + JSONL
+#      artifacts; run from an empty directory with the variable unset, the
+#      same example leaves that directory empty
+#   7. packed-kernel micro-bench smoke: packed-vs-scalar despread/correlate
 #      bench compiles and runs in test mode
-#   9. iq-kernel micro-bench smoke: the planar SIMD sample-domain kernels
-#      run in test mode in both feature states, and every kernel's scalar
-#      reference is still exercised (bench cases plus the bitwise parity
-#      proptests in tests/tests/iq_simd.rs)
-#  10. rx-throughput smoke: the bin emits a well-formed
+#   8. iq-kernel micro-bench smoke: the planar SIMD sample-domain kernels
+#      run in test mode, and every kernel's scalar reference is still
+#      exercised (bench cases plus the bitwise parity proptests in
+#      tests/tests/iq_simd.rs)
+#   9. rx-throughput smoke: the bin emits a well-formed
 #      BENCH_rx_throughput.json, the packed despreading kernel is at
 #      least 3x faster than the scalar reference, and the planar
 #      discriminator is at least 2x faster than its f32 scalar twin (a
 #      "SIMD" kernel that stopped vectorizing fails here), and the streaming
 #      sync search is at least 4x faster than the byte-per-bit oracle on
 #      frame-like lanes (a prefilter that stopped screening fails here)
-#  11. stream-throughput smoke: the streaming receiver emits a well-formed
+#  10. stream-throughput smoke: the streaming receiver emits a well-formed
 #      BENCH_stream_throughput.json and recovers >= 2 frames behind a decoy
-#      sync hit, in both feature states
-#  12. netsim smoke: the network-scale spectrum-sim sweep emits a well-formed
+#      sync hit
+#  11. netsim smoke: the network-scale spectrum-sim sweep emits a well-formed
 #      BENCH_netsim.json whose no-attacker ideal cells deliver 100% and whose
-#      attacked cells show waveform-level collisions, in both feature states
-#  13. live snapshot poll: the default-features netsim run is polled over
+#      attacked cells show waveform-level collisions
+#  12. live snapshot poll: the netsim run is polled over
 #      WAZABEE_TELEMETRY_ADDR and must answer with a well-formed snapshot
 #      (labeled metrics, the flat sim.injected counter, the
 #      netsim.delivery_ratio gauge, per-stage profile with p50_ns <= p99_ns,
 #      alerts);
-#      the --no-default-features run must never start the endpoint
-#  14. health + causal trace: during the attacked netsim run /healthz must
+#      a run with WAZABEE_TELEMETRY_ADDR and WAZABEE_TRACE_OUT unset must
+#      never start the endpoint
+#  13. health + causal trace: during the attacked netsim run /healthz must
 #      answer 503 with the collisions rule latched (and the delivery-ratio
 #      rule armed), /trace must serve live Chrome Trace JSON, and the
 #      WAZABEE_TRACE_OUT dump must hold rx.decode spans with frame args and
 #      resolvable parents, only M/X/i phases and otherData.evicted_records;
 #      a --no-attacker run must answer /healthz 200;
-#      the --no-default-features run must write no trace file
-#  15. shard-equivalence gate: a 256-node / 8-channel attacked cell is run
-#      under WAZABEE_THREADS=1 and =4 in both feature states; the committed
+#      the run with the variables unset must write no trace file
+#  14. shard-equivalence gate: a 256-node / 8-channel attacked cell is run
+#      under WAZABEE_THREADS=1 and =4; the committed
 #      event log and timeline JSONL must be byte-identical — the parallel
 #      channel-sharded simulator may not perturb any committed artifact —
 #      and the event log's sha256 must equal the pinned
 #      artifacts/netsim_shard_check.log.sha256
-#  16. serve-plane smoke: 8 paced loopback client sessions (cf32 and u8
+#  15. serve-plane smoke: 8 paced loopback client sessions (cf32 and u8
 #      offset-128 wire formats alternating) stream through the multi-tenant
-#      decode service in both feature states; every frame must be recovered
+#      decode service; every frame must be recovered
 #      with zero CRC failures and zero dropped chunks, and the emitted
 #      BENCH_serve.json must be well-formed with a per-session fairness
 #      ratio >= 0.5
-#  17. artifact byte-identity gate: every deterministic paper artifact
+#  16. artifact byte-identity gate: every deterministic paper artifact
 #      (tables, figures, ablations, scenario statistics, the sim time
 #      series) is regenerated and must `cmp` equal to its committed copy
 #      in artifacts/
-#  18. dead-code guard: no `allow(dead_code)` under crates/*/src, no
+#  17. dead-code guard: no `allow(dead_code)` under crates/*/src, no
 #      retired timing macro (`timed_scope!`, `stage!`, `span!`) or metric
 #      macro (`value_histogram!`, `labeled_counter!`, `labeled_gauge!`,
-#      `labeled_histogram!`) under crates/ tests/ examples/, and the Rust
+#      `labeled_histogram!`) under crates/ tests/ examples/; one build only:
+#      no `cfg(feature`/`cfg!(feature` under crates/ tests/ examples/, no
+#      `[features]` table in the workspace's own manifests, and no cargo
+#      run in this script that turns default features off; the Rust
 #      line counts of crates/ tests/ examples/ and of wazabee-telemetry are
 #      printed so each change's net line count shows in the log
-#  19. perf regression gate: fresh smoke-run BENCH figures — including the
+#  18. perf regression gate: fresh smoke-run BENCH figures — including the
 #      discriminator simd_speedup row, the correlator's packed_vs_oracle
 #      ratio, the 1024-node
 #      multi-channel sim/wall ratio, and the serve plane's per-session
@@ -86,13 +88,10 @@ run() {
 }
 
 run cargo build --release --workspace --offline
-run cargo build --release --workspace --offline --no-default-features
 run cargo test -q --workspace --offline
-run cargo test -q -p wazabee-telemetry --offline --no-default-features
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --all -- --check
 run cargo bench -p wazabee-bench --bench telemetry_overhead --offline -- --test
-run cargo bench -p wazabee-bench --bench telemetry_overhead --offline --no-default-features -- --test
 
 capture_dir="$(mktemp -d)"
 trap 'rm -rf "$capture_dir"' EXIT
@@ -106,26 +105,30 @@ for f in frames.pcap frames.jsonl; do
 done
 echo "flight-recorder artifacts present: $(ls "$capture_dir")"
 
-rm -rf "$capture_dir"/*
-run env WAZABEE_CAPTURE_DIR="$capture_dir" \
-    cargo run --release -q -p wazabee-examples --bin zigbee_sniffer --offline \
-    --no-default-features > /dev/null
+# Off is the runtime default: with none of the four variables set, the
+# same example run from an empty directory must leave it empty.
+rm -rf "${capture_dir:?}"/*
+unset_obs=(env -u WAZABEE_CAPTURE_DIR -u WAZABEE_TELEMETRY_OUT
+    -u WAZABEE_TELEMETRY_ADDR -u WAZABEE_TRACE_OUT)
+bin_dir="$PWD/target/release"
+echo
+echo "=== zigbee_sniffer with WAZABEE_CAPTURE_DIR unset, from an empty directory ==="
+(cd "$capture_dir" && "${unset_obs[@]}" "$bin_dir/zigbee_sniffer" > /dev/null)
 if [ -n "$(ls -A "$capture_dir")" ]; then
-    echo "ci.sh: --no-default-features build must not write capture artifacts" >&2
+    echo "ci.sh: zigbee_sniffer wrote files without WAZABEE_CAPTURE_DIR:" \
+        "$(ls -A "$capture_dir")" >&2
     exit 1
 fi
-echo "flight-recorder compiled out: no artifacts written"
+echo "flight recorder off by default: no artifacts written"
 
 run cargo bench -p wazabee-bench --bench packed_kernels --offline -- --test
 
-# The planar SIMD kernels must run in both feature states, and the scalar
+# The planar SIMD kernels must run, and the scalar
 # references they are parity-pinned to must still be exercised: the bench
 # carries one *_scalar case per kernel, and the integration suite carries the
 # bitwise scalar-parity proptests.
 iq_bench_log="$capture_dir/iq_kernels_bench.log"
-run cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test
-cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test >"$iq_bench_log" 2>&1
-run cargo bench -p wazabee-bench --bench iq_kernels --offline --no-default-features -- --test
+run cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test 2>&1 | tee "$iq_bench_log"
 for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar axpy_scalar \
     superpose_accumulate_scalar fir_planar_scalar; do
     if ! grep -q "$kernel" "$iq_bench_log"; then
@@ -198,13 +201,6 @@ EOF
 stream_json="$capture_dir/BENCH_stream_throughput.json"
 run cargo run --release -q -p wazabee-bench --bin stream_throughput --offline -- \
     --smoke --out "$stream_json"
-check_stream_json "$stream_json"
-stream_live_json="$capture_dir/BENCH_stream_live.json"
-cp "$stream_json" "$stream_live_json"
-
-rm -f "$stream_json"
-run cargo run --release -q -p wazabee-bench --bin stream_throughput --offline \
-    --no-default-features -- --smoke --out "$stream_json"
 check_stream_json "$stream_json"
 
 check_netsim_json() {
@@ -375,70 +371,68 @@ print(f"/healthz 200 OK without the injector ({len(health['alerts'])} rules calm
 EOF
 kill "$netsim_ok_pid" 2>/dev/null || true
 wait "$netsim_ok_pid" 2>/dev/null || true
-netsim_live_json="$capture_dir/BENCH_netsim_live.json"
-cp "$netsim_json" "$netsim_live_json"
 
-rm -f "$netsim_json"
+# Off is the runtime default: without WAZABEE_TELEMETRY_ADDR and
+# WAZABEE_TRACE_OUT the sweep opens no endpoint and writes no trace. It runs
+# from an empty directory, which must stay empty.
+netsim_off_dir="$capture_dir/netsim_off"
+netsim_off_json="$capture_dir/BENCH_netsim_off.json"
 netsim_off_log="$capture_dir/netsim_off_stderr.log"
-netsim_off_trace="$capture_dir/netsim_trace_off.json"
-run env WAZABEE_TELEMETRY_ADDR=127.0.0.1:0 WAZABEE_TRACE_OUT="$netsim_off_trace" \
-    cargo run --release -q -p wazabee-bench --bin netsim_scale --offline \
-    --no-default-features -- --smoke --out "$netsim_json" 2>"$netsim_off_log"
+mkdir "$netsim_off_dir"
+echo
+echo "=== netsim_scale --smoke with WAZABEE_TELEMETRY_ADDR and WAZABEE_TRACE_OUT unset ==="
+(cd "$netsim_off_dir" && "${unset_obs[@]}" "$bin_dir/netsim_scale" \
+    --smoke --out "$netsim_off_json" 2>"$netsim_off_log")
 cat "$netsim_off_log"
 if grep -q "telemetry snapshot server on" "$netsim_off_log"; then
-    echo "ci.sh: snapshot server must be compiled out under --no-default-features" >&2
+    echo "ci.sh: snapshot server started without WAZABEE_TELEMETRY_ADDR" >&2
     exit 1
 fi
-if [ -e "$netsim_off_trace" ]; then
-    echo "ci.sh: --no-default-features build must not write a Chrome trace" >&2
+if [ -n "$(ls -A "$netsim_off_dir")" ]; then
+    echo "ci.sh: netsim_scale wrote files without WAZABEE_TRACE_OUT:" \
+        "$(ls -A "$netsim_off_dir")" >&2
     exit 1
 fi
-echo "snapshot server and trace dump compiled out under --no-default-features"
-check_netsim_json "$netsim_json"
+echo "snapshot server and trace dump off while their variables are unset"
+check_netsim_json "$netsim_off_json"
 
 # Shard-equivalence gate: the channel-sharded simulator must commit
-# byte-identical artifacts at any worker count, with and without telemetry.
+# byte-identical artifacts at any worker count.
 echo
-echo "=== shard-equivalence gate: WAZABEE_THREADS=1 vs 4, both feature states ==="
-for features in default no-default; do
-    flags=()
-    if [ "$features" = "no-default" ]; then
-        flags=(--no-default-features)
+echo "=== shard-equivalence gate: WAZABEE_THREADS=1 vs 4 ==="
+p1="$capture_dir/shard_t1"
+p4="$capture_dir/shard_t4"
+run env WAZABEE_THREADS=1 \
+    cargo run --release -q -p wazabee-bench --bin netsim_scale --offline \
+    -- --shard-check "$p1"
+run env WAZABEE_THREADS=4 \
+    cargo run --release -q -p wazabee-bench --bin netsim_scale --offline \
+    -- --shard-check "$p4"
+for ext in log jsonl; do
+    if ! cmp -s "$p1.$ext" "$p4.$ext"; then
+        echo "ci.sh: .$ext artifact differs between 1 and 4 threads" >&2
+        cmp "$p1.$ext" "$p4.$ext" >&2 || true
+        exit 1
     fi
-    p1="$capture_dir/shard_${features}_t1"
-    p4="$capture_dir/shard_${features}_t4"
-    run env WAZABEE_THREADS=1 \
-        cargo run --release -q -p wazabee-bench --bin netsim_scale --offline \
-        "${flags[@]}" -- --shard-check "$p1"
-    run env WAZABEE_THREADS=4 \
-        cargo run --release -q -p wazabee-bench --bin netsim_scale --offline \
-        "${flags[@]}" -- --shard-check "$p4"
-    for ext in log jsonl; do
-        if ! cmp -s "$p1.$ext" "$p4.$ext"; then
-            echo "ci.sh: $features-features .$ext artifact differs between 1 and 4 threads" >&2
-            cmp "$p1.$ext" "$p4.$ext" >&2 || true
-            exit 1
-        fi
-        if ! [ -s "$p1.$ext" ]; then
-            echo "ci.sh: shard-check wrote an empty .$ext artifact" >&2
-            exit 1
-        fi
-    done
-    pinned=$(cat artifacts/netsim_shard_check.log.sha256)
-    for p in "$p1" "$p4"; do
-        actual=$(sha256sum "$p.log" | cut -d' ' -f1)
-        if [ "$actual" != "$pinned" ]; then
-            echo "ci.sh: $features-features $p.log sha256 $actual differs from the pinned" \
-                "artifacts/netsim_shard_check.log.sha256 ($pinned)" >&2
-            exit 1
-        fi
-    done
-    echo "$features features: event log + timeline byte-identical across thread counts," \
-        "event log matches the pinned sha256"
+    if ! [ -s "$p1.$ext" ]; then
+        echo "ci.sh: shard-check wrote an empty .$ext artifact" >&2
+        exit 1
+    fi
 done
+pinned=$(cat artifacts/netsim_shard_check.log.sha256)
+for p in "$p1" "$p4"; do
+    actual=$(sha256sum "$p.log" | cut -d' ' -f1)
+    if [ "$actual" != "$pinned" ]; then
+        echo "ci.sh: $p.log sha256 $actual differs from the pinned" \
+            "artifacts/netsim_shard_check.log.sha256 ($pinned)" >&2
+        exit 1
+    fi
+done
+echo "event log + timeline byte-identical across thread counts," \
+    "event log matches the pinned sha256"
 
 # Serve-plane smoke: paced concurrent sessions against the multi-tenant
-# decode service in both feature states. 100% recovery is a hard floor —
+# decode service. 100% recovery is a hard floor —
 # a lost frame on a clean loopback capture means the serve plane broke it.
 check_serve_json() {
     run python3 - "$1" <<'EOF'
@@ -468,13 +462,6 @@ serve_json="$capture_dir/BENCH_serve.json"
 run cargo run --release -q -p wazabee-bench --bin serve_throughput --offline -- \
     --smoke --frames 8 --out "$serve_json"
 check_serve_json "$serve_json"
-serve_live_json="$capture_dir/BENCH_serve_live.json"
-cp "$serve_json" "$serve_live_json"
-
-rm -f "$serve_json"
-run cargo run --release -q -p wazabee-bench --bin serve_throughput --offline \
-    --no-default-features -- --smoke --frames 8 --out "$serve_json"
-check_serve_json "$serve_json"
 
 # Artifact byte-identity gate: every committed artifact whose regenerator is
 # deterministic must come back byte-for-byte, so an output change that is
@@ -483,8 +470,7 @@ echo
 echo "=== artifact byte-identity gate ==="
 regen_dir="$capture_dir/regen"
 mkdir -p "$regen_dir"
-# Earlier steps leave feature-off binaries behind; regenerate with the
-# default build users run.
+# Every regenerator, built fresh.
 cargo build --release -q -p wazabee-bench --bins --offline
 bin=target/release
 "$bin/table1" >"$regen_dir/table1.txt"
@@ -539,12 +525,30 @@ if grep -rnE --include='*.rs' '(value_histogram|labeled_counter|labeled_gauge|la
     exit 1
 fi
 echo "no value_histogram!/labeled_counter!/labeled_gauge!/labeled_histogram! under crates/ tests/ examples/"
+# One build: telemetry and the flight recorder are always compiled in.
+if grep -rnE --include='*.rs' 'cfg!?\(feature' crates tests examples; then
+    echo "ci.sh: cargo-feature cfg above — there is one build; delete the gated branch" >&2
+    exit 1
+fi
+# Vendored stand-ins under vendor/ keep their upstream feature names (serde's
+# `derive`); the guard covers the workspace's own manifests.
+if grep -nE '^\[features\]' Cargo.toml crates/*/Cargo.toml tests/Cargo.toml examples/Cargo.toml; then
+    echo "ci.sh: [features] table above — there is one build; no cargo features" >&2
+    exit 1
+fi
+# Spelled in two pieces so this guard does not match itself.
+no_default="--no-default""-features"
+if grep -nF -- "$no_default" ci.sh; then
+    echo "ci.sh: $no_default run above — there is one build" >&2
+    exit 1
+fi
+echo "one build: no cargo-feature cfg, [features] table or $no_default run"
 echo "Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)"
 echo "Rust lines in crates/wazabee-telemetry: $(find crates/wazabee-telemetry -name '*.rs' -exec cat {} + | wc -l)"
 
 
 run env WAZABEE_PERF_TOLERANCE="${WAZABEE_PERF_TOLERANCE:-0.5}" \
-    python3 - "$bench_json" "$stream_live_json" "$netsim_live_json" "$serve_live_json" <<'EOF'
+    python3 - "$bench_json" "$stream_json" "$netsim_json" "$serve_json" <<'EOF'
 import json, os, sys
 
 tol = float(os.environ["WAZABEE_PERF_TOLERANCE"])

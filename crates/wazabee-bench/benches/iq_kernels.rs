@@ -3,13 +3,10 @@
 //!
 //! Every blocked kernel in `wazabee_dsp::simd` keeps a `*_scalar` twin with
 //! the identical arithmetic; the parity proptests guarantee bitwise equality,
-//! and this bench shows what the explicit-width blocking buys. Run in both
-//! feature states (telemetry on and off) — the kernels carry stage tags, so
-//! the disabled build also witnesses that instrumentation compiles out:
+//! and this bench shows what the explicit-width blocking buys:
 //!
 //! ```sh
 //! cargo bench -p wazabee-bench --bench iq_kernels
-//! cargo bench -p wazabee-bench --bench iq_kernels --no-default-features
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

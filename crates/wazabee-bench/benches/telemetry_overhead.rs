@@ -1,17 +1,19 @@
-//! Measures what the telemetry instrumentation costs the modem hot paths.
-//!
-//! Run twice and compare:
+//! Measures what the telemetry probes cost: the instrumented modem hot
+//! paths end to end, and each probe kind alone.
 //!
 //! ```sh
 //! cargo bench -p wazabee-bench --bench telemetry_overhead
-//! cargo bench -p wazabee-bench --bench telemetry_overhead --no-default-features
 //! ```
 //!
-//! With the `telemetry` feature off every counter/histogram/scope call site
-//! compiles to an empty inline no-op, so the two runs must agree to within
-//! measurement noise. The `zero_cost_when_disabled` test in
-//! `wazabee-telemetry` (run with `--no-default-features`) asserts the
-//! disabled build really is dead code.
+//! The probes are always compiled in, so the kernel rows are the modem
+//! arithmetic plus its counters, histograms and scopes; the primitive rows
+//! price one probe each. `artifacts/TELEMETRY_OVERHEAD.md` keeps the
+//! figures, including the last measurement of a build without probes.
+//!
+//! `scope_enter_drop_contended` pins the measuring thread and a rival
+//! scope loop to two different allowed CPUs, so every run measures two
+//! threads contending for the trace-ring lock. With fewer than two CPUs
+//! the row is skipped.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -83,22 +85,47 @@ fn bench_instrumented_kernels(c: &mut Criterion) {
     });
     // The same probe while a second thread runs scopes in a loop, so both
     // contend for the one trace-ring lock — as netsim's shard threads and
-    // serve's workers do.
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                let _s = wazabee_telemetry::scope!("bench.scope.rival");
-            }
+    // serve's workers do. Each thread is pinned to its own CPU: a rival
+    // sharing the measuring thread's CPU only runs when it is preempted,
+    // and the row would read the uncontended cost.
+    let cpus = affinity::allowed_cpus();
+    if cpus.len() < 2 {
+        eprintln!(
+            "scope_enter_drop_contended skipped: the process may use {} CPU(s), \
+             the row needs 2",
+            cpus.len()
+        );
+    } else if !affinity::set_allowed(&cpus[..1]) {
+        eprintln!(
+            "scope_enter_drop_contended skipped: cannot pin to CPU {}",
+            cpus[0]
+        );
+    } else {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                if !affinity::set_allowed(&cpus[1..2]) {
+                    eprintln!(
+                        "scope_enter_drop_contended: rival not pinned to CPU {}",
+                        cpus[1]
+                    );
+                }
+                while !stop.load(Ordering::Relaxed) {
+                    let _s = wazabee_telemetry::scope!("bench.scope.rival");
+                }
+            });
+            p.bench_function("scope_enter_drop_contended", |b| {
+                b.iter(|| {
+                    let _s = wazabee_telemetry::scope!("bench.scope");
+                    std::hint::black_box(());
+                })
+            });
+            stop.store(true, Ordering::Relaxed);
         });
-        p.bench_function("scope_enter_drop_contended", |b| {
-            b.iter(|| {
-                let _s = wazabee_telemetry::scope!("bench.scope");
-                std::hint::black_box(());
-            })
-        });
-        stop.store(true, Ordering::Relaxed);
-    });
+        if !affinity::set_allowed(&cpus) {
+            eprintln!("telemetry_overhead: cannot restore the CPU mask {cpus:?}");
+        }
+    }
     // The same with two static args — the cost of one
     // `scope!("rx.decode", ...)` around a committing decode attempt.
     p.bench_function("scope_with_args_enter_drop", |b| {
@@ -132,6 +159,46 @@ fn bench_instrumented_kernels(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(wazabee_telemetry::evaluate_health()))
     });
     p.finish();
+}
+
+/// Thread CPU affinity through the C library's `sched_getaffinity` /
+/// `sched_setaffinity` on the calling thread (pid 0).
+mod affinity {
+    /// Mask words passed to the kernel: room for 1024 CPUs.
+    const WORDS: usize = 16;
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+
+    /// CPUs the calling thread may run on, ascending; empty if unknown.
+    pub fn allowed_cpus() -> Vec<usize> {
+        let mut mask = [0u64; WORDS];
+        // SAFETY: `mask` is a live, writable buffer of exactly the size
+        // passed, and pid 0 names the calling thread.
+        let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+        if rc != 0 {
+            return Vec::new();
+        }
+        (0..WORDS * 64)
+            .filter(|&c| (mask[c / 64] >> (c % 64)) & 1 == 1)
+            .collect()
+    }
+
+    /// Restricts the calling thread to `cpus`; false if the kernel refused.
+    pub fn set_allowed(cpus: &[usize]) -> bool {
+        let mut mask = [0u64; WORDS];
+        for &cpu in cpus {
+            if cpu >= WORDS * 64 {
+                return false;
+            }
+            mask[cpu / 64] |= 1 << (cpu % 64);
+        }
+        // SAFETY: `mask` is a live, readable buffer of exactly the size
+        // passed, and pid 0 names the calling thread.
+        unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
+    }
 }
 
 criterion_group! {

@@ -56,40 +56,6 @@ pub fn discriminate_into(x: &[Iq], out: &mut Vec<f64>) {
     out.extend(x.windows(2).map(|w| (w[1] * w[0].conj()).phase()));
 }
 
-/// Like [`discriminate`] but normalised so that a frequency deviation of
-/// `deviation_hz` maps to ±1.0.
-///
-/// # Panics
-///
-/// Panics if `deviation_hz` or `sample_rate_hz` is not strictly positive.
-pub fn discriminate_normalized(x: &[Iq], deviation_hz: f64, sample_rate_hz: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    discriminate_normalized_into(x, deviation_hz, sample_rate_hz, &mut out);
-    out
-}
-
-/// Scratch-buffer form of [`discriminate_normalized`]: appends to `out`
-/// instead of allocating.
-///
-/// # Panics
-///
-/// Panics if `deviation_hz` or `sample_rate_hz` is not strictly positive.
-pub fn discriminate_normalized_into(
-    x: &[Iq],
-    deviation_hz: f64,
-    sample_rate_hz: f64,
-    out: &mut Vec<f64>,
-) {
-    assert!(deviation_hz > 0.0, "deviation must be positive");
-    assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-    let scale = sample_rate_hz / (std::f64::consts::TAU * deviation_hz);
-    let from = out.len();
-    discriminate_into(x, out);
-    for v in &mut out[from..] {
-        *v *= scale;
-    }
-}
-
 /// Mean discriminator output over a window, in radians/sample — the same
 /// value as averaging [`discriminate`], but streamed without allocating the
 /// intermediate difference vector (it runs on every traced receive, over
@@ -153,18 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_output_is_plus_minus_one() {
-        let fs = 16.0e6;
-        let dev = 0.5e6;
-        let mut nco = Nco::new(dev, fs);
-        let tone: Vec<Iq> = (0..32).map(|_| nco.next_sample()).collect();
-        let est = discriminate_normalized(&tone, dev, fs);
-        for v in est {
-            assert!((v - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn amplitude_invariance() {
         // The polar discriminator ignores envelope amplitude.
         let fs = 8.0e6;
@@ -210,9 +164,6 @@ mod tests {
         discriminate_into(&tone, &mut out);
         assert_eq!(out[0], 42.0);
         assert_eq!(&out[1..], discriminate(&tone).as_slice());
-        let mut norm = Vec::new();
-        discriminate_normalized_into(&tone, 0.5e6, fs, &mut norm);
-        assert_eq!(norm, discriminate_normalized(&tone, 0.5e6, fs));
         // Short inputs append nothing.
         discriminate_into(&tone[..1], &mut out);
         assert_eq!(out.len(), 20);

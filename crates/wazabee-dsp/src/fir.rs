@@ -10,7 +10,9 @@ use crate::iq::Iq;
 /// ```
 /// use wazabee_dsp::Fir;
 /// let f = Fir::new(vec![0.5, 0.5]); // 2-tap moving average
-/// assert_eq!(f.filter_real(&[1.0, 1.0, 0.0]), vec![0.5, 1.0, 0.5, 0.0]);
+/// let mut y = Vec::new();
+/// f.filter_real_into(&[1.0, 1.0, 0.0], &mut y);
+/// assert_eq!(y, vec![0.5, 1.0, 0.5, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fir {
@@ -74,15 +76,8 @@ impl Fir {
         (self.taps.len() - 1) as f64 / 2.0
     }
 
-    /// Full convolution with a real signal (output length `x.len() + taps − 1`).
-    pub fn filter_real(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.filter_real_into(x, &mut y);
-        y
-    }
-
-    /// Scratch-buffer form of [`Fir::filter_real`]: overwrites `out` instead
-    /// of allocating a fresh vector per call.
+    /// Full convolution with a real signal (output length `x.len() + taps − 1`)
+    /// into `out`, overwriting it.
     pub fn filter_real_into(&self, x: &[f64], out: &mut Vec<f64>) {
         let _s = wazabee_telemetry::scope!("dsp.fir_real");
         out.clear();
@@ -117,16 +112,9 @@ impl Fir {
         }
     }
 
-    /// "Same-size" convolution: output aligned with the input by compensating
-    /// the group delay, truncated to `x.len()` samples.
-    pub fn filter_real_same(&self, x: &[f64]) -> Vec<f64> {
-        let full = self.filter_real(x);
-        let start = (self.taps.len() - 1) / 2;
-        full[start..start + x.len()].to_vec()
-    }
-
-    /// Scratch-buffer form of [`Fir::filter_real_same`]: overwrites `out`,
-    /// using `scratch` for the intermediate full convolution.
+    /// "Same-size" convolution into `out`: output aligned with the input by
+    /// compensating the group delay, truncated to `x.len()` samples.
+    /// `scratch` holds the intermediate full convolution.
     pub fn filter_real_same_into(&self, x: &[f64], scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
         self.filter_real_into(x, scratch);
         let start = (self.taps.len() - 1) / 2;
@@ -159,7 +147,8 @@ mod tests {
     #[test]
     fn moving_average_impulse_response() {
         let f = Fir::new(vec![0.25; 4]);
-        let y = f.filter_real(&[1.0, 0.0, 0.0]);
+        let mut y = Vec::new();
+        f.filter_real_into(&[1.0, 0.0, 0.0], &mut y);
         assert_eq!(y.len(), 6);
         assert_eq!(&y[..4], &[0.25, 0.25, 0.25, 0.25]);
     }
@@ -167,7 +156,8 @@ mod tests {
     #[test]
     fn low_pass_passes_dc() {
         let f = Fir::low_pass(1.0e6, 8.0e6, 31);
-        let y = f.filter_real_same(&vec![1.0; 128]);
+        let (mut scratch, mut y) = (Vec::new(), Vec::new());
+        f.filter_real_same_into(&[1.0; 128], &mut scratch, &mut y);
         // Middle of the output should sit at the DC gain of 1.
         assert!((y[64] - 1.0).abs() < 1e-6);
     }
@@ -191,17 +181,19 @@ mod tests {
     fn into_variants_match_allocating_forms() {
         let f = Fir::low_pass(1.0e6, 8.0e6, 31);
         let x: Vec<f64> = (0..100).map(|k| ((k * 7) % 13) as f64 - 6.0).collect();
-        let mut out = vec![99.0; 3];
-        f.filter_real_into(&x, &mut out);
-        assert_eq!(out, f.filter_real(&x));
         let mut nco = Nco::new(1.0e6, 8.0e6);
         let tone: Vec<Iq> = (0..64).map(|_| nco.next_sample()).collect();
         let mut out_iq = Vec::new();
         f.filter_iq_into(&tone, &mut out_iq);
         assert_eq!(out_iq, f.filter_iq(&tone));
-        let (mut scratch, mut same) = (Vec::new(), Vec::new());
+        // The same-size form is the full convolution, delay-compensated,
+        // and overwrites stale contents of its buffers.
+        let mut full = vec![99.0; 3];
+        f.filter_real_into(&x, &mut full);
+        assert_eq!(full.len(), x.len() + 30);
+        let (mut scratch, mut same) = (vec![99.0; 3], vec![99.0; 3]);
         f.filter_real_same_into(&x, &mut scratch, &mut same);
-        assert_eq!(same, f.filter_real_same(&x));
+        assert_eq!(same, full[15..15 + x.len()]);
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   raw RTL-SDR capture format (`rtl_sdr -f ... out.bin`): 2 bytes per
 //!   complex sample, value `(b - 127.5) / 127.5`.
 //!
-//! File-level helpers ([`read_cf32`], [`write_cf32`], [`read_iq_u8`],
-//! [`write_iq_u8`]) speak interleaved `f64` [`Iq`] for compatibility with
-//! the synthesis side; the byte-level decoders ([`SampleFormat::decode`],
+//! The file-level helpers ([`read_cf32`], [`write_cf32`]) speak interleaved
+//! `f64` [`Iq`] for compatibility with the synthesis side; the byte-level decoders ([`SampleFormat::decode`],
 //! [`decode_cf32_bytes`], [`decode_u8_bytes`]) append straight into a planar
 //! [`IqBuf`] because their caller is the receive hot path.
 
@@ -182,33 +181,6 @@ pub fn read_cf32(path: &Path) -> io::Result<Vec<Iq>> {
     Ok(buf.to_interleaved())
 }
 
-/// Writes samples as interleaved RTL-SDR offset-128 bytes, clamping each
-/// component to `[-1, 1]`.
-///
-/// # Errors
-///
-/// Propagates file-creation and write errors.
-pub fn write_iq_u8(path: &Path, samples: &[Iq]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for s in samples {
-        w.write_all(&[level_to_u8(s.i as f32), level_to_u8(s.q as f32)])?;
-    }
-    w.flush()
-}
-
-/// Reads an interleaved RTL-SDR offset-128 file back into samples.
-///
-/// # Errors
-///
-/// Fails on IO errors or a file with an odd byte length.
-pub fn read_iq_u8(path: &Path) -> io::Result<Vec<Iq>> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let mut buf = IqBuf::with_capacity(raw.len() / 2);
-    decode_u8_bytes(&raw, &mut buf)?;
-    Ok(buf.to_interleaved())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,24 +204,6 @@ mod tests {
         assert_eq!(back.len(), samples.len());
         for (a, b) in samples.iter().zip(&back) {
             assert!((a.i - b.i).abs() < 1e-6 && (a.q - b.q).abs() < 1e-6);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn u8_file_round_trip_within_quantisation() {
-        let path = tmp("rt.u8");
-        let samples = ramp(257);
-        write_iq_u8(&path, &samples).unwrap();
-        let back = read_iq_u8(&path).unwrap();
-        assert_eq!(back.len(), samples.len());
-        // One offset-128 step is 1/127.5 ≈ 0.0078; round-trip error is at
-        // most half a step (reached exactly when a level falls on a bucket
-        // boundary, hence the inclusive bound).
-        let tol = 0.5 / 127.5 + 1e-6;
-        for (a, b) in samples.iter().zip(&back) {
-            assert!((a.i - b.i).abs() <= tol, "{} vs {}", a.i, b.i);
-            assert!((a.q - b.q).abs() <= tol, "{} vs {}", a.q, b.q);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -296,8 +250,6 @@ mod tests {
         let path = tmp("ragged.cf32");
         std::fs::write(&path, [0u8; 13]).unwrap();
         assert!(read_cf32(&path).is_err());
-        std::fs::write(&path, [0u8; 5]).unwrap();
-        assert!(read_iq_u8(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 

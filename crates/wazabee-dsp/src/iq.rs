@@ -216,14 +216,6 @@ pub fn mean_power(samples: &[Iq]) -> f64 {
     samples.iter().map(|s| s.power()).sum::<f64>() / samples.len() as f64
 }
 
-/// Peak amplitude over a sample slice (0.0 for an empty slice).
-pub fn peak_amplitude(samples: &[Iq]) -> f64 {
-    samples
-        .iter()
-        .map(|s| s.amplitude())
-        .fold(0.0_f64, f64::max)
-}
-
 /// Unwraps a sequence of phases (radians) so successive values never jump by
 /// more than π, reconstructing a continuous phase trajectory.
 ///
@@ -302,7 +294,6 @@ mod tests {
     #[test]
     fn mean_power_empty_is_zero() {
         assert_eq!(mean_power(&[]), 0.0);
-        assert_eq!(peak_amplitude(&[]), 0.0);
     }
 
     #[test]

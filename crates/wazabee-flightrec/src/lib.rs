@@ -28,10 +28,9 @@
 //! explicitly via [`FlightRecorder::builder`] or from the
 //! [`ENV_CAPTURE_DIR`] (`WAZABEE_CAPTURE_DIR`) environment variable via
 //! [`init_from_env`]. Instrumented decoders call [`begin`] and feed the
-//! returned [`TraceHandle`]; with no recorder installed the handle is inert,
-//! and with the `enabled` cargo feature off (mirroring the `telemetry`
-//! feature of the sibling crates) every hook compiles to an empty inline
-//! no-op.
+//! returned [`TraceHandle`]; with no recorder installed the handle is inert
+//! and nothing touches the filesystem. The hooks are always compiled in:
+//! leaving `WAZABEE_CAPTURE_DIR` unset is how a run records nothing.
 //!
 //! ## Example
 //!
@@ -48,7 +47,6 @@
 //! tr.fail(fr::RxFailure::TruncatedFrame);
 //!
 //! fr::flush().unwrap();
-//! # #[cfg(feature = "enabled")]
 //! assert!(fr::recent_traces().iter().any(|t| t.chip_errors() == 2));
 //! fr::reset();
 //! # std::fs::remove_dir_all(&dir).ok();

@@ -5,8 +5,22 @@
 //! The recorder is process-global, like the telemetry registry: demodulators
 //! deep in the stack call [`begin`] without threading a handle through every
 //! layer. Until a configuration is installed every hook is a cheap
-//! early-return; with the `enabled` cargo feature off the hooks compile to
-//! empty inline no-ops entirely.
+//! early-return.
+
+use std::collections::VecDeque;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{SystemTime, UNIX_EPOCH};
+
+use wazabee_dsp::Iq;
+
+use crate::cf32::{write_cf32, IqSidecar};
+use crate::pcap::{PcapWriter, LINKTYPE_IEEE802_15_4_WITHFCS};
+use crate::trace::{DecodeTrace, FrameKind, RxFailure, SyncInfo};
+use crate::ENV_CAPTURE_DIR;
 
 /// When the recorder dumps the IQ window of an RX attempt to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,703 +61,486 @@ pub const DEFAULT_IQ_WINDOW: usize = 1 << 17;
 /// Default capacity of the in-memory trace ring.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
-#[cfg(feature = "enabled")]
-mod live {
-    use std::collections::VecDeque;
-    use std::fs::File;
-    use std::io::{self, BufWriter, Write};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::{SystemTime, UNIX_EPOCH};
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+static STATE: Mutex<Option<State>> = Mutex::new(None);
 
-    use wazabee_dsp::Iq;
+struct State {
+    capture_dir: Option<PathBuf>,
+    iq_mode: IqCaptureMode,
+    iq_window: usize,
+    ring_capacity: usize,
+    pcap_linktype: u32,
+    traces: VecDeque<DecodeTrace>,
+    pcap: Option<PcapWriter>,
+    frame_log: Option<BufWriter<File>>,
+    stats: CaptureStats,
+}
 
-    use super::{CaptureStats, IqCaptureMode};
-    use crate::cf32::{write_cf32, IqSidecar};
-    use crate::pcap::{PcapWriter, LINKTYPE_IEEE802_15_4_WITHFCS};
-    use crate::trace::{DecodeTrace, FrameKind, RxFailure, SyncInfo};
-    use crate::ENV_CAPTURE_DIR;
+fn lock_state() -> std::sync::MutexGuard<'static, Option<State>> {
+    STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    static STATE: Mutex<Option<State>> = Mutex::new(None);
+fn now_us() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_micros() as u64)
+        .unwrap_or(0)
+}
 
-    struct State {
-        capture_dir: Option<PathBuf>,
-        iq_mode: IqCaptureMode,
-        iq_window: usize,
-        ring_capacity: usize,
-        pcap_linktype: u32,
-        traces: VecDeque<DecodeTrace>,
-        pcap: Option<PcapWriter>,
-        frame_log: Option<BufWriter<File>>,
-        stats: CaptureStats,
-    }
+/// Builder for installing the global [`FlightRecorder`] configuration.
+#[derive(Debug, Clone)]
+pub struct FlightRecorderBuilder {
+    capture_dir: Option<PathBuf>,
+    iq_mode: IqCaptureMode,
+    iq_window: usize,
+    ring_capacity: usize,
+    pcap_linktype: u32,
+}
 
-    fn lock_state() -> std::sync::MutexGuard<'static, Option<State>> {
-        STATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn now_us() -> u64 {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
-    }
-
-    /// Builder for installing the global [`FlightRecorder`] configuration.
-    #[derive(Debug, Clone)]
-    pub struct FlightRecorderBuilder {
-        capture_dir: Option<PathBuf>,
-        iq_mode: IqCaptureMode,
-        iq_window: usize,
-        ring_capacity: usize,
-        pcap_linktype: u32,
-    }
-
-    impl Default for FlightRecorderBuilder {
-        fn default() -> Self {
-            FlightRecorderBuilder {
-                capture_dir: None,
-                iq_mode: IqCaptureMode::OnFailure,
-                iq_window: super::DEFAULT_IQ_WINDOW,
-                ring_capacity: super::DEFAULT_RING_CAPACITY,
-                pcap_linktype: LINKTYPE_IEEE802_15_4_WITHFCS,
-            }
+impl Default for FlightRecorderBuilder {
+    fn default() -> Self {
+        FlightRecorderBuilder {
+            capture_dir: None,
+            iq_mode: IqCaptureMode::OnFailure,
+            iq_window: DEFAULT_IQ_WINDOW,
+            ring_capacity: DEFAULT_RING_CAPACITY,
+            pcap_linktype: LINKTYPE_IEEE802_15_4_WITHFCS,
         }
     }
+}
 
-    impl FlightRecorderBuilder {
-        /// Directory receiving PCAP, JSONL and `.cf32` artifacts. Without a
-        /// directory the recorder keeps traces in memory only.
-        #[must_use]
-        pub fn capture_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-            self.capture_dir = Some(dir.into());
-            self
-        }
-
-        /// When to dump IQ windows (default: on failure).
-        #[must_use]
-        pub fn iq_mode(mut self, mode: IqCaptureMode) -> Self {
-            self.iq_mode = mode;
-            self
-        }
-
-        /// Bound on each dumped IQ window, in samples.
-        #[must_use]
-        pub fn iq_window(mut self, samples: usize) -> Self {
-            self.iq_window = samples;
-            self
-        }
-
-        /// Capacity of the in-memory trace ring.
-        #[must_use]
-        pub fn ring_capacity(mut self, capacity: usize) -> Self {
-            self.ring_capacity = capacity.max(1);
-            self
-        }
-
-        /// PCAP link type: [`crate::pcap::LINKTYPE_IEEE802_15_4_WITHFCS`]
-        /// (default) keeps the trailing FCS in each exported frame,
-        /// [`crate::pcap::LINKTYPE_IEEE802_15_4_NOFCS`] strips it.
-        #[must_use]
-        pub fn pcap_linktype(mut self, linktype: u32) -> Self {
-            self.pcap_linktype = linktype;
-            self
-        }
-
-        /// Installs this configuration as the process-global recorder,
-        /// replacing any previous one (open artifact files are flushed and
-        /// closed first).
-        ///
-        /// # Errors
-        ///
-        /// Fails when the capture directory cannot be created.
-        pub fn install(self) -> io::Result<()> {
-            if let Some(dir) = &self.capture_dir {
-                std::fs::create_dir_all(dir)?;
-            }
-            let mut state = lock_state();
-            if let Some(old) = state.as_mut() {
-                flush_locked(old).ok();
-            }
-            *state = Some(State {
-                capture_dir: self.capture_dir,
-                iq_mode: self.iq_mode,
-                iq_window: self.iq_window,
-                ring_capacity: self.ring_capacity,
-                pcap_linktype: self.pcap_linktype,
-                traces: VecDeque::new(),
-                pcap: None,
-                frame_log: None,
-                stats: CaptureStats::default(),
-            });
-            ACTIVE.store(true, Ordering::Release);
-            Ok(())
-        }
+impl FlightRecorderBuilder {
+    /// Directory receiving PCAP, JSONL and `.cf32` artifacts. Without a
+    /// directory the recorder keeps traces in memory only.
+    #[must_use]
+    pub fn capture_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.capture_dir = Some(dir.into());
+        self
     }
 
-    /// Namespace handle for building the global recorder configuration.
-    #[derive(Debug, Clone, Copy)]
-    pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// Starts a configuration builder.
-        #[must_use]
-        pub fn builder() -> FlightRecorderBuilder {
-            FlightRecorderBuilder::default()
-        }
+    /// When to dump IQ windows (default: on failure).
+    #[must_use]
+    pub fn iq_mode(mut self, mode: IqCaptureMode) -> Self {
+        self.iq_mode = mode;
+        self
     }
 
-    /// Installs a recorder from `WAZABEE_CAPTURE_DIR`, when set (IQ windows
-    /// on failure, default window and ring). Returns whether a capture
-    /// directory is now active.
+    /// Bound on each dumped IQ window, in samples.
+    #[must_use]
+    pub fn iq_window(mut self, samples: usize) -> Self {
+        self.iq_window = samples;
+        self
+    }
+
+    /// Capacity of the in-memory trace ring.
+    #[must_use]
+    pub fn ring_capacity(mut self, capacity: usize) -> Self {
+        self.ring_capacity = capacity.max(1);
+        self
+    }
+
+    /// PCAP link type: [`crate::pcap::LINKTYPE_IEEE802_15_4_WITHFCS`]
+    /// (default) keeps the trailing FCS in each exported frame,
+    /// [`crate::pcap::LINKTYPE_IEEE802_15_4_NOFCS`] strips it.
+    #[must_use]
+    pub fn pcap_linktype(mut self, linktype: u32) -> Self {
+        self.pcap_linktype = linktype;
+        self
+    }
+
+    /// Installs this configuration as the process-global recorder,
+    /// replacing any previous one (open artifact files are flushed and
+    /// closed first).
     ///
     /// # Errors
     ///
-    /// Fails when the directory named by the variable cannot be created.
-    pub fn init_from_env() -> io::Result<bool> {
-        match std::env::var_os(ENV_CAPTURE_DIR) {
-            Some(dir) if !dir.is_empty() => {
-                FlightRecorder::builder().capture_dir(dir).install()?;
-                Ok(true)
-            }
-            _ => Ok(false),
+    /// Fails when the capture directory cannot be created.
+    pub fn install(self) -> io::Result<()> {
+        if let Some(dir) = &self.capture_dir {
+            std::fs::create_dir_all(dir)?;
         }
-    }
-
-    /// Whether a recorder configuration is installed.
-    pub fn is_active() -> bool {
-        ACTIVE.load(Ordering::Acquire)
-    }
-
-    /// The active capture directory, if any.
-    pub fn capture_dir() -> Option<PathBuf> {
-        lock_state().as_ref().and_then(|s| s.capture_dir.clone())
-    }
-
-    /// Snapshot of the recorder's output counters.
-    pub fn stats() -> CaptureStats {
-        lock_state().as_ref().map(|s| s.stats).unwrap_or_default()
-    }
-
-    /// Snapshot of the in-memory trace ring, oldest first.
-    pub fn recent_traces() -> Vec<DecodeTrace> {
-        lock_state()
-            .as_ref()
-            .map(|s| s.traces.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    fn flush_locked(state: &mut State) -> io::Result<()> {
-        if let Some(p) = state.pcap.as_mut() {
-            p.flush()?;
-        }
-        if let Some(l) = state.frame_log.as_mut() {
-            l.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the PCAP and frame-log writers to disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flush errors.
-    pub fn flush() -> io::Result<()> {
-        match lock_state().as_mut() {
-            Some(s) => flush_locked(s),
-            None => Ok(()),
-        }
-    }
-
-    /// Uninstalls the recorder (flushing artifact files first). Intended for
-    /// test isolation.
-    pub fn reset() {
         let mut state = lock_state();
-        if let Some(s) = state.as_mut() {
-            flush_locked(s).ok();
+        if let Some(old) = state.as_mut() {
+            flush_locked(old).ok();
         }
-        *state = None;
-        ACTIVE.store(false, Ordering::Release);
-    }
-
-    struct Inner {
-        trace: DecodeTrace,
-        iq: Vec<Iq>,
-        iq_total: usize,
-        sample_rate: Option<f64>,
-        center_mhz: Option<u32>,
-        iq_mode: IqCaptureMode,
-        iq_window: usize,
-        capture_files: bool,
-    }
-
-    /// The per-RX-attempt hook: created by [`begin`], filled in by the
-    /// decode stages, consumed by [`TraceHandle::fail`] or
-    /// [`TraceHandle::deliver`]. Dropping an unfinished handle records the
-    /// attempt as [`RxFailure::Abandoned`].
-    #[derive(Default)]
-    pub struct TraceHandle {
-        inner: Option<Box<Inner>>,
-    }
-
-    impl std::fmt::Debug for TraceHandle {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match &self.inner {
-                Some(i) => write!(f, "TraceHandle(id={})", i.trace.id),
-                None => f.write_str("TraceHandle(inert)"),
-            }
-        }
-    }
-
-    /// Opens a trace for one RX attempt in `layer`. Inert (all methods
-    /// no-ops) until a recorder is installed.
-    pub fn begin(layer: &'static str) -> TraceHandle {
-        if !is_active() {
-            return TraceHandle { inner: None };
-        }
-        let Some(state) = &*lock_state() else {
-            return TraceHandle { inner: None };
-        };
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        TraceHandle {
-            inner: Some(Box::new(Inner {
-                trace: DecodeTrace::new(id, layer),
-                iq: Vec::new(),
-                iq_total: 0,
-                sample_rate: None,
-                center_mhz: None,
-                iq_mode: state.iq_mode,
-                iq_window: state.iq_window,
-                capture_files: state.capture_dir.is_some(),
-            })),
-        }
-    }
-
-    impl TraceHandle {
-        /// Whether this handle is recording (false before a recorder is
-        /// installed — callers can skip computing expensive stage data).
-        pub fn active(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// This attempt's trace id, when recording.
-        pub fn id(&self) -> Option<u64> {
-            self.inner.as_ref().map(|i| i.trace.id)
-        }
-
-        /// Taps the complex-baseband window under decode. The samples are
-        /// copied (bounded by the configured window) only when an IQ dump
-        /// can actually happen; otherwise only the metadata is kept.
-        pub fn tap_iq(&mut self, samples: &[Iq], sample_rate: f64, center_mhz: Option<u32>) {
-            let Some(inner) = self.inner.as_mut() else {
-                return;
-            };
-            inner.sample_rate = Some(sample_rate);
-            inner.center_mhz = center_mhz;
-            inner.iq_total = samples.len();
-            if inner.capture_files && inner.iq_mode != IqCaptureMode::Off {
-                let keep = samples.len().min(inner.iq_window);
-                inner.iq = samples[..keep].to_vec();
-            }
-        }
-
-        /// Records the sync correlator's lock for this attempt.
-        pub fn sync(
-            &mut self,
-            errors: usize,
-            bit_index: usize,
-            sample_offset: usize,
-            pattern_len: usize,
-        ) {
-            if let Some(inner) = self.inner.as_mut() {
-                inner.trace.sync = Some(SyncInfo {
-                    errors,
-                    bit_index,
-                    sample_offset,
-                    pattern_len,
-                });
-            }
-        }
-
-        /// Records the carrier-frequency-offset estimate, in Hz.
-        pub fn cfo_hz(&mut self, cfo: f64) {
-            if let Some(inner) = self.inner.as_mut() {
-                inner.trace.cfo_hz = Some(cfo);
-            }
-        }
-
-        /// Records the zero-based attempt index within a streaming receive
-        /// window, keeping multi-attempt windows distinguishable.
-        pub fn attempt(&mut self, index: u64) {
-            if let Some(inner) = self.inner.as_mut() {
-                inner.trace.attempt = Some(index);
-            }
-        }
-
-        /// Links this attempt to the telemetry trace span that covers it
-        /// (ignored for id 0 — "no span", e.g. telemetry compiled out), so
-        /// the frame log's `span_id` joins a PCAP frame to its slice in the
-        /// exported Chrome trace.
-        pub fn link_span(&mut self, span_id: u64) {
-            if span_id == 0 {
-                return;
-            }
-            if let Some(inner) = self.inner.as_mut() {
-                inner.trace.span_id = Some(span_id);
-            }
-        }
-
-        /// Flags that the PHR carried a reserved length (≥ 128).
-        pub fn phr_reserved(&mut self) {
-            if let Some(inner) = self.inner.as_mut() {
-                inner.trace.phr_reserved = true;
-            }
-        }
-
-        /// Appends one despread symbol decision's Hamming distance.
-        pub fn despread(&mut self, distance: usize) {
-            if let Some(inner) = self.inner.as_mut() {
-                inner
-                    .trace
-                    .despread_distances
-                    .push(distance.min(u16::MAX as usize) as u16);
-            }
-        }
-
-        /// Finishes the attempt as a typed failure.
-        pub fn fail(mut self, reason: RxFailure) {
-            self.finalize(Some(reason), None, None);
-        }
-
-        /// Finishes the attempt with a delivered frame. A bad checksum is
-        /// classified per `kind` ([`RxFailure::FcsMismatch`] /
-        /// [`RxFailure::CrcMismatch`]); 802.15.4 frames are also appended to
-        /// the capture PCAP.
-        pub fn deliver(mut self, frame: &[u8], checksum_ok: bool, kind: FrameKind) {
-            let failure = (!checksum_ok).then(|| kind.checksum_failure());
-            self.finalize(failure, Some((frame.to_vec(), kind)), Some(checksum_ok));
-        }
-
-        fn finalize(
-            &mut self,
-            failure: Option<RxFailure>,
-            frame: Option<(Vec<u8>, FrameKind)>,
-            checksum_ok: Option<bool>,
-        ) {
-            let Some(inner) = self.inner.take() else {
-                return;
-            };
-            let Inner {
-                mut trace,
-                iq,
-                iq_total,
-                sample_rate,
-                center_mhz,
-                iq_mode,
-                ..
-            } = *inner;
-            trace.failure = failure;
-            trace.checksum_ok = checksum_ok;
-            let kind = frame.as_ref().map(|(_, k)| *k);
-            trace.frame = frame.map(|(bytes, _)| bytes);
-
-            let mut state_guard = lock_state();
-            let Some(state) = state_guard.as_mut() else {
-                return;
-            };
-
-            // IQ window dump.
-            let want_iq = match iq_mode {
-                IqCaptureMode::Off => false,
-                IqCaptureMode::OnFailure => trace.failure.is_some(),
-                IqCaptureMode::Always => true,
-            };
-            if want_iq && !iq.is_empty() {
-                if let Some(dir) = state.capture_dir.clone() {
-                    let stem = format!("trace-{:08}", trace.id);
-                    let cf32_name = format!("{stem}.cf32");
-                    let sidecar = IqSidecar {
-                        trace_id: trace.id,
-                        layer: trace.layer.to_string(),
-                        sample_rate: sample_rate.unwrap_or(0.0),
-                        center_mhz,
-                        trigger: trace
-                            .failure
-                            .map_or_else(|| "always".to_string(), |f| f.as_str().to_string()),
-                        samples: iq.len(),
-                        samples_total: iq_total,
-                        cf32_file: cf32_name.clone(),
-                    };
-                    let ok = write_cf32(&dir.join(&cf32_name), &iq).is_ok()
-                        && std::fs::write(dir.join(format!("{stem}.json")), sidecar.to_json())
-                            .is_ok();
-                    if ok {
-                        trace.iq_file = Some(cf32_name);
-                        state.stats.iq_dumps += 1;
-                    }
-                }
-            }
-
-            // PCAP export of delivered 802.15.4 frames.
-            if kind == Some(FrameKind::Dot154) {
-                if let (Some(dir), Some(bytes)) = (state.capture_dir.clone(), trace.frame.as_ref())
-                {
-                    let linktype = state.pcap_linktype;
-                    if state.pcap.is_none() {
-                        state.pcap = PcapWriter::create(&dir.join(super::PCAP_FILE), linktype).ok();
-                    }
-                    if let Some(pcap) = state.pcap.as_mut() {
-                        // Under the NOFCS link type the trailing 2-byte FCS
-                        // is stripped from the exported frame.
-                        let export = if linktype == crate::pcap::LINKTYPE_IEEE802_15_4_NOFCS
-                            && bytes.len() >= 2
-                        {
-                            &bytes[..bytes.len() - 2]
-                        } else {
-                            &bytes[..]
-                        };
-                        if let Ok(index) = pcap.write_packet(now_us(), export) {
-                            trace.pcap_index = Some(index);
-                            state.stats.pcap_frames += 1;
-                        }
-                    }
-                }
-            }
-
-            // JSONL frame log.
-            if let Some(dir) = state.capture_dir.clone() {
-                if state.frame_log.is_none() {
-                    state.frame_log = File::create(dir.join(super::FRAME_LOG_FILE))
-                        .map(BufWriter::new)
-                        .ok();
-                }
-                if let Some(log) = state.frame_log.as_mut() {
-                    if writeln!(log, "{}", trace.to_json()).is_ok() {
-                        state.stats.frames_logged += 1;
-                    }
-                }
-            }
-
-            // In-memory ring.
-            while state.traces.len() >= state.ring_capacity {
-                state.traces.pop_front();
-            }
-            state.traces.push_back(trace);
-            state.stats.traces += 1;
-        }
-    }
-
-    impl Drop for TraceHandle {
-        fn drop(&mut self) {
-            if self.inner.is_some() {
-                self.finalize(Some(RxFailure::Abandoned), None, None);
-            }
-        }
-    }
-}
-
-#[cfg(feature = "enabled")]
-pub use live::{
-    begin, capture_dir, flush, init_from_env, is_active, recent_traces, reset, stats,
-    FlightRecorder, FlightRecorderBuilder, TraceHandle,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use std::io;
-    use std::path::PathBuf;
-
-    use wazabee_dsp::Iq;
-
-    use super::{CaptureStats, IqCaptureMode};
-    use crate::trace::{DecodeTrace, FrameKind, RxFailure};
-
-    /// Namespace handle for building the global recorder configuration
-    /// (no-op build).
-    #[derive(Debug, Clone, Copy)]
-    pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// Starts a configuration builder (no-op build).
-        #[must_use]
-        pub fn builder() -> FlightRecorderBuilder {
-            FlightRecorderBuilder
-        }
-    }
-
-    /// Builder for the global recorder configuration (no-op build).
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct FlightRecorderBuilder;
-
-    impl FlightRecorderBuilder {
-        /// No-op.
-        #[must_use]
-        pub fn capture_dir(self, _dir: impl Into<PathBuf>) -> Self {
-            self
-        }
-
-        /// No-op.
-        #[must_use]
-        pub fn iq_mode(self, _mode: IqCaptureMode) -> Self {
-            self
-        }
-
-        /// No-op.
-        #[must_use]
-        pub fn iq_window(self, _samples: usize) -> Self {
-            self
-        }
-
-        /// No-op.
-        #[must_use]
-        pub fn ring_capacity(self, _capacity: usize) -> Self {
-            self
-        }
-
-        /// No-op.
-        #[must_use]
-        pub fn pcap_linktype(self, _linktype: u32) -> Self {
-            self
-        }
-
-        /// No-op.
-        ///
-        /// # Errors
-        ///
-        /// Never fails in the no-op build.
-        pub fn install(self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// No-op: always reports no capture directory.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in the no-op build.
-    #[inline]
-    pub fn init_from_env() -> io::Result<bool> {
-        Ok(false)
-    }
-
-    /// No-op: always inactive.
-    #[inline]
-    pub fn is_active() -> bool {
-        false
-    }
-
-    /// No-op: no capture directory.
-    #[inline]
-    pub fn capture_dir() -> Option<PathBuf> {
-        None
-    }
-
-    /// No-op: zeroed counters.
-    #[inline]
-    pub fn stats() -> CaptureStats {
-        CaptureStats::default()
-    }
-
-    /// No-op: no traces.
-    #[inline]
-    pub fn recent_traces() -> Vec<DecodeTrace> {
-        Vec::new()
-    }
-
-    /// No-op.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in the no-op build.
-    #[inline]
-    pub fn flush() -> io::Result<()> {
+        *state = Some(State {
+            capture_dir: self.capture_dir,
+            iq_mode: self.iq_mode,
+            iq_window: self.iq_window,
+            ring_capacity: self.ring_capacity,
+            pcap_linktype: self.pcap_linktype,
+            traces: VecDeque::new(),
+            pcap: None,
+            frame_log: None,
+            stats: CaptureStats::default(),
+        });
+        ACTIVE.store(true, Ordering::Release);
         Ok(())
     }
+}
 
-    /// No-op.
-    #[inline]
-    pub fn reset() {}
+/// Namespace handle for building the global recorder configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct FlightRecorder;
 
-    /// Zero-sized inert trace handle (no-op build).
-    #[derive(Debug, Default, Clone, Copy)]
-    pub struct TraceHandle;
-
-    /// Returns an inert handle (no-op build).
-    #[inline]
-    pub fn begin(_layer: &'static str) -> TraceHandle {
-        TraceHandle
-    }
-
-    impl TraceHandle {
-        /// Always false in the no-op build.
-        #[inline]
-        pub fn active(&self) -> bool {
-            false
-        }
-
-        /// Always `None` in the no-op build.
-        #[inline]
-        pub fn id(&self) -> Option<u64> {
-            None
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn tap_iq(&mut self, _samples: &[Iq], _sample_rate: f64, _center_mhz: Option<u32>) {}
-
-        /// No-op.
-        #[inline]
-        pub fn sync(
-            &mut self,
-            _errors: usize,
-            _bit_index: usize,
-            _sample_offset: usize,
-            _pattern_len: usize,
-        ) {
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn cfo_hz(&mut self, _cfo: f64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn attempt(&mut self, _index: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn link_span(&mut self, _span_id: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn phr_reserved(&mut self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn despread(&mut self, _distance: usize) {}
-
-        /// No-op.
-        #[inline]
-        pub fn fail(self, _reason: RxFailure) {}
-
-        /// No-op.
-        #[inline]
-        pub fn deliver(self, _frame: &[u8], _checksum_ok: bool, _kind: FrameKind) {}
+impl FlightRecorder {
+    /// Starts a configuration builder.
+    #[must_use]
+    pub fn builder() -> FlightRecorderBuilder {
+        FlightRecorderBuilder::default()
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    begin, capture_dir, flush, init_from_env, is_active, recent_traces, reset, stats,
-    FlightRecorder, FlightRecorderBuilder, TraceHandle,
-};
+/// Installs a recorder from `WAZABEE_CAPTURE_DIR`, when set (IQ windows
+/// on failure, default window and ring). Returns whether a capture
+/// directory is now active.
+///
+/// # Errors
+///
+/// Fails when the directory named by the variable cannot be created.
+pub fn init_from_env() -> io::Result<bool> {
+    match std::env::var_os(ENV_CAPTURE_DIR) {
+        Some(dir) if !dir.is_empty() => {
+            FlightRecorder::builder().capture_dir(dir).install()?;
+            Ok(true)
+        }
+        _ => Ok(false),
+    }
+}
 
-#[cfg(all(test, feature = "enabled"))]
+/// Whether a recorder configuration is installed.
+pub fn is_active() -> bool {
+    ACTIVE.load(Ordering::Acquire)
+}
+
+/// The active capture directory, if any.
+pub fn capture_dir() -> Option<PathBuf> {
+    lock_state().as_ref().and_then(|s| s.capture_dir.clone())
+}
+
+/// Snapshot of the recorder's output counters.
+pub fn stats() -> CaptureStats {
+    lock_state().as_ref().map(|s| s.stats).unwrap_or_default()
+}
+
+/// Snapshot of the in-memory trace ring, oldest first.
+pub fn recent_traces() -> Vec<DecodeTrace> {
+    lock_state()
+        .as_ref()
+        .map(|s| s.traces.iter().cloned().collect())
+        .unwrap_or_default()
+}
+
+fn flush_locked(state: &mut State) -> io::Result<()> {
+    if let Some(p) = state.pcap.as_mut() {
+        p.flush()?;
+    }
+    if let Some(l) = state.frame_log.as_mut() {
+        l.flush()?;
+    }
+    Ok(())
+}
+
+/// Flushes the PCAP and frame-log writers to disk.
+///
+/// # Errors
+///
+/// Propagates flush errors.
+pub fn flush() -> io::Result<()> {
+    match lock_state().as_mut() {
+        Some(s) => flush_locked(s),
+        None => Ok(()),
+    }
+}
+
+/// Uninstalls the recorder (flushing artifact files first). Intended for
+/// test isolation.
+pub fn reset() {
+    let mut state = lock_state();
+    if let Some(s) = state.as_mut() {
+        flush_locked(s).ok();
+    }
+    *state = None;
+    ACTIVE.store(false, Ordering::Release);
+}
+
+struct Inner {
+    trace: DecodeTrace,
+    iq: Vec<Iq>,
+    iq_total: usize,
+    sample_rate: Option<f64>,
+    center_mhz: Option<u32>,
+    iq_mode: IqCaptureMode,
+    iq_window: usize,
+    capture_files: bool,
+}
+
+/// The per-RX-attempt hook: created by [`begin`], filled in by the
+/// decode stages, consumed by [`TraceHandle::fail`] or
+/// [`TraceHandle::deliver`]. Dropping an unfinished handle records the
+/// attempt as [`RxFailure::Abandoned`].
+#[derive(Default)]
+pub struct TraceHandle {
+    inner: Option<Box<Inner>>,
+}
+
+impl std::fmt::Debug for TraceHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.inner {
+            Some(i) => write!(f, "TraceHandle(id={})", i.trace.id),
+            None => f.write_str("TraceHandle(inert)"),
+        }
+    }
+}
+
+/// Opens a trace for one RX attempt in `layer`. Inert (all methods
+/// no-ops) until a recorder is installed.
+pub fn begin(layer: &'static str) -> TraceHandle {
+    if !is_active() {
+        return TraceHandle { inner: None };
+    }
+    let Some(state) = &*lock_state() else {
+        return TraceHandle { inner: None };
+    };
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    TraceHandle {
+        inner: Some(Box::new(Inner {
+            trace: DecodeTrace::new(id, layer),
+            iq: Vec::new(),
+            iq_total: 0,
+            sample_rate: None,
+            center_mhz: None,
+            iq_mode: state.iq_mode,
+            iq_window: state.iq_window,
+            capture_files: state.capture_dir.is_some(),
+        })),
+    }
+}
+
+impl TraceHandle {
+    /// Whether this handle is recording (false before a recorder is
+    /// installed — callers can skip computing expensive stage data).
+    pub fn active(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// This attempt's trace id, when recording.
+    pub fn id(&self) -> Option<u64> {
+        self.inner.as_ref().map(|i| i.trace.id)
+    }
+
+    /// Taps the complex-baseband window under decode. The samples are
+    /// copied (bounded by the configured window) only when an IQ dump
+    /// can actually happen; otherwise only the metadata is kept.
+    pub fn tap_iq(&mut self, samples: &[Iq], sample_rate: f64, center_mhz: Option<u32>) {
+        let Some(inner) = self.inner.as_mut() else {
+            return;
+        };
+        inner.sample_rate = Some(sample_rate);
+        inner.center_mhz = center_mhz;
+        inner.iq_total = samples.len();
+        if inner.capture_files && inner.iq_mode != IqCaptureMode::Off {
+            let keep = samples.len().min(inner.iq_window);
+            inner.iq = samples[..keep].to_vec();
+        }
+    }
+
+    /// Records the sync correlator's lock for this attempt.
+    pub fn sync(
+        &mut self,
+        errors: usize,
+        bit_index: usize,
+        sample_offset: usize,
+        pattern_len: usize,
+    ) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.trace.sync = Some(SyncInfo {
+                errors,
+                bit_index,
+                sample_offset,
+                pattern_len,
+            });
+        }
+    }
+
+    /// Records the carrier-frequency-offset estimate, in Hz.
+    pub fn cfo_hz(&mut self, cfo: f64) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.trace.cfo_hz = Some(cfo);
+        }
+    }
+
+    /// Records the zero-based attempt index within a streaming receive
+    /// window, keeping multi-attempt windows distinguishable.
+    pub fn attempt(&mut self, index: u64) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.trace.attempt = Some(index);
+        }
+    }
+
+    /// Links this attempt to the telemetry trace span that covers it
+    /// (ignored for id 0 — "no span", e.g. no scope open), so
+    /// the frame log's `span_id` joins a PCAP frame to its slice in the
+    /// exported Chrome trace.
+    pub fn link_span(&mut self, span_id: u64) {
+        if span_id == 0 {
+            return;
+        }
+        if let Some(inner) = self.inner.as_mut() {
+            inner.trace.span_id = Some(span_id);
+        }
+    }
+
+    /// Flags that the PHR carried a reserved length (≥ 128).
+    pub fn phr_reserved(&mut self) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.trace.phr_reserved = true;
+        }
+    }
+
+    /// Appends one despread symbol decision's Hamming distance.
+    pub fn despread(&mut self, distance: usize) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner
+                .trace
+                .despread_distances
+                .push(distance.min(u16::MAX as usize) as u16);
+        }
+    }
+
+    /// Finishes the attempt as a typed failure.
+    pub fn fail(mut self, reason: RxFailure) {
+        self.finalize(Some(reason), None, None);
+    }
+
+    /// Finishes the attempt with a delivered frame. A bad checksum is
+    /// classified per `kind` ([`RxFailure::FcsMismatch`] /
+    /// [`RxFailure::CrcMismatch`]); 802.15.4 frames are also appended to
+    /// the capture PCAP.
+    pub fn deliver(mut self, frame: &[u8], checksum_ok: bool, kind: FrameKind) {
+        let failure = (!checksum_ok).then(|| kind.checksum_failure());
+        self.finalize(failure, Some((frame.to_vec(), kind)), Some(checksum_ok));
+    }
+
+    fn finalize(
+        &mut self,
+        failure: Option<RxFailure>,
+        frame: Option<(Vec<u8>, FrameKind)>,
+        checksum_ok: Option<bool>,
+    ) {
+        let Some(inner) = self.inner.take() else {
+            return;
+        };
+        let Inner {
+            mut trace,
+            iq,
+            iq_total,
+            sample_rate,
+            center_mhz,
+            iq_mode,
+            ..
+        } = *inner;
+        trace.failure = failure;
+        trace.checksum_ok = checksum_ok;
+        let kind = frame.as_ref().map(|(_, k)| *k);
+        trace.frame = frame.map(|(bytes, _)| bytes);
+
+        let mut state_guard = lock_state();
+        let Some(state) = state_guard.as_mut() else {
+            return;
+        };
+
+        // IQ window dump.
+        let want_iq = match iq_mode {
+            IqCaptureMode::Off => false,
+            IqCaptureMode::OnFailure => trace.failure.is_some(),
+            IqCaptureMode::Always => true,
+        };
+        if want_iq && !iq.is_empty() {
+            if let Some(dir) = state.capture_dir.clone() {
+                let stem = format!("trace-{:08}", trace.id);
+                let cf32_name = format!("{stem}.cf32");
+                let sidecar = IqSidecar {
+                    trace_id: trace.id,
+                    layer: trace.layer.to_string(),
+                    sample_rate: sample_rate.unwrap_or(0.0),
+                    center_mhz,
+                    trigger: trace
+                        .failure
+                        .map_or_else(|| "always".to_string(), |f| f.as_str().to_string()),
+                    samples: iq.len(),
+                    samples_total: iq_total,
+                    cf32_file: cf32_name.clone(),
+                };
+                let ok = write_cf32(&dir.join(&cf32_name), &iq).is_ok()
+                    && std::fs::write(dir.join(format!("{stem}.json")), sidecar.to_json()).is_ok();
+                if ok {
+                    trace.iq_file = Some(cf32_name);
+                    state.stats.iq_dumps += 1;
+                }
+            }
+        }
+
+        // PCAP export of delivered 802.15.4 frames.
+        if kind == Some(FrameKind::Dot154) {
+            if let (Some(dir), Some(bytes)) = (state.capture_dir.clone(), trace.frame.as_ref()) {
+                let linktype = state.pcap_linktype;
+                if state.pcap.is_none() {
+                    state.pcap = PcapWriter::create(&dir.join(PCAP_FILE), linktype).ok();
+                }
+                if let Some(pcap) = state.pcap.as_mut() {
+                    // Under the NOFCS link type the trailing 2-byte FCS
+                    // is stripped from the exported frame.
+                    let export = if linktype == crate::pcap::LINKTYPE_IEEE802_15_4_NOFCS
+                        && bytes.len() >= 2
+                    {
+                        &bytes[..bytes.len() - 2]
+                    } else {
+                        &bytes[..]
+                    };
+                    if let Ok(index) = pcap.write_packet(now_us(), export) {
+                        trace.pcap_index = Some(index);
+                        state.stats.pcap_frames += 1;
+                    }
+                }
+            }
+        }
+
+        // JSONL frame log.
+        if let Some(dir) = state.capture_dir.clone() {
+            if state.frame_log.is_none() {
+                state.frame_log = File::create(dir.join(FRAME_LOG_FILE))
+                    .map(BufWriter::new)
+                    .ok();
+            }
+            if let Some(log) = state.frame_log.as_mut() {
+                if writeln!(log, "{}", trace.to_json()).is_ok() {
+                    state.stats.frames_logged += 1;
+                }
+            }
+        }
+
+        // In-memory ring.
+        while state.traces.len() >= state.ring_capacity {
+            state.traces.pop_front();
+        }
+        state.traces.push_back(trace);
+        state.stats.traces += 1;
+    }
+}
+
+impl Drop for TraceHandle {
+    fn drop(&mut self) {
+        if self.inner.is_some() {
+            self.finalize(Some(RxFailure::Abandoned), None, None);
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::pcap::read_pcap;

@@ -26,7 +26,7 @@
 //!   returns one [`SessionReport`] per session.
 //! * **Observability**: `serve.*` counters, gauges and histograms flow into
 //!   the existing telemetry plane — and therefore into the live snapshot
-//!   server — when the `telemetry` feature is on; per-session artifacts
+//!   server when `WAZABEE_TELEMETRY_ADDR` is set; per-session artifacts
 //!   (`frames.pcap`, `frames.jsonl`, `report.json`) land under
 //!   [`ServeConfig::output_dir`].
 //!

@@ -1,7 +1,6 @@
 //! Counters and gauges: one atomic word per cell.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 use crate::labeled::{Cell, Handle, LabelSet, Metric};
@@ -26,7 +25,6 @@ impl Cell for AtomicU64 {
         self.store(0, Ordering::Relaxed);
     }
 
-    #[cfg(feature = "enabled")]
     fn registered() -> &'static Mutex<Vec<&'static Counter>> {
         &crate::registry::registry().counters
     }
@@ -48,15 +46,13 @@ impl Counter {
     /// Adds `n` to the empty-label cell.
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if let Some(c) = self.inline() {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+        self.inline().fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value of the empty-label cell (0 when disabled).
+    /// Current value of the empty-label cell.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.peek().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.peek().load(Ordering::Relaxed)
     }
 
     /// Every labeled cell's `(labels, value)`, sorted by label set.
@@ -76,15 +72,13 @@ impl CounterHandle {
     /// Adds `n` — one relaxed `fetch_add`, no lock.
     #[inline]
     pub fn add(self, n: u64) {
-        if let Some(c) = self.cell() {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value (0 when disabled).
+    /// Current value.
     #[must_use]
     pub fn get(self) -> u64 {
-        self.cell().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -116,7 +110,6 @@ impl Cell for GaugeCell {
         self.0.store(UNSET, Ordering::Relaxed);
     }
 
-    #[cfg(feature = "enabled")]
     fn registered() -> &'static Mutex<Vec<&'static Gauge>> {
         &crate::registry::registry().gauges
     }
@@ -139,15 +132,13 @@ impl Gauge {
 
     /// Sets the empty-label cell to `v`.
     pub fn set(&'static self, v: f64) {
-        if let Some(c) = self.inline() {
-            c.set(v);
-        }
+        self.inline().set(v);
     }
 
     /// Last value of the empty-label cell.
     #[must_use]
     pub fn get(&self) -> Option<f64> {
-        self.peek()?.get()
+        self.peek().get()
     }
 
     /// Every labeled cell holding a value, sorted by label set.
@@ -161,19 +152,17 @@ impl GaugeHandle {
     /// Sets the cell to `v`.
     #[inline]
     pub fn set(self, v: f64) {
-        if let Some(c) = self.cell() {
-            c.set(v);
-        }
+        self.cell.set(v);
     }
 
-    /// Last value set (`None` when unset since the last reset, or disabled).
+    /// Last value set (`None` when unset since the last reset).
     #[must_use]
     pub fn get(self) -> Option<f64> {
-        self.cell()?.get()
+        self.cell.get()
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

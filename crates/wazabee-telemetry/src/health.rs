@@ -25,12 +25,9 @@
 //! Alerts **latch**: once a rule has fired it stays visible as `latched`
 //! until [`crate::reset`], so a transient mid-run failure cannot dodge a
 //! post-run `/healthz` probe. `firing` reflects the most recent evaluation
-//! only. With the `enabled` feature off every rule is a zero-sized no-op and
-//! [`health_ok`] is unconditionally true.
+//! only.
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 use crate::json::Writer;
@@ -120,22 +117,15 @@ impl Signal {
 
 /// One declarative alert rule (declare via [`crate::health_rule!`]).
 pub struct HealthRule {
-    #[cfg(feature = "enabled")]
     name: &'static str,
-    #[cfg(feature = "enabled")]
     signal: Signal,
-    #[cfg(feature = "enabled")]
     cmp: Cmp,
-    #[cfg(feature = "enabled")]
     threshold: f64,
-    #[cfg(feature = "enabled")]
     registered: AtomicBool,
-    #[cfg(feature = "enabled")]
     state: Mutex<RuleState>,
 }
 
 /// What a rule remembers between ticks; [`RuleState::CLEAR`] after reset.
-#[cfg(feature = "enabled")]
 struct RuleState {
     firing: bool,
     latched: bool,
@@ -146,7 +136,6 @@ struct RuleState {
     baseline: Option<(u64, u64)>,
 }
 
-#[cfg(feature = "enabled")]
 impl RuleState {
     const CLEAR: RuleState = RuleState {
         firing: false,
@@ -161,28 +150,19 @@ impl HealthRule {
     /// Creates a rule in a `static` (use [`crate::health_rule!`]).
     #[must_use]
     pub const fn new(name: &'static str, signal: Signal, cmp: Cmp, threshold: f64) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            HealthRule {
-                name,
-                signal,
-                cmp,
-                threshold,
-                registered: AtomicBool::new(false),
-                state: Mutex::new(RuleState::CLEAR),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, signal, cmp, threshold);
-            HealthRule {}
+        HealthRule {
+            name,
+            signal,
+            cmp,
+            threshold,
+            registered: AtomicBool::new(false),
+            state: Mutex::new(RuleState::CLEAR),
         }
     }
 
     /// Registers the rule with the watchdog (idempotent; first call wins).
     #[inline]
     pub fn arm(&'static self) {
-        #[cfg(feature = "enabled")]
         if !self.registered.swap(true, Ordering::Relaxed) {
             crate::registry::registry()
                 .health_rules
@@ -195,22 +175,15 @@ impl HealthRule {
     /// The rule name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        #[cfg(feature = "enabled")]
-        {
-            self.name
-        }
-        #[cfg(not(feature = "enabled"))]
-        ""
+        self.name
     }
 
     /// Clears fired/latched state and rate baselines; registration persists.
-    #[cfg(feature = "enabled")]
     pub(crate) fn reset_state(&self) {
         *self.state.lock().expect("health rule state poisoned") = RuleState::CLEAR;
     }
 
     /// Evaluates the rule once and returns its current alert state.
-    #[cfg(feature = "enabled")]
     fn tick(&self, now_ns: u64) -> Alert {
         let mut st = self.state.lock().expect("health rule state poisoned");
         let value = match self.signal {
@@ -275,7 +248,6 @@ pub struct Alert {
 
 /// Sums every cell — inline and labeled — of every counter named `name`;
 /// `None` when nothing by that name has registered yet.
-#[cfg(feature = "enabled")]
 fn counter_total(name: &str) -> Option<f64> {
     let counters = crate::registry::registry()
         .counters
@@ -291,7 +263,6 @@ fn counter_total(name: &str) -> Option<f64> {
 
 /// Minimum value across every cell of the gauges named `name`; `None` when
 /// none holds a value.
-#[cfg(feature = "enabled")]
 fn gauge_min(name: &str) -> Option<f64> {
     crate::registry::listed(&crate::registry::registry().gauges)
         .iter()
@@ -306,7 +277,6 @@ fn gauge_min(name: &str) -> Option<f64> {
 
 /// The quantile of the first histogram named `name` whose empty-label cell
 /// holds samples; `None` when absent or empty.
-#[cfg(feature = "enabled")]
 fn hist_quantile(name: &str, q: f64) -> Option<f64> {
     crate::registry::listed(&crate::registry::registry().histograms)
         .iter()
@@ -315,27 +285,21 @@ fn hist_quantile(name: &str, q: f64) -> Option<f64> {
 }
 
 /// Evaluates every registered rule once (one watchdog tick) and returns the
-/// state of all of them, sorted by rule name. Empty with the feature off.
+/// state of all of them, sorted by rule name.
 #[must_use]
 pub fn evaluate_health() -> Vec<Alert> {
-    #[cfg(feature = "enabled")]
-    {
-        let now = crate::span::now_ns();
-        let rules: Vec<_> = crate::registry::registry()
-            .health_rules
-            .lock()
-            .unwrap()
-            .clone();
-        let mut alerts: Vec<Alert> = rules.iter().map(|r| r.tick(now)).collect();
-        alerts.sort_by_key(|a| a.name);
-        alerts
-    }
-    #[cfg(not(feature = "enabled"))]
-    Vec::new()
+    let now = crate::span::now_ns();
+    let rules: Vec<_> = crate::registry::registry()
+        .health_rules
+        .lock()
+        .unwrap()
+        .clone();
+    let mut alerts: Vec<Alert> = rules.iter().map(|r| r.tick(now)).collect();
+    alerts.sort_by_key(|a| a.name);
+    alerts
 }
 
 /// `true` while no registered rule has latched an alert (evaluates first).
-/// Unconditionally `true` with the feature off.
 #[must_use]
 pub fn health_ok() -> bool {
     evaluate_health().iter().all(|a| !a.latched)
@@ -376,35 +340,26 @@ pub(crate) fn write_alert(w: &mut Writer, a: &Alert) {
 }
 
 /// Starts the background watchdog: a daemon thread evaluating every rule at
-/// `interval`. Idempotent — the first call wins, later calls (and every call
-/// with the feature off) return `false`.
+/// `interval`. Idempotent — the first call wins, later calls return `false`.
 pub fn start_watchdog(interval: std::time::Duration) -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        static STARTED: AtomicBool = AtomicBool::new(false);
-        if STARTED.swap(true, Ordering::Relaxed) {
-            return false;
-        }
-        let spawned = std::thread::Builder::new()
-            .name("wazabee-health-watchdog".into())
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                let _ = evaluate_health();
-            })
-            .is_ok();
-        if !spawned {
-            STARTED.store(false, Ordering::Relaxed);
-        }
-        spawned
+    static STARTED: AtomicBool = AtomicBool::new(false);
+    if STARTED.swap(true, Ordering::Relaxed) {
+        return false;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = interval;
-        false
+    let spawned = std::thread::Builder::new()
+        .name("wazabee-health-watchdog".into())
+        .spawn(move || loop {
+            std::thread::sleep(interval);
+            let _ = evaluate_health();
+        })
+        .is_ok();
+    if !spawned {
+        STARTED.store(false, Ordering::Relaxed);
     }
+    spawned
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

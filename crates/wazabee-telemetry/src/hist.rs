@@ -2,7 +2,6 @@
 //! duration bucketing behind every [`crate::Scope`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 use crate::labeled::{Cell, Handle, LabelSet, Metric};
@@ -132,7 +131,6 @@ impl Cell for HistCell {
         self.sum_bits.store(0, Ordering::Relaxed);
     }
 
-    #[cfg(feature = "enabled")]
     fn registered() -> &'static Mutex<Vec<&'static Histogram>> {
         &crate::registry::registry().histograms
     }
@@ -164,29 +162,27 @@ impl Histogram {
     /// Records one sample into the empty-label cell.
     #[inline]
     pub fn record(&'static self, v: f64) {
-        if let Some(c) = self.inline() {
-            debug_assert!(c.lo < c.hi, "histogram {} has empty range", self.name());
-            c.record(v);
-        }
+        let c = self.inline();
+        debug_assert!(c.lo < c.hi, "histogram {} has empty range", self.name());
+        c.record(v);
     }
 
     /// The configured `(lo, hi)` range.
-    #[cfg(feature = "enabled")]
     pub(crate) fn range(&self) -> (f64, f64) {
-        self.peek().map_or((0.0, 0.0), |c| (c.lo, c.hi))
+        let c = self.peek();
+        (c.lo, c.hi)
     }
 
-    /// The empty-label cell's count, sum, mean and p50/p99 (all empty when
-    /// disabled).
+    /// The empty-label cell's count, sum, mean and p50/p99.
     #[must_use]
     pub fn stats(&self) -> HistStats {
-        self.peek().map(HistCell::stats).unwrap_or_default()
+        self.peek().stats()
     }
 
     /// The empty-label cell's `(underflow, interior[64], overflow)` counts.
     #[must_use]
     pub fn snapshot(&self) -> (u64, [u64; HIST_BUCKETS], u64) {
-        let c = self.peek().map_or([0; HIST_BUCKETS + 2], HistCell::counts);
+        let c = self.peek().counts();
         let interior = c[1..=HIST_BUCKETS].try_into().expect("64 interior buckets");
         (c[0], interior, c[HIST_BUCKETS + 1])
     }
@@ -196,7 +192,7 @@ impl Histogram {
     /// (see type docs).
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let c = self.peek()?;
+        let c = self.peek();
         c.quantile(&c.counts(), q)
     }
 
@@ -211,9 +207,7 @@ impl HistogramHandle {
     /// Records one sample — bucket math + relaxed atomics, no lock.
     #[inline]
     pub fn record(self, v: f64) {
-        if let Some(c) = self.cell() {
-            c.record(v);
-        }
+        self.cell.record(v);
     }
 }
 
@@ -221,7 +215,6 @@ impl HistogramHandle {
 /// also absorbs 0 ns). Coarse by design — wide enough for anything from a
 /// sub-µs kernel to a multi-second run, cheap enough (one `ilog2`) for hot
 /// paths. Feeds every [`crate::Scope`]'s duration buckets.
-#[cfg(feature = "enabled")]
 #[inline]
 pub(crate) fn log2_bucket(ns: u64) -> usize {
     if ns == 0 {
@@ -233,12 +226,11 @@ pub(crate) fn log2_bucket(ns: u64) -> usize {
 
 /// Nearest-rank quantile over log₂ duration buckets, in nanoseconds (the
 /// lower bucket edge `2^i`, 0 for bucket 0); 0 when empty.
-#[cfg(feature = "enabled")]
 pub(crate) fn log2_quantile_ns(buckets: &[u64; HIST_BUCKETS], q: f64) -> u64 {
     rank_bucket(buckets, q).map_or(0, |i| if i == 0 { 0 } else { 1 << i })
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

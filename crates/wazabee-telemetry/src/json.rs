@@ -1,4 +1,4 @@
-//! The one JSON writer: compact, std-only, no options, not feature-gated.
+//! The one JSON writer: compact, std-only, no options.
 //!
 //! Every JSON document and JSON Lines record the workspace writes goes
 //! through [`Writer`], which owns exactly three things: the commas between

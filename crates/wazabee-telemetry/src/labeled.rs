@@ -12,16 +12,10 @@
 //!
 //! Label sets are capped at [`MAX_LABELS`] pairs and stored sorted by key,
 //! so `[("a","1"),("b","2")]` and `[("b","2"),("a","1")]` address the same
-//! cell. With the `enabled` feature off a metric is just its name and every
-//! handle is zero-sized.
+//! cell.
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(not(feature = "enabled"))]
-use std::marker::PhantomData;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 /// Maximum label pairs per metric (excess pairs are dropped, keeping the
@@ -65,7 +59,6 @@ impl LabelSet {
     }
 
     /// Writes the member `"labels":{"k":"v",…}`.
-    #[cfg(feature = "enabled")]
     pub(crate) fn write_field(&self, w: &mut crate::json::Writer) {
         w.key("labels").begin_object();
         for (k, v) in &self.0 {
@@ -83,7 +76,6 @@ pub trait Cell: Sync + Sized + 'static {
     /// Zeroes the cell in place.
     fn reset(&self);
     /// The registry list this kind's metrics join on first touch.
-    #[cfg(feature = "enabled")]
     fn registered() -> &'static Mutex<Vec<&'static Metric<Self>>>;
 }
 
@@ -92,27 +84,18 @@ pub trait Cell: Sync + Sized + 'static {
 #[derive(Debug)]
 pub struct Metric<C: 'static> {
     name: &'static str,
-    #[cfg(feature = "enabled")]
     inline: C,
     /// The inline cell was written: only then does the metric appear in the
     /// snapshot's flat sections (`counters`, `value_histograms`).
-    #[cfg(feature = "enabled")]
     flat: AtomicBool,
-    #[cfg(feature = "enabled")]
     registered: AtomicBool,
-    #[cfg(feature = "enabled")]
     cells: Mutex<BTreeMap<LabelSet, &'static C>>,
-    #[cfg(not(feature = "enabled"))]
-    cell: PhantomData<fn() -> C>,
 }
 
 /// A lock-free handle onto one cell of a metric (see `.with(labels)`).
 #[derive(Debug)]
 pub struct Handle<C: 'static> {
-    #[cfg(feature = "enabled")]
-    cell: &'static C,
-    #[cfg(not(feature = "enabled"))]
-    cell: PhantomData<&'static C>,
+    pub(crate) cell: &'static C,
 }
 
 impl<C> Clone for Handle<C> {
@@ -123,37 +106,15 @@ impl<C> Clone for Handle<C> {
 
 impl<C> Copy for Handle<C> {}
 
-impl<C> Handle<C> {
-    /// The cell, or `None` with telemetry compiled out.
-    #[inline]
-    pub(crate) fn cell(self) -> Option<&'static C> {
-        #[cfg(feature = "enabled")]
-        {
-            Some(self.cell)
-        }
-        #[cfg(not(feature = "enabled"))]
-        None
-    }
-}
-
 impl<C: Cell> Metric<C> {
-    /// A metric with `inline` as its empty-label cell (dropped unread with
-    /// telemetry compiled out).
+    /// A metric with `inline` as its empty-label cell.
     pub(crate) const fn from_cell(name: &'static str, inline: C) -> Self {
-        #[cfg(not(feature = "enabled"))]
-        std::mem::forget(inline);
         Metric {
             name,
-            #[cfg(feature = "enabled")]
             inline,
-            #[cfg(feature = "enabled")]
             flat: AtomicBool::new(false),
-            #[cfg(feature = "enabled")]
             registered: AtomicBool::new(false),
-            #[cfg(feature = "enabled")]
             cells: Mutex::new(BTreeMap::new()),
-            #[cfg(not(feature = "enabled"))]
-            cell: PhantomData,
         }
     }
 
@@ -164,28 +125,18 @@ impl<C: Cell> Metric<C> {
     }
 
     /// The inline cell for writing: marks it written (registering the
-    /// metric on first touch). `None` with telemetry compiled out.
+    /// metric on first touch).
     #[inline]
-    pub(crate) fn inline(&'static self) -> Option<&'static C> {
-        #[cfg(feature = "enabled")]
-        {
-            if !self.flat.load(Ordering::Relaxed) {
-                self.touch_flat();
-            }
-            Some(&self.inline)
+    pub(crate) fn inline(&'static self) -> &'static C {
+        if !self.flat.load(Ordering::Relaxed) {
+            self.touch_flat();
         }
-        #[cfg(not(feature = "enabled"))]
-        None
+        &self.inline
     }
 
     /// The inline cell for reading.
-    pub(crate) fn peek(&self) -> Option<&C> {
-        #[cfg(feature = "enabled")]
-        {
-            Some(&self.inline)
-        }
-        #[cfg(not(feature = "enabled"))]
-        None
+    pub(crate) fn peek(&self) -> &C {
+        &self.inline
     }
 
     /// Resolves (creating if needed) the cell for `labels`; the empty set
@@ -193,64 +144,44 @@ impl<C: Cell> Metric<C> {
     /// hot sites.
     #[must_use]
     pub fn with(&'static self, labels: &[(&'static str, &str)]) -> Handle<C> {
-        #[cfg(feature = "enabled")]
-        {
-            if labels.is_empty() {
-                self.touch_flat();
-                return Handle { cell: &self.inline };
-            }
-            self.register();
-            let mut cells = self.cells.lock().expect("metric cells poisoned");
-            let cell = cells
-                .entry(LabelSet::new(labels))
-                .or_insert_with(|| Box::leak(Box::new(self.inline.blank())));
-            Handle { cell }
+        if labels.is_empty() {
+            self.touch_flat();
+            return Handle { cell: &self.inline };
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = labels;
-            Handle { cell: PhantomData }
-        }
+        self.register();
+        let mut cells = self.cells.lock().expect("metric cells poisoned");
+        let cell = cells
+            .entry(LabelSet::new(labels))
+            .or_insert_with(|| Box::leak(Box::new(self.inline.blank())));
+        Handle { cell }
     }
 
     /// Every labeled cell's reading, sorted by label set; cells `read`
     /// maps to `None` are left out.
     pub(crate) fn cells_with<T>(&self, read: impl Fn(&C) -> Option<T>) -> Vec<(LabelSet, T)> {
-        #[cfg(feature = "enabled")]
-        {
-            let cells = self.cells.lock().expect("metric cells poisoned");
-            cells
-                .iter()
-                .filter_map(|(k, c)| Some((k.clone(), read(c)?)))
-                .collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = read;
-            Vec::new()
-        }
+        let cells = self.cells.lock().expect("metric cells poisoned");
+        cells
+            .iter()
+            .filter_map(|(k, c)| Some((k.clone(), read(c)?)))
+            .collect()
     }
 
     /// Whether the inline cell was ever written.
-    #[cfg(feature = "enabled")]
     pub(crate) fn flat(&self) -> bool {
         self.flat.load(Ordering::Relaxed)
     }
 
     /// Whether any labeled cell exists.
-    #[cfg(feature = "enabled")]
     pub(crate) fn labeled(&self) -> bool {
         !self.cells.lock().expect("metric cells poisoned").is_empty()
     }
 
-    #[cfg(feature = "enabled")]
     #[cold]
     fn touch_flat(&'static self) {
         self.flat.store(true, Ordering::Relaxed);
         self.register();
     }
 
-    #[cfg(feature = "enabled")]
     fn register(&'static self) {
         if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
         {
@@ -262,7 +193,6 @@ impl<C: Cell> Metric<C> {
     }
 
     /// Zeroes every cell in place.
-    #[cfg(feature = "enabled")]
     pub(crate) fn reset(&self) {
         self.inline.reset();
         for c in self.cells.lock().expect("metric cells poisoned").values() {
@@ -271,7 +201,7 @@ impl<C: Cell> Metric<C> {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -19,16 +19,12 @@
 //!   recorder attach to ([`crate::current_span_id`]).
 //!
 //! The ring is bounded and evicts the oldest records; the profile is exact
-//! no matter how many records the ring dropped. With the `enabled` feature
-//! off the macro compiles to a zero-sized guard and dead code.
+//! no matter how many records the ring dropped.
 
-#[cfg(feature = "enabled")]
 use std::cell::Cell;
 use std::marker::PhantomData;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-#[cfg(feature = "enabled")]
 use crate::hist::{log2_bucket, log2_quantile_ns};
 use crate::span::SpanArgs;
 use crate::HIST_BUCKETS;
@@ -37,19 +33,13 @@ use crate::HIST_BUCKETS;
 #[derive(Debug)]
 pub struct Scope {
     name: &'static str,
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     total_ns: AtomicU64,
-    #[cfg(feature = "enabled")]
     self_ns: AtomicU64,
-    #[cfg(feature = "enabled")]
     buckets: [AtomicU64; HIST_BUCKETS],
-    #[cfg(feature = "enabled")]
     registered: AtomicBool,
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     /// Nanoseconds consumed by already-closed child scopes of the innermost
     /// open scope on this thread.
@@ -62,15 +52,10 @@ impl Scope {
     pub const fn new(name: &'static str) -> Self {
         Scope {
             name,
-            #[cfg(feature = "enabled")]
             count: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             total_ns: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             self_ns: AtomicU64::new(0),
-            #[cfg(feature = "enabled")]
             buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            #[cfg(feature = "enabled")]
             registered: AtomicBool::new(false),
         }
     }
@@ -86,36 +71,25 @@ impl Scope {
     #[inline]
     #[must_use = "the scope closes when the guard drops; binding it to _ drops immediately"]
     pub fn enter(&'static self, args: SpanArgs) -> ScopeGuard {
-        #[cfg(feature = "enabled")]
-        {
-            if !self.registered.load(Ordering::Relaxed) {
-                self.register_slow();
-            }
-            let start_ns = crate::span::now_ns();
-            // Start a fresh child accumulator for this nesting level; the
-            // parent's accumulated child time is parked in the guard.
-            let parent_child_ns = CHILD_NS.with(|c| c.replace(0));
-            let (span_id, parent_id) = crate::span::open();
-            ScopeGuard {
-                scope: self,
-                start_ns,
-                parent_child_ns,
-                span_id,
-                parent_id,
-                args,
-                _not_send: PhantomData,
-            }
+        if !self.registered.load(Ordering::Relaxed) {
+            self.register_slow();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = args;
-            ScopeGuard {
-                _not_send: PhantomData,
-            }
+        let start_ns = crate::span::now_ns();
+        // Start a fresh child accumulator for this nesting level; the
+        // parent's accumulated child time is parked in the guard.
+        let parent_child_ns = CHILD_NS.with(|c| c.replace(0));
+        let (span_id, parent_id) = crate::span::open();
+        ScopeGuard {
+            scope: self,
+            start_ns,
+            parent_child_ns,
+            span_id,
+            parent_id,
+            args,
+            _not_send: PhantomData,
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[cold]
     fn register_slow(&'static self) {
         if !self.registered.swap(true, Ordering::AcqRel) {
@@ -127,7 +101,6 @@ impl Scope {
         }
     }
 
-    #[cfg(feature = "enabled")]
     pub(crate) fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
@@ -149,62 +122,47 @@ impl Scope {
 /// ```
 #[must_use = "the scope closes when the guard drops; binding it to _ drops immediately"]
 pub struct ScopeGuard {
-    #[cfg(feature = "enabled")]
     scope: &'static Scope,
-    #[cfg(feature = "enabled")]
     start_ns: u64,
-    #[cfg(feature = "enabled")]
     parent_child_ns: u64,
-    #[cfg(feature = "enabled")]
     span_id: u64,
-    #[cfg(feature = "enabled")]
     parent_id: u64,
-    #[cfg(feature = "enabled")]
     args: SpanArgs,
     _not_send: PhantomData<*const ()>,
 }
 
 impl ScopeGuard {
-    /// This scope's process-unique span id (0 when telemetry is compiled
-    /// out).
+    /// This scope's process-unique span id.
     #[inline]
     #[must_use]
     pub fn id(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.span_id
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.span_id
     }
 }
 
 impl Drop for ScopeGuard {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        {
-            let end_ns = crate::span::now_ns();
-            let total = end_ns.saturating_sub(self.start_ns);
-            // Whatever the child accumulator holds now was spent in scopes
-            // nested under this one; restore the parent's accumulator and
-            // bill it our whole total.
-            let child = CHILD_NS.with(|c| c.replace(self.parent_child_ns + total));
-            let s = self.scope;
-            s.count.fetch_add(1, Ordering::Relaxed);
-            s.total_ns.fetch_add(total, Ordering::Relaxed);
-            s.self_ns
-                .fetch_add(total.saturating_sub(child), Ordering::Relaxed);
-            s.buckets[log2_bucket(total)].fetch_add(1, Ordering::Relaxed);
-            crate::span::close(
-                s.name,
-                self.start_ns,
-                total,
-                self.span_id,
-                self.parent_id,
-                self.args,
-            );
-        }
+        let end_ns = crate::span::now_ns();
+        let total = end_ns.saturating_sub(self.start_ns);
+        // Whatever the child accumulator holds now was spent in scopes
+        // nested under this one; restore the parent's accumulator and
+        // bill it our whole total.
+        let child = CHILD_NS.with(|c| c.replace(self.parent_child_ns + total));
+        let s = self.scope;
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.total_ns.fetch_add(total, Ordering::Relaxed);
+        s.self_ns
+            .fetch_add(total.saturating_sub(child), Ordering::Relaxed);
+        s.buckets[log2_bucket(total)].fetch_add(1, Ordering::Relaxed);
+        crate::span::close(
+            s.name,
+            self.start_ns,
+            total,
+            self.span_id,
+            self.parent_id,
+            self.args,
+        );
     }
 }
 
@@ -232,40 +190,35 @@ pub struct StageRow {
 /// The aggregated profile, one row per distinct scope name, sorted by self
 /// time descending (the SIMD work order).
 ///
-/// Empty when nothing was profiled or the `enabled` feature is off.
+/// Empty when nothing was profiled.
 #[must_use]
 pub fn profile_report() -> Vec<StageRow> {
-    #[cfg(feature = "enabled")]
-    {
-        use std::collections::BTreeMap;
-        let mut rows: BTreeMap<&'static str, StageRow> = BTreeMap::new();
-        for s in crate::registry::registry().scopes.lock().unwrap().iter() {
-            let row = rows.entry(s.name).or_insert(StageRow {
-                name: s.name,
-                count: 0,
-                total_ns: 0,
-                self_ns: 0,
-                p50_ns: 0,
-                p99_ns: 0,
-                buckets: [0; HIST_BUCKETS],
-            });
-            row.count += s.count.load(Ordering::Relaxed);
-            row.total_ns += s.total_ns.load(Ordering::Relaxed);
-            row.self_ns += s.self_ns.load(Ordering::Relaxed);
-            for (dst, src) in row.buckets.iter_mut().zip(&s.buckets) {
-                *dst += src.load(Ordering::Relaxed);
-            }
+    use std::collections::BTreeMap;
+    let mut rows: BTreeMap<&'static str, StageRow> = BTreeMap::new();
+    for s in crate::registry::registry().scopes.lock().unwrap().iter() {
+        let row = rows.entry(s.name).or_insert(StageRow {
+            name: s.name,
+            count: 0,
+            total_ns: 0,
+            self_ns: 0,
+            p50_ns: 0,
+            p99_ns: 0,
+            buckets: [0; HIST_BUCKETS],
+        });
+        row.count += s.count.load(Ordering::Relaxed);
+        row.total_ns += s.total_ns.load(Ordering::Relaxed);
+        row.self_ns += s.self_ns.load(Ordering::Relaxed);
+        for (dst, src) in row.buckets.iter_mut().zip(&s.buckets) {
+            *dst += src.load(Ordering::Relaxed);
         }
-        let mut out: Vec<StageRow> = rows.into_values().filter(|r| r.count > 0).collect();
-        for r in &mut out {
-            r.p50_ns = log2_quantile_ns(&r.buckets, 0.5);
-            r.p99_ns = log2_quantile_ns(&r.buckets, 0.99);
-        }
-        out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(b.name)));
-        out
     }
-    #[cfg(not(feature = "enabled"))]
-    Vec::new()
+    let mut out: Vec<StageRow> = rows.into_values().filter(|r| r.count > 0).collect();
+    for r in &mut out {
+        r.p50_ns = log2_quantile_ns(&r.buckets, 0.5);
+        r.p99_ns = log2_quantile_ns(&r.buckets, 0.99);
+    }
+    out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(b.name)));
+    out
 }
 
 /// Renders the profile as a console table (empty string when nothing was
@@ -293,7 +246,7 @@ pub fn profile_summary() -> String {
     out
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::{drain_trace, TraceKind, TRACE_CAPACITY};

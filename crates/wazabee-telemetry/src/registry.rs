@@ -4,19 +4,13 @@
 //! so the sinks can enumerate exactly the metrics the run exercised — no
 //! central declaration list to maintain.
 
-#[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
 
-#[cfg(feature = "enabled")]
 use crate::health::HealthRule;
-#[cfg(feature = "enabled")]
 use crate::profile::Scope;
-#[cfg(feature = "enabled")]
 use crate::timeseries::WallSeries;
-#[cfg(feature = "enabled")]
 use crate::{Counter, Gauge, Histogram};
 
-#[cfg(feature = "enabled")]
 #[derive(Default)]
 pub(crate) struct Registry {
     pub counters: Mutex<Vec<&'static Counter>>,
@@ -27,14 +21,12 @@ pub(crate) struct Registry {
     pub health_rules: Mutex<Vec<&'static HealthRule>>,
 }
 
-#[cfg(feature = "enabled")]
 pub(crate) fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::default)
 }
 
 /// A copy of one registry list, so callers iterate without holding its lock.
-#[cfg(feature = "enabled")]
 pub(crate) fn listed<T: ?Sized>(list: &Mutex<Vec<&'static T>>) -> Vec<&'static T> {
     list.lock().expect("metric registry poisoned").clone()
 }
@@ -43,14 +35,11 @@ pub(crate) fn listed<T: ?Sized>(list: &Mutex<Vec<&'static T>>) -> Vec<&'static T
 /// histogram, the scope profile and the wall-clock series (they all stay
 /// registered) — and clears health-rule alert state.
 pub(crate) fn reset() {
-    #[cfg(feature = "enabled")]
-    {
-        let r = registry();
-        listed(&r.counters).iter().for_each(|c| c.reset());
-        listed(&r.gauges).iter().for_each(|g| g.reset());
-        listed(&r.histograms).iter().for_each(|h| h.reset());
-        listed(&r.scopes).iter().for_each(|s| s.reset());
-        listed(&r.wall_series).iter().for_each(|s| s.reset());
-        listed(&r.health_rules).iter().for_each(|r| r.reset_state());
-    }
+    let r = registry();
+    listed(&r.counters).iter().for_each(|c| c.reset());
+    listed(&r.gauges).iter().for_each(|g| g.reset());
+    listed(&r.histograms).iter().for_each(|h| h.reset());
+    listed(&r.scopes).iter().for_each(|s| s.reset());
+    listed(&r.wall_series).iter().for_each(|s| s.reset());
+    listed(&r.health_rules).iter().for_each(|r| r.reset_state());
 }

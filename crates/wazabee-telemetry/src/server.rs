@@ -30,32 +30,26 @@
 //! `nc`: each request is read only up to its blank line, only the request
 //! line's path is examined (a bare `nc` paste with no parsable request line
 //! gets the `/` snapshot and a close), and only an `HTTP/1.1` request line
-//! without `Connection: close` keeps the connection open. With the
-//! `enabled` feature off the endpoint does not exist: [`serve_from_env`]
-//! returns `Ok(None)` without binding anything.
+//! without `Connection: close` keeps the connection open. With
+//! `WAZABEE_TELEMETRY_ADDR` unset the endpoint does not exist:
+//! [`serve_from_env`] returns `Ok(None)` without binding anything.
 
 use std::io;
 
-#[cfg(feature = "enabled")]
 use std::io::{Read, Write};
 
 /// Environment variable naming the snapshot listen address (see
 /// [`serve_from_env`]).
 pub const ENV_ADDR: &str = "WAZABEE_TELEMETRY_ADDR";
 
-/// If `WAZABEE_TELEMETRY_ADDR` is set (and telemetry is compiled in), binds
+/// If `WAZABEE_TELEMETRY_ADDR` is set, binds
 /// the snapshot server there and returns `Ok(Some(bound_addr))`; otherwise
 /// returns `Ok(None)`.
 pub fn serve_from_env() -> io::Result<Option<String>> {
-    #[cfg(feature = "enabled")]
-    {
-        match std::env::var(ENV_ADDR) {
-            Ok(addr) if !addr.is_empty() => serve(&addr).map(Some),
-            _ => Ok(None),
-        }
+    match std::env::var(ENV_ADDR) {
+        Ok(addr) if !addr.is_empty() => serve(&addr).map(Some),
+        _ => Ok(None),
     }
-    #[cfg(not(feature = "enabled"))]
-    Ok(None)
 }
 
 /// Binds the snapshot server on `addr` and returns the bound address.
@@ -63,28 +57,14 @@ pub fn serve_from_env() -> io::Result<Option<String>> {
 /// An `addr` containing `/` is treated as a unix-socket path (any stale
 /// socket file is replaced); anything else as a TCP address, where port `0`
 /// picks a free port — the returned string carries the real one.
-///
-/// With the `enabled` feature off this returns `ErrorKind::Unsupported`.
 pub fn serve(addr: &str) -> io::Result<String> {
-    #[cfg(feature = "enabled")]
-    {
-        if addr.contains('/') {
-            serve_unix(addr)
-        } else {
-            serve_tcp(addr)
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = addr;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "wazabee-telemetry built without the `enabled` feature",
-        ))
+    if addr.contains('/') {
+        serve_unix(addr)
+    } else {
+        serve_tcp(addr)
     }
 }
 
-#[cfg(feature = "enabled")]
 fn serve_tcp(addr: &str) -> io::Result<String> {
     let listener = std::net::TcpListener::bind(addr)?;
     let bound = listener.local_addr()?.to_string();
@@ -102,7 +82,6 @@ fn serve_tcp(addr: &str) -> io::Result<String> {
     Ok(bound)
 }
 
-#[cfg(feature = "enabled")]
 fn serve_unix(path: &str) -> io::Result<String> {
     use std::os::unix::net::UnixListener;
     let _ = std::fs::remove_file(path);
@@ -122,11 +101,9 @@ fn serve_unix(path: &str) -> io::Result<String> {
 
 /// Upper bound on requests answered over one kept-alive connection, so a
 /// misbehaving poller cannot pin the accept loop's handler forever.
-#[cfg(feature = "enabled")]
 const MAX_KEEPALIVE_REQUESTS: usize = 1024;
 
 /// Longest request head read before answering anyway.
-#[cfg(feature = "enabled")]
 const MAX_HEAD: usize = 1024;
 
 /// Serves a connection: reads requests up to their blank line, routes on the
@@ -139,7 +116,6 @@ const MAX_HEAD: usize = 1024;
 /// Bytes read past one request's blank line are the start of the next
 /// (pipelined) request and are kept for it. HTTP/1.0 requests (and bare
 /// non-HTTP pokes) keep the original one-shot close-after-answer behaviour.
-#[cfg(feature = "enabled")]
 fn answer<S: Read + Write>(stream: &mut S) -> io::Result<()> {
     let mut pending: Vec<u8> = Vec::with_capacity(MAX_HEAD);
     let mut chunk = [0u8; MAX_HEAD];
@@ -211,7 +187,6 @@ fn answer<S: Read + Write>(stream: &mut S) -> io::Result<()> {
 
 /// Length of the first request head in `buf`, through its blank line
 /// (`\r\n\r\n` or a bare `\n\n`), if one is complete.
-#[cfg(feature = "enabled")]
 fn head_end(buf: &[u8]) -> Option<usize> {
     let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
     let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
@@ -223,7 +198,6 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 
 /// Whether the request line declares `HTTP/1.1` — drives the version echoed
 /// on the response's status line. Non-HTTP pokes count as 1.0.
-#[cfg(feature = "enabled")]
 fn is_http11(head: &str) -> bool {
     head.lines()
         .next()
@@ -233,7 +207,6 @@ fn is_http11(head: &str) -> bool {
 /// Whether the request asks to keep the connection open: an `HTTP/1.1`
 /// request line (where keep-alive is the default) without a
 /// `Connection: close` header. HTTP/1.0 requests and non-HTTP pokes close.
-#[cfg(feature = "enabled")]
 fn wants_keep_alive(head: &str) -> bool {
     if !is_http11(head) {
         return false;
@@ -248,7 +221,6 @@ fn wants_keep_alive(head: &str) -> bool {
 /// strings are stripped; anything that does not look like a request line —
 /// e.g. a bare `nc` connection that just sent a newline — maps to `/` so the
 /// pre-routing snapshot behaviour survives.
-#[cfg(feature = "enabled")]
 fn request_path(req: &[u8]) -> String {
     let text = String::from_utf8_lossy(req);
     let first_line = text.lines().next().unwrap_or("");
@@ -261,7 +233,7 @@ fn request_path(req: &[u8]) -> String {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,20 +7,15 @@
 //! yields a rate line, and `*frames_tx` vs `*frames_ok` totals yield PER.
 
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 
 use crate::json::Writer;
-#[cfg(feature = "enabled")]
 use crate::labeled::{Cell, Metric};
-#[cfg(feature = "enabled")]
 use crate::registry::{listed, registry};
 use crate::span::{snapshot_trace, TraceKind};
-#[cfg(feature = "enabled")]
 use crate::{Gauge, HistStats, Histogram, LabelSet};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 /// Environment variable naming a JSONL dump path (see [`dump_from_env`]).
@@ -28,18 +23,12 @@ pub const ENV_OUT: &str = "WAZABEE_TELEMETRY_OUT";
 
 /// Empty-label counter cells, summed by name (call sites sharing a name
 /// merge here).
-#[cfg(feature = "enabled")]
 fn merged_counters() -> BTreeMap<&'static str, u64> {
     let mut merged: BTreeMap<&'static str, u64> = BTreeMap::new();
     for c in listed(&registry().counters).iter().filter(|c| c.flat()) {
         *merged.entry(c.name()).or_insert(0) += c.get();
     }
     merged
-}
-
-#[cfg(not(feature = "enabled"))]
-fn merged_counters() -> BTreeMap<&'static str, u64> {
-    BTreeMap::new()
 }
 
 /// Renders the end-of-run console summary table.
@@ -49,168 +38,156 @@ fn merged_counters() -> BTreeMap<&'static str, u64> {
 /// (count/mean/p50/p99), instant events
 /// still in the trace ring, alerts, and the scope profile
 /// (count/self/total/p50/p99).
-/// With the `enabled` feature off, returns a single "disabled" line.
 #[must_use]
 pub fn summary() -> String {
-    #[cfg(not(feature = "enabled"))]
-    #[allow(clippy::needless_return)] // return keeps both cfg branches expression-compatible
-    {
-        return "wazabee-telemetry: disabled (build with the `telemetry` feature)\n".to_string();
-    }
-    #[cfg(feature = "enabled")]
-    {
-        let mut out = String::from("=== wazabee telemetry summary ===\n");
-        let counters = merged_counters();
+    let mut out = String::from("=== wazabee telemetry summary ===\n");
+    let counters = merged_counters();
 
-        // Derived headline rates from naming conventions.
-        let total = |suffix: &str| -> u64 {
-            counters
-                .iter()
-                .filter(|(name, _)| name.ends_with(suffix))
-                .map(|(_, v)| v)
-                .sum()
-        };
-        let mut derived: Vec<String> = [
-            ("sync-hit rate", ".sync.hit", ".sync.miss"),
-            ("CRC-24 pass rate", ".crc.ok", ".crc.fail"),
-            ("FCS pass rate", ".fcs.ok", ".fcs.fail"),
-        ]
-        .into_iter()
-        .filter_map(|(label, pass, fail)| {
-            let (pass, fail) = (total(pass), total(fail));
-            let n = pass + fail;
-            (n > 0).then(|| {
-                format!(
-                    "  {label:<28} {pass}/{n} ({:.2}%)",
-                    100.0 * pass as f64 / n as f64
-                )
-            })
+    // Derived headline rates from naming conventions.
+    let total = |suffix: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|(name, _)| name.ends_with(suffix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let mut derived: Vec<String> = [
+        ("sync-hit rate", ".sync.hit", ".sync.miss"),
+        ("CRC-24 pass rate", ".crc.ok", ".crc.fail"),
+        ("FCS pass rate", ".fcs.ok", ".fcs.fail"),
+    ]
+    .into_iter()
+    .filter_map(|(label, pass, fail)| {
+        let (pass, fail) = (total(pass), total(fail));
+        let n = pass + fail;
+        (n > 0).then(|| {
+            format!(
+                "  {label:<28} {pass}/{n} ({:.2}%)",
+                100.0 * pass as f64 / n as f64
+            )
         })
-        .collect();
-        let (frames_tx, frames_ok) = (total("frames_tx"), total("frames_ok"));
-        if frames_tx > 0 {
-            let per = 1.0 - (frames_ok.min(frames_tx) as f64 / frames_tx as f64);
-            derived.push(format!(
-                "  {:<28} {:.4} ({frames_ok}/{frames_tx} frames ok)",
-                "PER", per
-            ));
-        }
-        // Failure taxonomy: counters named `*.rx.fail.<reason>` (emitted by
-        // the flight-recorder hooks in the RX paths) grouped by reason.
-        let mut fail_by_reason: BTreeMap<&str, u64> = BTreeMap::new();
-        for (name, value) in &counters {
-            if let Some((_, reason)) = name.split_once(".rx.fail.") {
-                if !reason.is_empty() {
-                    *fail_by_reason.entry(reason).or_insert(0) += value;
-                }
-            }
-        }
-        derived.extend(
-            fail_by_reason
-                .iter()
-                .map(|(reason, n)| format!("  rx.fail.{reason:<20} {n}")),
-        );
-        section(&mut out, "derived", derived);
-        section(
-            &mut out,
-            "counters",
-            counters.iter().map(|(name, v)| format!("  {name:<40} {v}")),
-        );
-
-        // Labeled cells, one line per cell, `name{labels}` style.
-        section(
-            &mut out,
-            "labeled counters",
-            sorted(&registry().counters, Metric::labeled)
-                .into_iter()
-                .flat_map(|c| {
-                    c.cells()
-                        .into_iter()
-                        .map(move |(l, v)| format!("  {:<40} {v}", cell_name(c.name(), &l)))
-                }),
-        );
-        section(
-            &mut out,
-            "gauges",
-            gauges().into_iter().flat_map(|(g, cells)| {
-                cells
-                    .into_iter()
-                    .map(move |(l, v)| format!("  {:<40} {v:.4}", cell_name(g.name(), &l)))
-            }),
-        );
-        section(
-            &mut out,
-            "labeled histograms",
-            sorted(&registry().histograms, Metric::labeled)
-                .into_iter()
-                .flat_map(|h| {
-                    h.cells()
-                        .into_iter()
-                        .filter(|(_, s)| s.count > 0)
-                        .map(move |(l, s)| {
-                            format!("  {}", stats_line(&cell_name(h.name(), &l), &s))
-                        })
-                }),
-        );
-        section(
-            &mut out,
-            "value histograms",
-            flat_histograms().into_iter().map(|h| {
-                let s = h.stats();
-                if s.count == 0 {
-                    format!("  {:<40} (empty)", h.name())
-                } else {
-                    format!("  {}", stats_line(h.name(), &s))
-                }
-            }),
-        );
-
-        // Instant events still buffered in the trace ring, by name. Span
-        // timing lives in the exact profile table below, not in the ring.
-        let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for ev in snapshot_trace().0 {
-            if let TraceKind::Instant { .. } = ev.kind {
-                *events.entry(ev.name).or_insert(0) += 1;
-            }
-        }
-        section(
-            &mut out,
-            "events",
-            events.iter().map(|(name, n)| format!("  {name:<40} n={n}")),
-        );
-
-        // Health rules: one watchdog tick, then every armed rule with its
-        // verdict — firing/latched alerts stand out, healthy rules read "ok".
-        section(
-            &mut out,
-            "alerts",
-            crate::health::evaluate_health().iter().map(|a| {
-                let status = match (a.firing, a.latched) {
-                    (true, _) => "FIRING",
-                    (false, true) => "latched",
-                    (false, false) => "ok",
-                };
-                let value = a
-                    .value
-                    .map_or_else(|| "n/a".to_string(), |v| format!("{v:.4}"));
-                format!(
-                    "  {:<40} {status} ({} {} {}, value {value}, fired {}x)",
-                    a.name,
-                    a.signal.metric(),
-                    a.cmp.symbol(),
-                    a.threshold,
-                    a.fired_count,
-                )
-            }),
-        );
-
-        out.push_str(&crate::profile::profile_summary());
-        out
+    })
+    .collect();
+    let (frames_tx, frames_ok) = (total("frames_tx"), total("frames_ok"));
+    if frames_tx > 0 {
+        let per = 1.0 - (frames_ok.min(frames_tx) as f64 / frames_tx as f64);
+        derived.push(format!(
+            "  {:<28} {:.4} ({frames_ok}/{frames_tx} frames ok)",
+            "PER", per
+        ));
     }
+    // Failure taxonomy: counters named `*.rx.fail.<reason>` (emitted by
+    // the flight-recorder hooks in the RX paths) grouped by reason.
+    let mut fail_by_reason: BTreeMap<&str, u64> = BTreeMap::new();
+    for (name, value) in &counters {
+        if let Some((_, reason)) = name.split_once(".rx.fail.") {
+            if !reason.is_empty() {
+                *fail_by_reason.entry(reason).or_insert(0) += value;
+            }
+        }
+    }
+    derived.extend(
+        fail_by_reason
+            .iter()
+            .map(|(reason, n)| format!("  rx.fail.{reason:<20} {n}")),
+    );
+    section(&mut out, "derived", derived);
+    section(
+        &mut out,
+        "counters",
+        counters.iter().map(|(name, v)| format!("  {name:<40} {v}")),
+    );
+
+    // Labeled cells, one line per cell, `name{labels}` style.
+    section(
+        &mut out,
+        "labeled counters",
+        sorted(&registry().counters, Metric::labeled)
+            .into_iter()
+            .flat_map(|c| {
+                c.cells()
+                    .into_iter()
+                    .map(move |(l, v)| format!("  {:<40} {v}", cell_name(c.name(), &l)))
+            }),
+    );
+    section(
+        &mut out,
+        "gauges",
+        gauges().into_iter().flat_map(|(g, cells)| {
+            cells
+                .into_iter()
+                .map(move |(l, v)| format!("  {:<40} {v:.4}", cell_name(g.name(), &l)))
+        }),
+    );
+    section(
+        &mut out,
+        "labeled histograms",
+        sorted(&registry().histograms, Metric::labeled)
+            .into_iter()
+            .flat_map(|h| {
+                h.cells()
+                    .into_iter()
+                    .filter(|(_, s)| s.count > 0)
+                    .map(move |(l, s)| format!("  {}", stats_line(&cell_name(h.name(), &l), &s)))
+            }),
+    );
+    section(
+        &mut out,
+        "value histograms",
+        flat_histograms().into_iter().map(|h| {
+            let s = h.stats();
+            if s.count == 0 {
+                format!("  {:<40} (empty)", h.name())
+            } else {
+                format!("  {}", stats_line(h.name(), &s))
+            }
+        }),
+    );
+
+    // Instant events still buffered in the trace ring, by name. Span
+    // timing lives in the exact profile table below, not in the ring.
+    let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for ev in snapshot_trace().0 {
+        if let TraceKind::Instant { .. } = ev.kind {
+            *events.entry(ev.name).or_insert(0) += 1;
+        }
+    }
+    section(
+        &mut out,
+        "events",
+        events.iter().map(|(name, n)| format!("  {name:<40} n={n}")),
+    );
+
+    // Health rules: one watchdog tick, then every armed rule with its
+    // verdict — firing/latched alerts stand out, healthy rules read "ok".
+    section(
+        &mut out,
+        "alerts",
+        crate::health::evaluate_health().iter().map(|a| {
+            let status = match (a.firing, a.latched) {
+                (true, _) => "FIRING",
+                (false, true) => "latched",
+                (false, false) => "ok",
+            };
+            let value = a
+                .value
+                .map_or_else(|| "n/a".to_string(), |v| format!("{v:.4}"));
+            format!(
+                "  {:<40} {status} ({} {} {}, value {value}, fired {}x)",
+                a.name,
+                a.signal.metric(),
+                a.cmp.symbol(),
+                a.threshold,
+                a.fired_count,
+            )
+        }),
+    );
+
+    out.push_str(&crate::profile::profile_summary());
+    out
 }
 
 /// Appends `-- title --` and `lines`, one per line, unless there are none.
-#[cfg(feature = "enabled")]
 fn section(out: &mut String, title: &str, lines: impl IntoIterator<Item = String>) {
     let mut lines = lines.into_iter().peekable();
     if lines.peek().is_some() {
@@ -222,7 +199,6 @@ fn section(out: &mut String, title: &str, lines: impl IntoIterator<Item = String
 }
 
 /// `name n=… mean=… p50=… p99=…` for one histogram cell.
-#[cfg(feature = "enabled")]
 fn stats_line(name: &str, s: &HistStats) -> String {
     format!(
         "{name:<40} n={} mean={:.3} p50={:.3} p99={:.3}",
@@ -234,13 +210,11 @@ fn stats_line(name: &str, s: &HistStats) -> String {
 }
 
 /// Renders `name{labels}` (or just `name` for the empty label set).
-#[cfg(feature = "enabled")]
 fn cell_name(name: &str, labels: &LabelSet) -> String {
     format!("{name}{}", labels.render())
 }
 
 /// Histograms whose empty-label cell was written, in registration order.
-#[cfg(feature = "enabled")]
 fn flat_histograms() -> Vec<&'static Histogram> {
     let mut v = listed(&registry().histograms);
     v.retain(|h| h.flat());
@@ -249,7 +223,6 @@ fn flat_histograms() -> Vec<&'static Histogram> {
 
 /// The registered metrics of one kind that `keep` accepts, sorted by name
 /// (a stable sort: call sites sharing a name stay in registration order).
-#[cfg(feature = "enabled")]
 fn sorted<C: Cell>(
     list: &Mutex<Vec<&'static Metric<C>>>,
     keep: impl Fn(&Metric<C>) -> bool,
@@ -262,7 +235,6 @@ fn sorted<C: Cell>(
 
 /// Registered gauges sorted by name, each with its set cells: the inline
 /// cell (empty labels) first, then the labeled ones.
-#[cfg(feature = "enabled")]
 fn gauges() -> Vec<(&'static Gauge, Vec<(LabelSet, f64)>)> {
     sorted(&registry().gauges, |_| true)
         .into_iter()
@@ -275,7 +247,6 @@ fn gauges() -> Vec<(&'static Gauge, Vec<(LabelSet, f64)>)> {
 
 /// Writes a histogram cell's `count`, `sum` (when `with_sum`), `mean`,
 /// `p50` and `p99` members.
-#[cfg(feature = "enabled")]
 fn stats_fields(w: &mut Writer, s: &HistStats, with_sum: bool) {
     w.field("count", s.count);
     if with_sum {
@@ -287,7 +258,6 @@ fn stats_fields(w: &mut Writer, s: &HistStats, with_sum: bool) {
 }
 
 /// Writes the member `"key":[…]` of `u64`s.
-#[cfg(feature = "enabled")]
 fn u64_array(w: &mut Writer, key: &str, vals: &[u64]) {
     w.key(key).begin_array();
     for &v in vals {
@@ -297,7 +267,6 @@ fn u64_array(w: &mut Writer, key: &str, vals: &[u64]) {
 }
 
 /// Writes `{"labels":{…},"value":v}` cells of one metric.
-#[cfg(feature = "enabled")]
 fn value_cells<V: crate::json::Value>(w: &mut Writer, cells: Vec<(LabelSet, V)>) {
     w.key("cells").begin_array();
     for (labels, value) in cells {
@@ -319,98 +288,95 @@ fn value_cells<V: crate::json::Value>(w: &mut Writer, cells: Vec<(LabelSet, V)>)
 /// (one watchdog tick over every armed [`crate::HealthRule`]), `stages` (the
 /// scope profile: count, self/total, p50/p99) and `wall_series`. A metric
 /// appears in `counters` / `value_histograms` only if its empty-label cell
-/// was written. With the `enabled` feature off, only
-/// `{"schema":…,"enabled":false}`.
+/// was written. `enabled` is always `true`; the key stays for readers of
+/// the `snapshot/1` schema.
 #[must_use]
 pub fn snapshot_json() -> String {
     let mut out = String::new();
     let mut w = Writer::new(&mut out);
     w.begin_object()
         .field("schema", "wazabee.telemetry.snapshot/1")
-        .field("enabled", cfg!(feature = "enabled"));
-    #[cfg(feature = "enabled")]
-    {
-        w.key("counters").begin_object();
-        for (name, value) in merged_counters() {
-            w.field(name, value);
-        }
-        w.end_object();
-
-        w.key("labeled_counters").begin_array();
-        for c in sorted(&registry().counters, Metric::labeled) {
-            w.begin_object().field("name", c.name());
-            value_cells(&mut w, c.cells());
-            w.end_object();
-        }
-        w.end_array();
-
-        w.key("gauges").begin_array();
-        for (g, cells) in gauges() {
-            w.begin_object().field("name", g.name());
-            value_cells(&mut w, cells);
-            w.end_object();
-        }
-        w.end_array();
-
-        w.key("labeled_histograms").begin_array();
-        for h in sorted(&registry().histograms, Metric::labeled) {
-            let (lo, hi) = h.range();
-            w.begin_object()
-                .field("name", h.name())
-                .field("lo", lo)
-                .field("hi", hi)
-                .key("cells")
-                .begin_array();
-            for (labels, stats) in h.cells() {
-                w.begin_object();
-                labels.write_field(&mut w);
-                stats_fields(&mut w, &stats, true);
-                w.end_object();
-            }
-            w.end_array().end_object();
-        }
-        w.end_array();
-
-        w.key("value_histograms").begin_array();
-        for h in flat_histograms() {
-            w.begin_object().field("name", h.name());
-            stats_fields(&mut w, &h.stats(), false);
-            w.end_object();
-        }
-        w.end_array();
-
-        w.key("alerts").begin_array();
-        for a in crate::health::evaluate_health() {
-            crate::health::write_alert(&mut w, &a);
-        }
-        w.end_array();
-
-        w.key("stages").begin_array();
-        for row in crate::profile::profile_report() {
-            w.begin_object()
-                .field("name", row.name)
-                .field("count", row.count)
-                .field("total_ns", row.total_ns)
-                .field("self_ns", row.self_ns)
-                .field("p50_ns", row.p50_ns)
-                .field("p99_ns", row.p99_ns)
-                .end_object();
-        }
-        w.end_array();
-
-        w.key("wall_series").begin_array();
-        for s in crate::timeseries::registered_wall_series() {
-            w.begin_object()
-                .field("series", s.name())
-                .key("points")
-                .begin_array();
-            for p in s.snapshot() {
-                w.begin_array().value(p.t).value(p.value).end_array();
-            }
-            w.end_array().end_object();
-        }
-        w.end_array();
+        .field("enabled", true);
+    w.key("counters").begin_object();
+    for (name, value) in merged_counters() {
+        w.field(name, value);
     }
+    w.end_object();
+
+    w.key("labeled_counters").begin_array();
+    for c in sorted(&registry().counters, Metric::labeled) {
+        w.begin_object().field("name", c.name());
+        value_cells(&mut w, c.cells());
+        w.end_object();
+    }
+    w.end_array();
+
+    w.key("gauges").begin_array();
+    for (g, cells) in gauges() {
+        w.begin_object().field("name", g.name());
+        value_cells(&mut w, cells);
+        w.end_object();
+    }
+    w.end_array();
+
+    w.key("labeled_histograms").begin_array();
+    for h in sorted(&registry().histograms, Metric::labeled) {
+        let (lo, hi) = h.range();
+        w.begin_object()
+            .field("name", h.name())
+            .field("lo", lo)
+            .field("hi", hi)
+            .key("cells")
+            .begin_array();
+        for (labels, stats) in h.cells() {
+            w.begin_object();
+            labels.write_field(&mut w);
+            stats_fields(&mut w, &stats, true);
+            w.end_object();
+        }
+        w.end_array().end_object();
+    }
+    w.end_array();
+
+    w.key("value_histograms").begin_array();
+    for h in flat_histograms() {
+        w.begin_object().field("name", h.name());
+        stats_fields(&mut w, &h.stats(), false);
+        w.end_object();
+    }
+    w.end_array();
+
+    w.key("alerts").begin_array();
+    for a in crate::health::evaluate_health() {
+        crate::health::write_alert(&mut w, &a);
+    }
+    w.end_array();
+
+    w.key("stages").begin_array();
+    for row in crate::profile::profile_report() {
+        w.begin_object()
+            .field("name", row.name)
+            .field("count", row.count)
+            .field("total_ns", row.total_ns)
+            .field("self_ns", row.self_ns)
+            .field("p50_ns", row.p50_ns)
+            .field("p99_ns", row.p99_ns)
+            .end_object();
+    }
+    w.end_array();
+
+    w.key("wall_series").begin_array();
+    for s in crate::timeseries::registered_wall_series() {
+        w.begin_object()
+            .field("series", s.name())
+            .key("points")
+            .begin_array();
+        for p in s.snapshot() {
+            w.begin_array().value(p.t).value(p.value).end_array();
+        }
+        w.end_array().end_object();
+    }
+    w.end_array();
     w.end_object();
     out
 }
@@ -448,71 +414,68 @@ pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
                 .field("value", value);
         })?;
     }
-    #[cfg(feature = "enabled")]
-    {
-        for h in flat_histograms() {
-            let (lo, hi) = h.range();
-            let (under, interior, over) = h.snapshot();
+    for h in flat_histograms() {
+        let (lo, hi) = h.range();
+        let (under, interior, over) = h.snapshot();
+        write_line(out, &mut line, |w| {
+            w.field("type", "value_histogram")
+                .field("name", h.name())
+                .field("lo", lo)
+                .field("hi", hi);
+            stats_fields(w, &h.stats(), true);
+            w.field("underflow", under).field("overflow", over);
+            u64_array(w, "buckets", &interior);
+        })?;
+    }
+    for c in sorted(&registry().counters, Metric::labeled) {
+        for (labels, value) in c.cells() {
             write_line(out, &mut line, |w| {
-                w.field("type", "value_histogram")
-                    .field("name", h.name())
-                    .field("lo", lo)
-                    .field("hi", hi);
-                stats_fields(w, &h.stats(), true);
-                w.field("underflow", under).field("overflow", over);
-                u64_array(w, "buckets", &interior);
+                w.field("type", "labeled_counter").field("name", c.name());
+                labels.write_field(w);
+                w.field("value", value);
             })?;
         }
-        for c in sorted(&registry().counters, Metric::labeled) {
-            for (labels, value) in c.cells() {
-                write_line(out, &mut line, |w| {
-                    w.field("type", "labeled_counter").field("name", c.name());
-                    labels.write_field(w);
-                    w.field("value", value);
-                })?;
-            }
-        }
-        for (g, cells) in gauges() {
-            for (labels, value) in cells {
-                write_line(out, &mut line, |w| {
-                    w.field("type", "gauge").field("name", g.name());
-                    labels.write_field(w);
-                    w.field("value", value);
-                })?;
-            }
-        }
-        for h in sorted(&registry().histograms, Metric::labeled) {
-            let (lo, hi) = h.range();
-            for (labels, stats) in h.cells() {
-                write_line(out, &mut line, |w| {
-                    w.field("type", "labeled_histogram").field("name", h.name());
-                    labels.write_field(w);
-                    w.field("lo", lo).field("hi", hi);
-                    stats_fields(w, &stats, true);
-                })?;
-            }
-        }
-        for row in crate::profile::profile_report() {
+    }
+    for (g, cells) in gauges() {
+        for (labels, value) in cells {
             write_line(out, &mut line, |w| {
-                w.field("type", "stage")
-                    .field("name", row.name)
-                    .field("count", row.count)
-                    .field("total_ns", row.total_ns)
-                    .field("self_ns", row.self_ns)
-                    .field("p50_ns", row.p50_ns)
-                    .field("p99_ns", row.p99_ns);
-                u64_array(w, "buckets", &row.buckets);
+                w.field("type", "gauge").field("name", g.name());
+                labels.write_field(w);
+                w.field("value", value);
             })?;
         }
-        for s in crate::timeseries::registered_wall_series() {
-            for p in s.snapshot() {
-                write_line(out, &mut line, |w| {
-                    w.field("type", "wall_series")
-                        .field("series", s.name())
-                        .field("t_ns", p.t)
-                        .field("value", p.value);
-                })?;
-            }
+    }
+    for h in sorted(&registry().histograms, Metric::labeled) {
+        let (lo, hi) = h.range();
+        for (labels, stats) in h.cells() {
+            write_line(out, &mut line, |w| {
+                w.field("type", "labeled_histogram").field("name", h.name());
+                labels.write_field(w);
+                w.field("lo", lo).field("hi", hi);
+                stats_fields(w, &stats, true);
+            })?;
+        }
+    }
+    for row in crate::profile::profile_report() {
+        write_line(out, &mut line, |w| {
+            w.field("type", "stage")
+                .field("name", row.name)
+                .field("count", row.count)
+                .field("total_ns", row.total_ns)
+                .field("self_ns", row.self_ns)
+                .field("p50_ns", row.p50_ns)
+                .field("p99_ns", row.p99_ns);
+            u64_array(w, "buckets", &row.buckets);
+        })?;
+    }
+    for s in crate::timeseries::registered_wall_series() {
+        for p in s.snapshot() {
+            write_line(out, &mut line, |w| {
+                w.field("type", "wall_series")
+                    .field("series", s.name())
+                    .field("t_ns", p.t)
+                    .field("value", p.value);
+            })?;
         }
     }
     for ev in snapshot_trace().0 {
@@ -527,16 +490,13 @@ pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
                 .field("kind", kind)
                 .field("dur_ns", dur_ns)
                 .field("value", value);
-            #[cfg(feature = "enabled")]
-            {
-                w.field("span_id", ev.span_id)
-                    .field("parent_id", ev.parent_id)
-                    .field("thread", ev.thread_id)
-                    .key("args")
-                    .begin_object();
-                crate::trace_export::write_args(w, &ev.args);
-                w.end_object();
-            }
+            w.field("span_id", ev.span_id)
+                .field("parent_id", ev.parent_id)
+                .field("thread", ev.thread_id)
+                .key("args")
+                .begin_object();
+            crate::trace_export::write_args(w, &ev.args);
+            w.end_object();
         })?;
     }
     Ok(())
@@ -561,7 +521,7 @@ pub fn dump_from_env() -> io::Result<bool> {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -17,15 +17,10 @@
 //! its own current-span cell, so nesting is tracked per thread without any
 //! cross-thread locking beyond the one ring push.
 
-#[cfg(feature = "enabled")]
 use std::cell::Cell;
-#[cfg(feature = "enabled")]
 use std::collections::VecDeque;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Maximum trace records retained (oldest evicted beyond this).
@@ -184,39 +179,32 @@ pub struct TraceEvent {
     pub args: SpanArgs,
 }
 
-#[cfg(feature = "enabled")]
 struct Ring {
     buf: VecDeque<TraceEvent>,
     dropped: u64,
 }
 
-#[cfg(feature = "enabled")]
 static RING: Mutex<Ring> = Mutex::new(Ring {
     buf: VecDeque::new(),
     dropped: 0,
 });
 
-#[cfg(feature = "enabled")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(feature = "enabled")]
 pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Next span id to hand out; 0 is reserved for "no span".
-#[cfg(feature = "enabled")]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Next thread id to hand out (thread ids are dense and 1-based; they are
 /// *not* reset by [`crate::reset`] — a thread keeps its id for its lifetime).
-#[cfg(feature = "enabled")]
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "enabled")]
 thread_local! {
     /// Id of the innermost span currently open on this thread (0 = none).
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
@@ -225,35 +213,27 @@ thread_local! {
 }
 
 /// This thread's dense trace id (assigned on first call, 1-based).
-#[cfg(feature = "enabled")]
 pub(crate) fn thread_trace_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
 /// Id of the innermost trace span currently open on the calling thread, or 0
-/// when none (or when telemetry is compiled out). The streaming receiver
+/// when none. The streaming receiver
 /// hands this to the flight recorder so a captured frame can name the trace
 /// slice that decoded it.
 #[inline]
 #[must_use]
 pub fn current_span_id() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        CURRENT_SPAN.with(Cell::get)
-    }
-    #[cfg(not(feature = "enabled"))]
-    0
+    CURRENT_SPAN.with(Cell::get)
 }
 
 /// Restarts the span-id sequence at 1. Called by [`crate::reset`] so sweep
 /// cells and tests see deterministic ids; live guards keep the ids they
 /// already captured.
 pub(crate) fn reset_ids() {
-    #[cfg(feature = "enabled")]
     NEXT_SPAN_ID.store(1, Ordering::Relaxed);
 }
 
-#[cfg(feature = "enabled")]
 fn push(ev: TraceEvent) {
     let mut ring = RING.lock().unwrap();
     if ring.buf.len() == TRACE_CAPACITY {
@@ -269,7 +249,6 @@ fn push(ev: TraceEvent) {
 /// The event is parented to the span currently open on this thread.
 #[inline]
 pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
-    #[cfg(feature = "enabled")]
     push(TraceEvent {
         ts_ns: now_ns(),
         name,
@@ -279,23 +258,16 @@ pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
         thread_id: thread_trace_id(),
         args,
     });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, value, args);
 }
 
 /// Takes every buffered trace record (and the evicted-record count),
 /// emptying the ring.
 pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
-    #[cfg(feature = "enabled")]
-    {
-        let mut ring = RING.lock().unwrap();
-        let events = ring.buf.drain(..).collect();
-        let dropped = ring.dropped;
-        ring.dropped = 0;
-        (events, dropped)
-    }
-    #[cfg(not(feature = "enabled"))]
-    (Vec::new(), 0)
+    let mut ring = RING.lock().unwrap();
+    let events = ring.buf.drain(..).collect();
+    let dropped = ring.dropped;
+    ring.dropped = 0;
+    (events, dropped)
 }
 
 /// Peeks at the buffered records (and the evicted-record count since the
@@ -303,18 +275,12 @@ pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
 /// count describes exactly these records.
 #[must_use]
 pub(crate) fn snapshot_trace() -> (Vec<TraceEvent>, u64) {
-    #[cfg(feature = "enabled")]
-    {
-        let ring = RING.lock().unwrap();
-        (ring.buf.iter().copied().collect(), ring.dropped)
-    }
-    #[cfg(not(feature = "enabled"))]
-    (Vec::new(), 0)
+    let ring = RING.lock().unwrap();
+    (ring.buf.iter().copied().collect(), ring.dropped)
 }
 
 /// Opens a span: hands out its id and makes it the thread's current span.
 /// Nothing is recorded until [`close`]. Returns `(span_id, parent_id)`.
-#[cfg(feature = "enabled")]
 pub(crate) fn open() -> (u64, u64) {
     let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent_id = CURRENT_SPAN.with(|c| c.replace(span_id));
@@ -324,7 +290,6 @@ pub(crate) fn open() -> (u64, u64) {
 /// Closes a span opened by [`open`] at `start_ns` and lasting `dur_ns`:
 /// restores the parent as the thread's current span and records the span's
 /// one completed record.
-#[cfg(feature = "enabled")]
 pub(crate) fn close(
     name: &'static str,
     start_ns: u64,
@@ -345,7 +310,7 @@ pub(crate) fn close(
     });
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

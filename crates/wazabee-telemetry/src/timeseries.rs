@@ -3,7 +3,7 @@
 //! Two flavours share one point format:
 //!
 //! * **Instance-owned** — [`SeriesSet`] is a plain data structure (no
-//!   statics, no feature gate) that a simulation or session owns outright.
+//!   statics) that a simulation or session owns outright.
 //!   `wazabee-sim` drives one with *sim-time* timestamps, which keeps the
 //!   exported `timeseries.jsonl` deterministic across thread counts and IQ
 //!   chunk sizes: the recording is part of the simulation state, not a
@@ -11,8 +11,7 @@
 //! * **Global wall-clock** — [`WallSeries`] statics declared with
 //!   [`crate::timeseries!`] sample live values in the streaming and bench
 //!   paths, stamped in nanoseconds since the process's telemetry epoch.
-//!   These appear in the snapshot server output and the JSONL dump, and
-//!   compile to no-ops with the `enabled` feature off.
+//!   These appear in the snapshot server output and the JSONL dump.
 //!
 //! Every series is bounded: past `capacity` points the oldest are evicted
 //! and counted, so a long-running process can record forever.
@@ -21,9 +20,7 @@ use std::collections::VecDeque;
 
 use crate::json::{Fixed, Writer};
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 /// Default point capacity for series that do not pick their own.
@@ -219,9 +216,7 @@ fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
 pub struct WallSeries {
     name: &'static str,
     capacity: usize,
-    #[cfg(feature = "enabled")]
     points: Mutex<VecDeque<Point>>,
-    #[cfg(feature = "enabled")]
     registered: AtomicBool,
 }
 
@@ -232,9 +227,7 @@ impl WallSeries {
         WallSeries {
             name,
             capacity,
-            #[cfg(feature = "enabled")]
             points: Mutex::new(VecDeque::new()),
-            #[cfg(feature = "enabled")]
             registered: AtomicBool::new(false),
         }
     }
@@ -248,47 +241,34 @@ impl WallSeries {
     /// Records `value` at the current wall offset.
     #[inline]
     pub fn record(&'static self, value: f64) {
-        #[cfg(feature = "enabled")]
+        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
         {
-            if !self.registered.load(Ordering::Relaxed)
-                && !self.registered.swap(true, Ordering::AcqRel)
-            {
-                crate::registry::registry()
-                    .wall_series
-                    .lock()
-                    .unwrap()
-                    .push(self);
-            }
-            let t = crate::span::now_ns();
-            let mut points = self.points.lock().unwrap();
-            if points.len() >= self.capacity.max(1) {
-                points.pop_front();
-            }
-            points.push_back(Point { t, value });
+            crate::registry::registry()
+                .wall_series
+                .lock()
+                .unwrap()
+                .push(self);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (value, self.capacity);
+        let t = crate::span::now_ns();
+        let mut points = self.points.lock().unwrap();
+        if points.len() >= self.capacity.max(1) {
+            points.pop_front();
+        }
+        points.push_back(Point { t, value });
     }
 
     /// Snapshot of the retained points, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Point> {
-        #[cfg(feature = "enabled")]
-        {
-            self.points.lock().unwrap().iter().copied().collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
+        self.points.lock().unwrap().iter().copied().collect()
     }
 
-    #[cfg(feature = "enabled")]
     pub(crate) fn reset(&self) {
         self.points.lock().unwrap().clear();
     }
 }
 
 /// Registered wall-clock series, sorted by name.
-#[cfg(feature = "enabled")]
 pub(crate) fn registered_wall_series() -> Vec<&'static WallSeries> {
     let mut v = crate::registry::listed(&crate::registry::registry().wall_series);
     v.sort_by_key(|s| s.name());
@@ -340,7 +320,6 @@ mod tests {
         assert!(a.contains("\"labels\":{\"node\":\"0\"}"), "{a}");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn wall_series_records_and_bounds() {
         let _lock = crate::test_lock();

@@ -20,19 +20,15 @@
 //!
 //! Set `WAZABEE_TRACE_OUT=PATH` and the bench binaries / example session
 //! guard call [`dump_trace_from_env`] on exit; [`dump_trace_to`] writes the
-//! same document anywhere on demand. With the `enabled` feature off nothing
-//! is ever written and the document renders empty.
+//! same document anywhere on demand.
 
 use std::io::{self, Write};
 use std::path::Path;
 
-#[cfg(feature = "enabled")]
 use std::collections::HashSet;
 
-#[cfg(feature = "enabled")]
 use crate::json::Fixed;
 use crate::json::Writer;
-#[cfg(feature = "enabled")]
 use crate::span::{snapshot_trace, ArgValue, SpanArgs, TraceEvent, TraceKind};
 
 /// Environment variable naming the Chrome Trace JSON dump path (see
@@ -42,67 +38,60 @@ pub const ENV_TRACE_OUT: &str = "WAZABEE_TRACE_OUT";
 /// Renders the current trace ring as a Chrome Trace Event JSON document.
 ///
 /// The ring is only peeked — records stay available to [`crate::summary`]
-/// and later exports. With the `enabled` feature off this returns an empty
-/// document (`{"traceEvents":[]}`).
+/// and later exports.
 #[must_use]
 pub fn trace_chrome_json() -> String {
     let mut out = String::new();
     let mut w = Writer::new(&mut out);
     w.begin_object().key("traceEvents").begin_array();
-    #[cfg(feature = "enabled")]
-    {
-        let (events, dropped) = snapshot_trace();
+    let (events, dropped) = snapshot_trace();
 
-        // Which span ids have a record in the ring? A nonzero parent outside
-        // this set is unresolvable — mark, don't guess.
-        let live_spans: HashSet<u64> = events
-            .iter()
-            .filter(|ev| ev.span_id != 0)
-            .map(|ev| ev.span_id)
-            .collect();
+    // Which span ids have a record in the ring? A nonzero parent outside
+    // this set is unresolvable — mark, don't guess.
+    let live_spans: HashSet<u64> = events
+        .iter()
+        .filter(|ev| ev.span_id != 0)
+        .map(|ev| ev.span_id)
+        .collect();
 
-        w.begin_object()
-            .field("ph", "M")
-            .field("pid", 1u8)
-            .field("name", "process_name")
-            .key("args")
-            .begin_object()
-            .field("name", "wazabee")
-            .end_object()
-            .end_object();
+    w.begin_object()
+        .field("ph", "M")
+        .field("pid", 1u8)
+        .field("name", "process_name")
+        .key("args")
+        .begin_object()
+        .field("name", "wazabee")
+        .end_object()
+        .end_object();
 
-        for ev in &events {
-            let orphaned = ev.parent_id != 0 && !live_spans.contains(&ev.parent_id);
-            w.begin_object().field("name", ev.name);
-            match ev.kind {
-                TraceKind::Span { .. } => w.field("ph", "X"),
-                TraceKind::Instant { .. } => w.field("ph", "i").field("s", "t"),
-            };
-            w.field("pid", 1u8)
-                .field("tid", ev.thread_id)
-                .field("ts", micros(ev.ts_ns));
-            if let TraceKind::Span { dur_ns } = ev.kind {
-                w.field("dur", micros(dur_ns));
-            }
-            args_object(&mut w, ev, orphaned);
-            w.end_object();
+    for ev in &events {
+        let orphaned = ev.parent_id != 0 && !live_spans.contains(&ev.parent_id);
+        w.begin_object().field("name", ev.name);
+        match ev.kind {
+            TraceKind::Span { .. } => w.field("ph", "X"),
+            TraceKind::Instant { .. } => w.field("ph", "i").field("s", "t"),
+        };
+        w.field("pid", 1u8)
+            .field("tid", ev.thread_id)
+            .field("ts", micros(ev.ts_ns));
+        if let TraceKind::Span { dur_ns } = ev.kind {
+            w.field("dur", micros(dur_ns));
         }
-        w.end_array()
-            .field("displayTimeUnit", "ns")
-            .key("otherData")
-            .begin_object()
-            .field("evicted_records", dropped)
-            .end_object();
+        args_object(&mut w, ev, orphaned);
+        w.end_object();
     }
-    #[cfg(not(feature = "enabled"))]
-    w.end_array();
+    w.end_array()
+        .field("displayTimeUnit", "ns")
+        .key("otherData")
+        .begin_object()
+        .field("evicted_records", dropped)
+        .end_object();
     w.end_object();
     out
 }
 
 /// Nanoseconds → fractional microseconds with exactly three decimals, the
 /// resolution Chrome Trace's µs timebase can carry without losing ns.
-#[cfg(feature = "enabled")]
 fn micros(ns: u64) -> Fixed {
     Fixed(ns as f64 / 1e3, 3)
 }
@@ -110,7 +99,6 @@ fn micros(ns: u64) -> Fixed {
 /// Writes a record's Chrome `args` member: causal ids first, then the
 /// user's key/value pairs, then the orphan marker when the parent span has
 /// no record in the ring, then an instant's finite value.
-#[cfg(feature = "enabled")]
 fn args_object(w: &mut Writer, ev: &TraceEvent, orphaned: bool) {
     w.key("args").begin_object();
     if ev.span_id != 0 {
@@ -133,7 +121,6 @@ fn args_object(w: &mut Writer, ev: &TraceEvent, orphaned: bool) {
 
 /// Writes a [`SpanArgs`] set as object members (shared with the JSONL
 /// sink's trace lines).
-#[cfg(feature = "enabled")]
 pub(crate) fn write_args(w: &mut Writer, args: &SpanArgs) {
     for &(k, v) in args.pairs() {
         w.key(k);
@@ -155,25 +142,20 @@ pub fn dump_trace_to(path: &Path) -> io::Result<()> {
     file.flush()
 }
 
-/// If the `WAZABEE_TRACE_OUT` environment variable is set (and telemetry is
-/// compiled in), dumps the Chrome Trace JSON there and returns `Ok(true)`;
+/// If the `WAZABEE_TRACE_OUT` environment variable is set, dumps the
+/// Chrome Trace JSON there and returns `Ok(true)`;
 /// otherwise returns `Ok(false)` without touching the filesystem.
 pub fn dump_trace_from_env() -> io::Result<bool> {
-    #[cfg(feature = "enabled")]
-    {
-        match std::env::var_os(ENV_TRACE_OUT) {
-            Some(path) if !path.is_empty() => {
-                dump_trace_to(Path::new(&path))?;
-                Ok(true)
-            }
-            _ => Ok(false),
+    match std::env::var_os(ENV_TRACE_OUT) {
+        Some(path) if !path.is_empty() => {
+            dump_trace_to(Path::new(&path))?;
+            Ok(true)
         }
+        _ => Ok(false),
     }
-    #[cfg(not(feature = "enabled"))]
-    Ok(false)
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

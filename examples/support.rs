@@ -18,7 +18,7 @@ pub struct Session {
 
 /// Starts an example session: arms the flight recorder from
 /// `WAZABEE_CAPTURE_DIR`, starts the telemetry snapshot server when
-/// `WAZABEE_TELEMETRY_ADDR` is set (both no-ops when unset or compiled out)
+/// `WAZABEE_TELEMETRY_ADDR` is set (both no-ops when unset)
 /// and returns the RAII guard that emits every end-of-run report.
 pub fn session() -> Session {
     match wazabee_flightrec::init_from_env() {
