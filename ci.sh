@@ -24,7 +24,9 @@
 #      discriminator is at least 2x faster than its f32 scalar twin (a
 #      "SIMD" kernel that stopped vectorizing fails here), and the streaming
 #      sync search is at least 4x faster than the byte-per-bit oracle on
-#      frame-like lanes (a prefilter that stopped screening fails here)
+#      frame-like lanes (a prefilter that stopped screening fails here);
+#      the discriminator variant dispatch selected ("avx2" or "portable") is
+#      printed, so a host without AVX2 shows in the log
 #  10. stream-throughput smoke: the streaming receiver emits a well-formed
 #      BENCH_stream_throughput.json and recovers >= 2 frames behind a decoy
 #      sync hit
@@ -67,9 +69,12 @@
 #      `labeled_histogram!`) under crates/ tests/ examples/; one build only:
 #      no `cfg(feature`/`cfg!(feature` under crates/ tests/ examples/, no
 #      `[features]` table in the workspace's own manifests, and no cargo
-#      run in this script that turns default features off; the Rust
-#      line counts of crates/ tests/ examples/ and of wazabee-telemetry are
-#      printed so each change's net line count shows in the log
+#      run in this script that turns default features off; one target:
+#      no .cargo/config.toml (or .cargo/config) and no setting that pins
+#      the target CPU in the workspace's or perfbench's manifests or in
+#      this script, since wide kernels are chosen at run time; the Rust line counts of crates/
+#      tests/ examples/ and of wazabee-telemetry are printed so each
+#      change's net line count shows in the log
 #  18. perf regression gate: fresh smoke-run BENCH figures — including the
 #      discriminator simd_speedup row, the correlator's packed_vs_oracle
 #      ratio, the 1024-node
@@ -129,8 +134,8 @@ run cargo bench -p wazabee-bench --bench packed_kernels --offline -- --test
 # bitwise scalar-parity proptests.
 iq_bench_log="$capture_dir/iq_kernels_bench.log"
 run cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test 2>&1 | tee "$iq_bench_log"
-for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar axpy_scalar \
-    superpose_accumulate_scalar fir_planar_scalar; do
+for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar sign_words_scalar \
+    lane_packing_scalar axpy_scalar superpose_accumulate_scalar fir_planar_scalar; do
     if ! grep -q "$kernel" "$iq_bench_log"; then
         echo "ci.sh: iq_kernels bench no longer exercises $kernel" >&2
         exit 1
@@ -138,11 +143,11 @@ for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar axpy_sc
 done
 scalar_props="$(cargo test -q -p wazabee-integration --offline --test iq_simd -- --list \
     | grep -c "match.*_scalar")"
-if [ "$scalar_props" -lt 6 ]; then
-    echo "ci.sh: expected >= 6 scalar-parity proptests in iq_simd, found $scalar_props" >&2
+if [ "$scalar_props" -lt 7 ]; then
+    echo "ci.sh: expected >= 7 scalar-parity proptests in iq_simd, found $scalar_props" >&2
     exit 1
 fi
-echo "scalar references exercised: 6 bench cases + $scalar_props parity proptests"
+echo "scalar references exercised: 8 bench cases + $scalar_props parity proptests"
 
 bench_json="$capture_dir/BENCH_rx_throughput.json"
 run cargo run --release -q -p wazabee-bench --bin rx_throughput --offline -- \
@@ -162,6 +167,11 @@ speedup = despread["speedup"]
 assert speedup >= 3.0, f"packed despread only {speedup:.2f}x faster than scalar (need >= 3x)"
 disc = doc["discriminate"]
 assert disc["scalar_msamples_per_sec"] > 0, "scalar discriminator Msamples/s missing"
+assert disc["portable_msamples_per_sec"] > 0, "portable discriminator Msamples/s missing"
+isa = disc["isa"]
+assert isa in ("avx2", "portable"), f"unknown kernel variant {isa!r}"
+assert (disc["avx2_msamples_per_sec"] is not None) == (isa == "avx2"), (
+    f"AVX2 rate {disc['avx2_msamples_per_sec']} does not match the selected variant {isa}")
 vs_scalar = disc["simd_vs_scalar"]
 assert vs_scalar >= 2.0, (
     f"planar discriminator only {vs_scalar:.2f}x faster than its scalar twin "
@@ -176,7 +186,8 @@ print(f"BENCH_rx_throughput.json well-formed: "
       f"{rx['frames_per_sec']:.0f} frames/s, "
       f"{despread['packed_msymbols_per_sec']:.1f} Msym/s packed, "
       f"{speedup:.1f}x over scalar, "
-      f"discriminator {vs_scalar:.1f}x over its scalar twin, "
+      f"discriminator {vs_scalar:.1f}x over its scalar twin "
+      f"(kernel variant: {isa}), "
       f"sync search {vs_oracle:.1f}x over the oracle")
 EOF
 
@@ -543,6 +554,22 @@ if grep -nF -- "$no_default" ci.sh; then
     exit 1
 fi
 echo "one build: no cargo-feature cfg, [features] table or $no_default run"
+# One target: wide kernels are chosen at run time, so no build setting may
+# pin a CPU (a binary built for one faults on older hosts). Spelled in two
+# pieces so this guard does not match itself.
+target_cpu="target""-cpu"
+for cfg in .cargo/config.toml .cargo/config perfbench/.cargo/config.toml perfbench/.cargo/config; do
+    if [ -e "$cfg" ]; then
+        echo "ci.sh: $cfg exists — kernels are chosen at run time, not by build settings" >&2
+        exit 1
+    fi
+done
+if grep -nF -- "$target_cpu" Cargo.toml crates/*/Cargo.toml tests/Cargo.toml \
+    examples/Cargo.toml perfbench/Cargo.toml ci.sh; then
+    echo "ci.sh: $target_cpu above — kernels are chosen at run time, not by build settings" >&2
+    exit 1
+fi
+echo "one target: no .cargo/config.toml and no $target_cpu setting"
 echo "Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)"
 echo "Rust lines in crates/wazabee-telemetry: $(find crates/wazabee-telemetry -name '*.rs' -exec cat {} + | wc -l)"
 

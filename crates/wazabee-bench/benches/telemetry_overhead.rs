@@ -1,14 +1,14 @@
-//! Measures what the telemetry probes cost: the instrumented modem hot
-//! paths end to end, and each probe kind alone.
+//! Measures what the telemetry probes cost: each probe kind alone.
 //!
 //! ```sh
 //! cargo bench -p wazabee-bench --bench telemetry_overhead
 //! ```
 //!
-//! The probes are always compiled in, so the kernel rows are the modem
-//! arithmetic plus its counters, histograms and scopes; the primitive rows
-//! price one probe each. `artifacts/TELEMETRY_OVERHEAD.md` keeps the
-//! figures, including the last measurement of a build without probes.
+//! Each row prices one probe. Probes sit at stage boundaries, a few per
+//! hundreds of microseconds of kernel work, so timing a whole kernel shows
+//! the host's drift, not the probe; kernel speeds are measured by the
+//! `iq_kernels` and `packed_kernels` benches and the `rx_throughput` bin.
+//! `artifacts/TELEMETRY_OVERHEAD.md` keeps the figures.
 //!
 //! `scope_enter_drop_contended` pins the measuring thread and a rival
 //! scope loop to two different allowed CPUs, so every run measures two
@@ -17,33 +17,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use wazabee_ble::gfsk::{demodulate_aligned, modulate, GfskParams};
-use wazabee_ble::BlePhy;
-use wazabee_dot154::dsss::{despread_to_bytes, spread_bytes};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-fn bench_instrumented_kernels(c: &mut Criterion) {
-    let params = GfskParams::ble(BlePhy::Le2M, 8);
-    let bits: Vec<u8> = (0..2048).map(|k| (k * 7 % 3 == 0) as u8).collect();
-    let iq = modulate(&params, &bits);
-    let psdu: Vec<u8> = (0..32).collect();
-    let chips = spread_bytes(&psdu);
-
-    let mut g = c.benchmark_group("telemetry_overhead");
-    g.throughput(Throughput::Elements(bits.len() as u64));
-    g.bench_function("gfsk_modulate", |b| {
-        b.iter(|| modulate(&params, std::hint::black_box(&bits)))
-    });
-    g.bench_function("gfsk_demodulate", |b| {
-        b.iter(|| demodulate_aligned(&params, std::hint::black_box(&iq), 0))
-    });
-    g.bench_function("dsss_despread", |b| {
-        b.iter(|| despread_to_bytes(std::hint::black_box(&chips)))
-    });
-    g.finish();
-
-    // Bare-primitive cost so regressions in the counter fast path are visible
-    // without the modem arithmetic drowning them out.
+fn bench_probes(c: &mut Criterion) {
     let mut p = c.benchmark_group("telemetry_primitives");
     p.bench_function("counter_inc", |b| {
         b.iter(|| wazabee_telemetry::counter!("bench.counter").inc())
@@ -204,6 +180,6 @@ mod affinity {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_instrumented_kernels
+    targets = bench_probes
 }
 criterion_main!(benches);

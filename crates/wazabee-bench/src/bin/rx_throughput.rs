@@ -9,8 +9,10 @@
 //! * despreading throughput in Msymbols per second for the packed `u32`
 //!   kernel and the scalar byte-per-bit reference, plus their ratio,
 //! * discriminator throughput in Msamples per second for the planar SIMD
-//!   kernel, its `f32` scalar twin and the interleaved `f64` reference, plus
-//!   the SIMD kernel's ratio to each,
+//!   kernel as dispatched, its portable and AVX2 variants called by name
+//!   (the AVX2 one `null` on hosts without AVX2), its `f32` scalar twin and
+//!   the interleaved `f64` reference, plus the dispatched kernel's ratio to
+//!   the last two, and the name of the variant dispatch selects (`isa`),
 //! * sync-search throughput in Mbit/s on frame-like lanes for the streaming
 //!   correlator and the byte-per-bit oracle (restarted past each hit), plus
 //!   their ratio and the hit rate per alignment.
@@ -29,7 +31,7 @@ use wazabee_bench::lanes::{frame_like_lane, oracle_hits};
 use wazabee_ble::{BleModem, BlePhy};
 use wazabee_dot154::{fcs::append_fcs, Dot154Modem, Ppdu};
 use wazabee_dsp::correlate::PatternMatch;
-use wazabee_dsp::{PackedBits, StreamCorrelator};
+use wazabee_dsp::{simd, PackedBits, StreamCorrelator};
 use wazabee_radio::{Link, LinkConfig, RfFrame};
 use wazabee_telemetry::json::{Fixed, Writer};
 
@@ -115,53 +117,84 @@ fn bench_despread(symbols: usize) -> (f64, f64) {
     (msym(packed_secs), msym(scalar_secs))
 }
 
+/// Discriminator throughput, Msamples/s.
+struct DiscriminateRates {
+    /// The kernel as dispatched on this host.
+    simd: f64,
+    portable: f64,
+    /// `None` on hosts without AVX2.
+    avx2: Option<f64>,
+    scalar: f64,
+    f64_ref: f64,
+}
+
 /// Discriminator micro-benchmark over real capture IQ: the planar `f32` SIMD
-/// kernel versus its `f32` scalar twin (does the blocked kernel actually
-/// vectorize?) and versus the interleaved `f64` reference the receive path
-/// used before going planar. Returns (simd, scalar, f64) Msamples/s.
-fn bench_discriminate(captures: &[Capture], passes: usize) -> (f64, f64, f64) {
+/// kernel as dispatched and each of its variants by name, versus its `f32`
+/// scalar twin (does the kernel actually vectorize?) and versus the
+/// interleaved `f64` reference the receive path used before going planar.
+/// Every variant's output must equal the scalar twin's bit for bit.
+fn bench_discriminate(captures: &[Capture], passes: usize) -> DiscriminateRates {
     let all: Vec<wazabee_dsp::Iq> = captures.iter().flat_map(|c| c.air.clone()).collect();
     let planar = wazabee_dsp::IqBuf::from_interleaved(&all);
+    let (i, q) = (planar.i(), planar.q());
     let n = all.len();
+    let msps = |secs: f64| (n * passes) as f64 / secs.max(1e-9) / 1e6;
+    let time = |kernel: &mut dyn FnMut(&mut Vec<f32>)| {
+        let mut out = Vec::with_capacity(n);
+        let start = Instant::now();
+        for _ in 0..passes {
+            out.clear();
+            kernel(&mut out);
+        }
+        (msps(start.elapsed().as_secs_f64()), out)
+    };
 
-    let start = Instant::now();
-    let mut out_f32 = Vec::with_capacity(n);
-    for _ in 0..passes {
-        out_f32.clear();
-        wazabee_dsp::simd::discriminate_planar_into(planar.i(), planar.q(), &mut out_f32);
-    }
-    let simd_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    let start = Instant::now();
-    let mut out_scalar = Vec::with_capacity(n);
-    for _ in 0..passes {
-        out_scalar.clear();
-        wazabee_dsp::simd::discriminate_planar_scalar_into(planar.i(), planar.q(), &mut out_scalar);
-    }
-    let scalar_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    let start = Instant::now();
-    let mut out_f64 = Vec::with_capacity(n);
-    for _ in 0..passes {
-        out_f64.clear();
-        wazabee_dsp::discriminator::discriminate_into(&all, &mut out_f64);
-    }
-    let f64_secs = start.elapsed().as_secs_f64().max(1e-9);
+    let (simd, out_simd) = time(&mut |out| simd::discriminate_planar_into(i, q, out));
+    let (portable, out_portable) =
+        time(&mut |out| simd::discriminate_planar_portable_into(i, q, out));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = simd::avx2_detected().then(|| {
+        // SAFETY: AVX2 was detected on this host by the condition above.
+        time(&mut |out| unsafe { simd::discriminate_planar_avx2_into(i, q, out) })
+    });
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2: Option<(f64, Vec<f32>)> = None;
+    let (scalar, out_scalar) = time(&mut |out| simd::discriminate_planar_scalar_into(i, q, out));
+    let (f64_ref, out_f64) = {
+        let mut out = Vec::with_capacity(n);
+        let start = Instant::now();
+        for _ in 0..passes {
+            out.clear();
+            wazabee_dsp::discriminator::discriminate_into(&all, &mut out);
+        }
+        (msps(start.elapsed().as_secs_f64()), out)
+    };
 
     assert_eq!(
-        out_f32.len(),
+        out_simd.len(),
         out_f64.len(),
         "discriminator length divergence"
     );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = bits(&out_scalar);
     assert!(
-        out_f32
-            .iter()
-            .zip(&out_scalar)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        bits(&out_simd) == want,
         "simd/scalar discriminator divergence"
     );
-    let msps = |secs: f64| (n * passes) as f64 / secs / 1e6;
-    (msps(simd_secs), msps(scalar_secs), msps(f64_secs))
+    assert!(
+        bits(&out_portable) == want,
+        "portable/scalar discriminator divergence"
+    );
+    if let Some((_, out)) = &avx2 {
+        assert!(bits(out) == want, "avx2/scalar discriminator divergence");
+    }
+    DiscriminateRates {
+        simd,
+        portable,
+        avx2: avx2.map(|(rate, _)| rate),
+        scalar,
+        f64_ref,
+    }
 }
 
 /// Sync-search micro-benchmark: the diverted access address at the default
@@ -247,11 +280,18 @@ fn main() {
     eprintln!("despreading {symbols} symbols, packed vs scalar ...");
     let (packed_msym, scalar_msym) = bench_despread(symbols);
     let speedup = packed_msym / scalar_msym;
-    eprintln!("discriminating capture IQ, planar f32 vs f32 scalar vs interleaved f64 ...");
-    let (simd_msps, scalar_msps, f64_msps) =
-        bench_discriminate(&captures, if smoke { 16 } else { 64 });
-    let simd_speedup = simd_msps / f64_msps;
-    let simd_vs_scalar = simd_msps / scalar_msps;
+    let isa = if simd::avx2_detected() {
+        "avx2"
+    } else {
+        "portable"
+    };
+    eprintln!(
+        "discriminating capture IQ, planar f32 ({isa} dispatched, portable, avx2) \
+         vs f32 scalar vs interleaved f64 ..."
+    );
+    let disc = bench_discriminate(&captures, if smoke { 16 } else { 64 });
+    let simd_speedup = disc.simd / disc.f64_ref;
+    let simd_vs_scalar = disc.simd / disc.scalar;
     let (lane_bits, lanes) = if smoke { (1 << 18, 4) } else { (1 << 20, 8) };
     eprintln!("searching {lanes} frame-like lanes of {lane_bits} bits, packed vs oracle ...");
     let (corr_mbps, oracle_mbps, sync_hits) = bench_correlate(lane_bits, lanes);
@@ -265,8 +305,10 @@ fn main() {
         "correlate: packed {corr_mbps:.2} Mbit/s, oracle {oracle_mbps:.2} Mbit/s -> {corr_vs_oracle:.2}x, {sync_hits} hits ({:.3}% of alignments)",
         hit_rate * 100.0
     );
+    let avx2 = disc.avx2.map_or("n/a".to_string(), |r| format!("{r:.2}"));
     println!(
-        "discriminate: planar {simd_msps:.2} Msamples/s, scalar {scalar_msps:.2} Msamples/s, f64 {f64_msps:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x, simd_vs_scalar {simd_vs_scalar:.2}x"
+        "discriminate: planar {:.2} Msamples/s ({isa}; portable {:.2}, avx2 {avx2}), scalar {:.2} Msamples/s, f64 {:.2} Msamples/s -> simd_speedup {simd_speedup:.2}x, simd_vs_scalar {simd_vs_scalar:.2}x",
+        disc.simd, disc.portable, disc.scalar, disc.f64_ref
     );
 
     let mut json = String::new();
@@ -291,9 +333,12 @@ fn main() {
         .end_object()
         .key("discriminate")
         .begin_object()
-        .field("simd_msamples_per_sec", Fixed(simd_msps, 3))
-        .field("scalar_msamples_per_sec", Fixed(scalar_msps, 3))
-        .field("f64_msamples_per_sec", Fixed(f64_msps, 3))
+        .field("isa", isa)
+        .field("simd_msamples_per_sec", Fixed(disc.simd, 3))
+        .field("portable_msamples_per_sec", Fixed(disc.portable, 3))
+        .field("avx2_msamples_per_sec", disc.avx2.map(|r| Fixed(r, 3)))
+        .field("scalar_msamples_per_sec", Fixed(disc.scalar, 3))
+        .field("f64_msamples_per_sec", Fixed(disc.f64_ref, 3))
         .field("simd_speedup", Fixed(simd_speedup, 3))
         .field("simd_vs_scalar", Fixed(simd_vs_scalar, 3))
         .end_object()

@@ -114,18 +114,10 @@ pub fn msk_correspondence_table_packed() -> &'static [u32; 16] {
 /// 31-bit block; returns `(symbol, distance)`. `block` holds the 31 received
 /// bits LSB-first (bit 31 must be clear). This runs per received symbol on
 /// the hot receive path — sixteen XOR + `count_ones` against the cached
-/// packed table. The scalar byte-per-bit reference survives as
-/// [`closest_symbol_msk_scalar`].
+/// packed table ([`wazabee_dsp::packed::nearest_row`]). The scalar
+/// byte-per-bit reference survives as [`closest_symbol_msk_scalar`].
 pub fn closest_symbol_msk_packed(block: u32) -> (u8, usize) {
-    let table = msk_correspondence_table_packed();
-    let mut best = (0u8, usize::MAX);
-    for (s, &row) in table.iter().enumerate() {
-        let d = (block ^ row).count_ones() as usize;
-        if d < best.1 {
-            best = (s as u8, d);
-        }
-    }
-    best
+    wazabee_dsp::packed::nearest_row(msk_correspondence_table_packed(), block)
 }
 
 /// The scalar byte-per-bit reference implementation of

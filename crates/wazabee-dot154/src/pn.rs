@@ -125,17 +125,9 @@ pub fn pn_sequences_packed() -> &'static [u32; 16] {
 
 /// Packed chip-domain despreading: `chips` holds one 32-chip block LSB-first;
 /// returns `(best_symbol, best_distance)` with the same tie-breaking as
-/// [`closest_symbol`].
+/// [`closest_symbol`] ([`wazabee_dsp::packed::nearest_row`]).
 pub fn closest_symbol_packed(chips: u32) -> (u8, usize) {
-    let table = pn_sequences_packed();
-    let mut best = (0u8, usize::MAX);
-    for (sym, &pn) in table.iter().enumerate() {
-        let d = (chips ^ pn).count_ones() as usize;
-        if d < best.1 {
-            best = (sym as u8, d);
-        }
-    }
-    best
+    wazabee_dsp::packed::nearest_row(pn_sequences_packed(), chips)
 }
 
 /// Minimum pairwise Hamming distance of the PN family — the error margin the

@@ -263,6 +263,141 @@ pub fn pack_u64(bits: &[u8]) -> u64 {
         .fold(0u64, |acc, (k, &b)| acc | (u64::from(b & 1) << (k % 64)))
 }
 
+/// The row of `table` nearest to `x` in Hamming distance, as `(row,
+/// distance)`; ties resolve to the lowest row — the despreading step over a
+/// packed 16-symbol table. Runs [`nearest_row_avx2`] on hosts with AVX2,
+/// [`nearest_row_portable`] elsewhere.
+pub fn nearest_row(table: &[u32; 16], x: u32) -> (u8, usize) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_detected() {
+        // SAFETY: AVX2 was detected on this host on the line above.
+        return unsafe { nearest_row_avx2(table, x) };
+    }
+    nearest_row_portable(table, x)
+}
+
+/// [`nearest_row`] compiled for the build's baseline target.
+pub fn nearest_row_portable(table: &[u32; 16], x: u32) -> (u8, usize) {
+    nearest_row_body(table, x)
+}
+
+/// [`nearest_row`] compiled for AVX2: the sixteen distances take two
+/// vector population counts, and the minimum one vector reduction.
+///
+/// # Safety
+///
+/// Call only where [`crate::simd::avx2_detected`] is true: on a host
+/// without AVX2 the instructions fault.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn nearest_row_avx2(table: &[u32; 16], x: u32) -> (u8, usize) {
+    nearest_row_body(table, x)
+}
+
+/// Each row's key is its distance above its index (distances are at most
+/// 32, indexes below 16), so the smallest key is the nearest row with ties
+/// to the lowest index. A minimum over keys has no branch to mispredict on
+/// noisy blocks, and vectorizes where the target has an unsigned minimum.
+#[inline(always)]
+fn nearest_row_body(table: &[u32; 16], x: u32) -> (u8, usize) {
+    let key = table
+        .iter()
+        .enumerate()
+        .map(|(s, &row)| ((x ^ row).count_ones() << 4) | s as u32)
+        .min()
+        .expect("sixteen rows");
+    ((key & 15) as u8, (key >> 4) as usize)
+}
+
+/// Splits the first `len` bits of a packed LSB-first stream into `stride`
+/// phases, phase `c` being bits `c, c + stride, c + 2·stride, …` — the
+/// receive engine's step from all-phase sign words to per-lane bits.
+///
+/// Each phase goes to `emit(c, word, count)` up to 64 bits at a time, LSB
+/// first, in stream order (bits of `word` at or above `count` are
+/// unspecified). For `stride == 8` every 8 words hold 64 rows of 8 phases:
+/// an 8×8 bit transpose per word turns its rows into phase bytes, and an
+/// 8×8 byte transpose across the 8 words gathers each phase's bytes into
+/// one word. Other strides gather bit by bit.
+///
+/// # Panics
+///
+/// Panics if `stride` is zero or `len` exceeds `words.len() * 64`.
+pub fn deinterleave(
+    words: &[u64],
+    len: usize,
+    stride: usize,
+    mut emit: impl FnMut(usize, u64, usize),
+) {
+    assert!(stride > 0, "stride must be non-zero");
+    assert!(
+        len <= words.len() * 64,
+        "{len} bits do not fit {} words",
+        words.len()
+    );
+    if stride == 8 {
+        for (b, block) in words[..len.div_ceil(64)].chunks(8).enumerate() {
+            let rows = (len - b * 512).min(512);
+            let mut t = [0u64; 8];
+            for (t, &w) in t.iter_mut().zip(block) {
+                *t = transpose8(w);
+            }
+            // Byte `c` of `t[k]` holds phase `c`'s bits of rows 8k..8k+8;
+            // after the byte transpose, `t[c]` holds all 64 of them.
+            transpose8_bytes(&mut t);
+            for (c, &word) in t.iter().enumerate() {
+                let count = (rows + 7 - c) / 8;
+                if count > 0 {
+                    emit(c, word, count);
+                }
+            }
+        }
+        return;
+    }
+    for c in 0..stride.min(len) {
+        let mut p = c;
+        while p < len {
+            let (mut word, mut count) = (0u64, 0);
+            while count < 64 && p < len {
+                word |= ((words[p / 64] >> (p % 64)) & 1) << count;
+                count += 1;
+                p += stride;
+            }
+            emit(c, word, count);
+        }
+    }
+}
+
+/// Transposes the 8×8 bit matrix whose bit `8r + c` is row `r`, column `c`
+/// (Hacker's Delight §7-3): bit `8r + c` moves to bit `8c + r`.
+#[inline(always)]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Transposes the 8×8 byte matrix whose row `k` is `m[k]`: byte `c` of
+/// `m[k]` moves to byte `k` of `m[c]`. Each stage swaps the off-diagonal
+/// `d`×`d` byte blocks of every `2d`×`2d` block.
+#[inline(always)]
+fn transpose8_bytes(m: &mut [u64; 8]) {
+    for (d, mask) in [
+        (1, 0x00FF_00FF_00FF_00FF_u64),
+        (2, 0x0000_FFFF_0000_FFFF),
+        (4, 0x0000_0000_FFFF_FFFF),
+    ] {
+        for k in (0..8).filter(|k| k & d == 0) {
+            let x = ((m[k] >> (8 * d)) ^ m[k + d]) & mask;
+            m[k + d] ^= x;
+            m[k] ^= x << (8 * d);
+        }
+    }
+}
+
 /// Finds the first alignment of `pattern` in `stream` with at most
 /// `max_errors` mismatches, scanning from `start` — bit-identical to the
 /// scalar [`crate::correlate::find_pattern_scalar`], but word-packed.
@@ -503,6 +638,35 @@ mod tests {
     fn values_are_masked_to_lowest_bit() {
         let p = PackedBits::from_bits(&[2, 3, 0xFF, 0]);
         assert_eq!(p.to_bits(), vec![0, 1, 1, 0]);
+    }
+
+    #[test]
+    fn transpose8_moves_row_col_to_col_row() {
+        let mut rng = ChaCha8Rng::seed_from_u64(88);
+        for _ in 0..64 {
+            let x: u64 = rng.gen();
+            let t = transpose8(x);
+            for r in 0..8 {
+                for c in 0..8 {
+                    assert_eq!((t >> (8 * c + r)) & 1, (x >> (8 * r + c)) & 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose8_bytes_moves_row_col_to_col_row() {
+        let mut rng = ChaCha8Rng::seed_from_u64(89);
+        for _ in 0..16 {
+            let m: [u64; 8] = std::array::from_fn(|_| rng.gen());
+            let mut t = m;
+            transpose8_bytes(&mut t);
+            for (k, &row) in m.iter().enumerate() {
+                for (c, &col) in t.iter().enumerate() {
+                    assert_eq!((col >> (8 * k)) & 0xFF, (row >> (8 * c)) & 0xFF);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,30 +10,65 @@
 //! in its loop keeps a bounds check and nothing grows the output inside the
 //! loop. An index like `i[k + l + 1]` keeps one check per element, and a
 //! block pushed with `extend_from_slice` keeps a capacity check per block;
-//! either one leaves the loop scalar, whatever `target-cpu` says. The two
-//! receive hot-path kernels therefore follow one rule:
+//! either one leaves the loop scalar on any target. The receive kernels
+//! therefore follow one rule:
 //!
 //! * resize the output once per call and write through a view of it;
 //! * read the input through views whose lengths prove every index in range:
 //!   [`discriminate_planar_into`] slices the current and next sample once to
 //!   the loop's own length, and [`sliding_sums_into`] reads each block of
-//!   `LANES` outputs through fixed-size `&[f32; LANES]` views and writes it
-//!   through a `&mut [f32; LANES]`;
+//!   outputs through fixed-size `&[f32; W]` views and writes it through a
+//!   `&mut [f32; W]`;
 //! * keep the per-element body free of branches (selects only).
 //!
 //! The discriminator is a flat loop rather than `LANES`-wide blocks because
 //! its per-element body is too large for the compiler to unroll an 8-lane
 //! block, and a rolled 8-iteration lane loop stayed scalar.
 //!
+//! ## Runtime dispatch
+//!
+//! The build targets baseline x86-64, whose SSE2 registers hold 4 `f32`
+//! lanes, so an 8-lane block runs as two halves. No build setting changes
+//! that; instead the streaming receive kernels
+//! ([`discriminate_planar_into`], [`sliding_sums_into`], [`sign_words_into`],
+//! and [`crate::packed::nearest_row`]) each come in two variants chosen per
+//! call:
+//!
+//! * `*_portable` is compiled for the build's target and runs anywhere;
+//! * `*_avx2` is a safe `#[target_feature(enable = "avx2")]` function,
+//!   compiled for 8-lane registers and callable only on a host with AVX2.
+//!
+//! Both variants wrap one `#[inline(always)]` body, so they share every
+//! per-element expression and accumulation order and give the same bits; the
+//! exception is the sign pass, whose AVX2 variant spells its compare and
+//! `movemask` with intrinsics because the compiler does not find them. The
+//! public kernel detects AVX2 once per call with [`avx2_detected`] (a cached
+//! flag) and makes its one `unsafe` call behind that check. A kernel gets an
+//! AVX2 variant only where a measurement shows it beating the portable one;
+//! [`window_sums_into`] has none, since each of its outputs is one serial
+//! add chain.
+//!
+//! ## Sliding sums without the add-latency chain
+//!
+//! A sliding sum of width `window` is `window` dependent adds per output
+//! block, so a loop over one block at a time waits on add latency, not
+//! throughput. [`sliding_sums_into`] runs four `LANES` blocks per step of
+//! `j`: four independent accumulators share each `j`, while each output
+//! still accumulates left to right from `0.0`, so its bits do not change.
+//!
+//! ## Scalar twins
+//!
 //! Every kernel keeps a `*_scalar` twin (the same pattern as the packed
 //! bit-domain kernels from the despreading fast path): one plain element-wise
 //! loop with the *identical* per-element expression and accumulation order, so
-//! the SIMD and scalar variants are bit-for-bit equal and the parity proptests
-//! can compare `f32::to_bits` exactly, not within a tolerance. The scalar
-//! twins are exercised by the test suite and the `iq_kernels` bench in every
-//! CI run, so they cannot silently drift from the fast path, and the
-//! `rx_throughput` bench records the discriminator's speed against its twin
-//! so a kernel that stops vectorizing shows up as a number.
+//! every variant and the scalar twin are bit-for-bit equal and the parity
+//! proptests can compare `f32::to_bits` exactly, not within a tolerance. The
+//! proptests call the portable and AVX2 variants by name, so both are checked
+//! on a host with AVX2 whichever one dispatch picks. The scalar twins are
+//! exercised by the test suite and the `iq_kernels` bench in every CI run, so
+//! they cannot silently drift from the fast path, and the `rx_throughput`
+//! bench records the discriminator's variants against its twin so a kernel
+//! that stops vectorizing shows up as a number.
 
 use crate::iq::Iq;
 use crate::iqbuf::IqBuf;
@@ -88,20 +123,74 @@ fn discriminate_one(i0: f32, q0: f32, i1: f32, q1: f32) -> f32 {
     atan2_fast(im, re)
 }
 
+/// Whether this host runs the AVX2 variants of the dispatched kernels
+/// (`"avx2"` rather than `"portable"` in `rx_throughput`'s report).
+///
+/// `is_x86_feature_detected!` caches its answer after the first call, so
+/// asking costs one relaxed load.
+pub fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Polar FM discriminator over planar rails, appending the `len − 1` first
 /// differences (radians/sample) to `out` without allocating.
 ///
 /// This is the planar `f32` counterpart of
 /// [`crate::discriminator::discriminate`]; it carries the same
 /// `dsp.discriminate` profiler stage so before/after self-time is directly
-/// comparable in the snapshot.
+/// comparable in the snapshot. Runs [`discriminate_planar_avx2_into`] on
+/// hosts with AVX2, [`discriminate_planar_portable_into`] elsewhere; both
+/// give the same bits.
 ///
 /// # Panics
 ///
 /// Panics if the rails differ in length.
 pub fn discriminate_planar_into(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
-    assert_eq!(i.len(), q.len(), "planar rails must be equal-length");
     let _s = wazabee_telemetry::scope!("dsp.discriminate");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: AVX2 was detected on this host on the line above.
+        return unsafe { discriminate_planar_avx2_into(i, q, out) };
+    }
+    discriminate_planar_portable_into(i, q, out);
+}
+
+/// [`discriminate_planar_into`] compiled for the build's baseline target.
+///
+/// # Panics
+///
+/// Panics if the rails differ in length.
+pub fn discriminate_planar_portable_into(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
+    discriminate_planar_body(i, q, out);
+}
+
+/// [`discriminate_planar_into`] compiled for AVX2: the same body, eight
+/// lanes per instruction.
+///
+/// # Panics
+///
+/// Panics if the rails differ in length.
+///
+/// # Safety
+///
+/// Call only where [`avx2_detected`] is true: on a host without AVX2 the
+/// instructions fault.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn discriminate_planar_avx2_into(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
+    discriminate_planar_body(i, q, out);
+}
+
+#[inline(always)]
+fn discriminate_planar_body(i: &[f32], q: &[f32], out: &mut Vec<f32>) {
+    assert_eq!(i.len(), q.len(), "planar rails must be equal-length");
     let n = i.len().saturating_sub(1);
     let start = out.len();
     out.resize(start + n, 0.0);
@@ -132,9 +221,9 @@ pub fn discriminate_planar_scalar_into(i: &[f32], q: &[f32], out: &mut Vec<f32>)
 ///
 /// This is the integrate part of integrate-and-dump: the hard-bit decision
 /// `sum ≥ 0` is invariant under the `1/window` scaling, so the dump divide is
-/// skipped entirely. Each window accumulates left to right in both variants,
-/// keeping SIMD and scalar bit-identical; the SIMD variant runs `LANES`
-/// windows in parallel.
+/// skipped entirely. Each window accumulates left to right, as its scalar
+/// twin does, so the two are bit-identical. It has no AVX2 variant: each
+/// output is one serial add chain, which no register width shortens.
 ///
 /// # Panics
 ///
@@ -142,27 +231,18 @@ pub fn discriminate_planar_scalar_into(i: &[f32], q: &[f32], out: &mut Vec<f32>)
 pub fn window_sums_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
     assert!(window > 0, "window must be non-zero");
     let n = x.len() / window;
-    out.reserve(n);
-    let mut w = 0;
-    while w + LANES <= n {
-        let base = w * window;
-        let mut acc = [0.0f32; LANES];
-        for j in 0..window {
-            for (l, a) in acc.iter_mut().enumerate() {
-                *a += x[base + l * window + j];
-            }
-        }
-        out.extend_from_slice(&acc);
-        w += LANES;
-    }
-    while w < n {
-        let base = w * window;
+    let start = out.len();
+    out.resize(start + n, 0.0);
+    // One window per output, read through an exact-length chunk: no index
+    // is checked, and neighbouring windows' add chains overlap in the core.
+    // Blocks of `LANES` windows would read each lane at stride `window`,
+    // which keeps a bounds check per element.
+    for (o, c) in out[start..].iter_mut().zip(x.chunks_exact(window)) {
         let mut a = 0.0f32;
-        for j in 0..window {
-            a += x[base + j];
+        for &v in c {
+            a += v;
         }
-        out.push(a);
-        w += 1;
+        *o = a;
     }
 }
 
@@ -190,39 +270,98 @@ pub fn window_sums_scalar_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
 /// per sample phase, window start `s` belongs to exactly one lane, so one
 /// contiguous pass serves every lane at once. Each window accumulates left to
 /// right from `0.0`, exactly as [`window_sums_into`] does, so a lane reading
-/// every `window`-th value gets the same sums bit for bit. The SIMD variant
-/// computes `LANES` neighbouring offsets per block.
+/// every `window`-th value gets the same sums bit for bit. Runs
+/// [`sliding_sums_avx2_into`] on hosts with AVX2,
+/// [`sliding_sums_portable_into`] elsewhere.
 ///
 /// # Panics
 ///
 /// Panics if `window` is zero.
 pub fn sliding_sums_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: AVX2 was detected on this host on the line above.
+        return unsafe { sliding_sums_avx2_into(x, window, out) };
+    }
+    sliding_sums_portable_into(x, window, out);
+}
+
+/// [`sliding_sums_into`] compiled for the build's baseline target.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+pub fn sliding_sums_portable_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
+    sliding_sums_body(x, window, out);
+}
+
+/// [`sliding_sums_into`] compiled for AVX2.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
+///
+/// # Safety
+///
+/// Call only where [`avx2_detected`] is true: on a host without AVX2 the
+/// instructions fault.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn sliding_sums_avx2_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
+    sliding_sums_body(x, window, out);
+}
+
+/// Outputs per step of the sliding sums' main loop: four `LANES` blocks.
+const SLIDING_GROUP: usize = 4 * LANES;
+
+#[inline(always)]
+fn sliding_sums_body(x: &[f32], window: usize, out: &mut Vec<f32>) {
     assert!(window > 0, "window must be non-zero");
     let n = (x.len() + 1).saturating_sub(window);
     let start = out.len();
     out.resize(start + n, 0.0);
     let dst = &mut out[start..];
-    let mut blocks = dst.chunks_exact_mut(LANES);
-    for (b, o) in blocks.by_ref().enumerate() {
-        let s = b * LANES;
-        let mut acc = [0.0f32; LANES];
-        for j in 0..window {
-            let v: &[f32; LANES] = x[s + j..s + j + LANES].try_into().expect("block view");
-            for l in 0..LANES {
-                acc[l] += v[l];
-            }
-        }
-        let o: &mut [f32; LANES] = o.try_into().expect("block view");
-        *o = acc;
-    }
-    let tail = n - n % LANES;
-    for (s, o) in (tail..).zip(blocks.into_remainder()) {
+    // Four blocks per step give each `j` four independent adds, so the
+    // loop waits on add latency once per four blocks, not once per block.
+    let rest = sliding_blocks::<SLIDING_GROUP>(x, window, 0, dst);
+    let from = n - rest.len();
+    let rest = sliding_blocks::<LANES>(x, window, from, rest);
+    let from = n - rest.len();
+    for (s, o) in (from..).zip(rest) {
         let mut a = 0.0f32;
         for &v in &x[s..s + window] {
             a += v;
         }
         *o = a;
     }
+}
+
+/// Fills the whole `W`-wide blocks of `dst` with the sliding sums starting
+/// at `x[from..]` and returns the tail shorter than `W`. Block `b` reads
+/// `W + window − 1` inputs through fixed-size `&[f32; W]` views, one per
+/// `j`, and writes through a `&mut [f32; W]`.
+#[inline(always)]
+fn sliding_blocks<'d, const W: usize>(
+    x: &[f32],
+    window: usize,
+    from: usize,
+    dst: &'d mut [f32],
+) -> &'d mut [f32] {
+    let mut blocks = dst.chunks_exact_mut(W);
+    for (b, o) in blocks.by_ref().enumerate() {
+        let s = from + b * W;
+        let src = &x[s..s + W + window - 1];
+        let mut acc = [0.0f32; W];
+        for j in 0..window {
+            let v: &[f32; W] = src[j..j + W].try_into().expect("block view");
+            for l in 0..W {
+                acc[l] += v[l];
+            }
+        }
+        let o: &mut [f32; W] = o.try_into().expect("block view");
+        *o = acc;
+    }
+    blocks.into_remainder()
 }
 
 /// Scalar reference for [`sliding_sums_into`] — bit-identical output.
@@ -239,6 +378,85 @@ pub fn sliding_sums_scalar_into(x: &[f32], window: usize, out: &mut Vec<f32>) {
         }
         out.push(a);
     }
+}
+
+/// Hard decisions of `x` packed 64 per word and appended to `out`: bit
+/// `k % 64` of word `k / 64` is set when `x[k] >= 0.0` — so `-0.0` gives 1
+/// and NaN gives 0, the tie-break of [`nrz_hard_bits_into`]. The last word's
+/// bits past `x.len()` are 0. Runs [`sign_words_avx2_into`] on hosts with
+/// AVX2, [`sign_words_portable_into`] elsewhere.
+pub fn sign_words_into(x: &[f32], out: &mut Vec<u64>) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: AVX2 was detected on this host on the line above.
+        return unsafe { sign_words_avx2_into(x, out) };
+    }
+    sign_words_portable_into(x, out);
+}
+
+/// [`sign_words_into`] for the build's baseline target: one compare, shift
+/// and OR per value.
+pub fn sign_words_portable_into(x: &[f32], out: &mut Vec<u64>) {
+    let start = out.len();
+    out.resize(start + x.len().div_ceil(64), 0);
+    for (w, c) in out[start..].iter_mut().zip(x.chunks(64)) {
+        *w = sign_word(c);
+    }
+}
+
+/// [`sign_words_into`] compiled for AVX2: each eight values become eight
+/// bits with one ordered `>=` compare against zero (`_CMP_GE_OQ`, false on
+/// NaN, true on `-0.0`) and one `movemask`.
+///
+/// # Safety
+///
+/// Call only where [`avx2_detected`] is true: on a host without AVX2 the
+/// instructions fault.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub fn sign_words_avx2_into(x: &[f32], out: &mut Vec<u64>) {
+    use std::arch::x86_64::{
+        _mm256_cmp_ps, _mm256_movemask_ps, _mm256_setr_ps, _mm256_setzero_ps, _CMP_GE_OQ,
+    };
+    let start = out.len();
+    out.resize(start + x.len().div_ceil(64), 0);
+    let dst = &mut out[start..];
+    let zero = _mm256_setzero_ps();
+    let mut words = x.chunks_exact(64);
+    for (w, c) in dst.iter_mut().zip(words.by_ref()) {
+        let mut word = 0u64;
+        for (k, v) in c.chunks_exact(LANES).enumerate() {
+            let v: &[f32; LANES] = v.try_into().expect("lane view");
+            let v = _mm256_setr_ps(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
+            let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, zero));
+            word |= u64::from(mask as u8) << (k * LANES);
+        }
+        *w = word;
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        dst[dst.len() - 1] = sign_word(tail);
+    }
+}
+
+/// Scalar reference for [`sign_words_into`] — identical words.
+pub fn sign_words_scalar_into(x: &[f32], out: &mut Vec<u64>) {
+    for (k, &v) in x.iter().enumerate() {
+        if k % 64 == 0 {
+            out.push(0);
+        }
+        *out.last_mut().expect("word pushed above") |= u64::from(v >= 0.0) << (k % 64);
+    }
+}
+
+/// Signs of up to 64 values, LSB first.
+#[inline(always)]
+fn sign_word(x: &[f32]) -> u64 {
+    let mut word = 0u64;
+    for (k, &v) in x.iter().enumerate() {
+        word |= u64::from(v >= 0.0) << k;
+    }
+    word
 }
 
 /// `dst[k] += gain · src[k]` over f32 slices (the superposition/pulse-placement

@@ -72,18 +72,11 @@ pub fn correspondence_table_packed() -> &'static [u32; 16] {
 /// the despreading step of the paper's reception primitive (§IV-D).
 ///
 /// `block` holds the 31 MSK bits LSB-first (bit 31 must be clear). Sixteen
-/// XOR + `count_ones` comparisons against the packed correspondence table;
-/// ties resolve to the lowest symbol value.
+/// XOR + `count_ones` comparisons against the packed correspondence table
+/// ([`wazabee_dsp::packed::nearest_row`]); ties resolve to the lowest symbol
+/// value.
 pub fn despread_msk_block_packed(block: u32) -> (u8, usize) {
-    let table = correspondence_table_packed();
-    let mut best = (0u8, usize::MAX);
-    for (s, &row) in table.iter().enumerate() {
-        let d = (block ^ row).count_ones() as usize;
-        if d < best.1 {
-            best = (s as u8, d);
-        }
-    }
-    best
+    wazabee_dsp::packed::nearest_row(correspondence_table_packed(), block)
 }
 
 /// Reference scalar implementation of [`despread_msk_block_packed`] over a

@@ -25,20 +25,21 @@
 //! once, through the explicit-width SIMD kernel). Since there is one lane per
 //! sample phase, every window start belongs to exactly one lane, so one
 //! contiguous all-phase pass ([`wazabee_dsp::simd::sliding_sums_into`]) sums
-//! the window at every offset from the slowest lane's cursor on, and each
-//! lane packs the signs of every `sps`-th sum straight into its bit words, 64
-//! at a time. The sums leave the `1/sps` dump scaling out since `sum ≥ 0`
-//! decides the bit either way, and each window accumulates in the same left
-//! to right order as a per-lane windowed sum would. Each lane's correlator
-//! then reads its fresh bits a word at a time. Golden decodes in the
-//! integration suite, recorded from the retired per-lane `f64` engine, pin
-//! that this flips no decision.
+//! the window at every offset from the slowest lane's cursor on. One vector
+//! pass ([`wazabee_dsp::simd::sign_words_into`]) packs the signs of all those
+//! sums 64 to a word, and [`wazabee_dsp::packed::deinterleave`] hands each
+//! lane every `sps`-th bit (for `sps = 8`, by 8×8 bit transposes). The sums
+//! leave the `1/sps` dump scaling out since `sum ≥ 0` decides the bit either
+//! way, and each window accumulates in the same left to right order as a
+//! per-lane windowed sum would. Each lane's correlator then reads its fresh
+//! bits a word at a time. Golden decodes in the integration suite, recorded
+//! from the retired per-lane `f64` engine, pin that this flips no decision.
 
 use std::collections::VecDeque;
 
 use wazabee_dot154::modem::ReceivedPpdu;
 use wazabee_dsp::correlate::PatternMatch;
-use wazabee_dsp::{simd, Iq, IqBuf, PackedBits, StreamCorrelator};
+use wazabee_dsp::{packed, simd, Iq, IqBuf, PackedBits, StreamCorrelator};
 use wazabee_flightrec::{FrameKind, TraceHandle};
 
 use crate::error::WazaBeeError;
@@ -115,6 +116,8 @@ pub struct StreamingRx<'a, R> {
     /// Scratch for the all-phase window sums: `sums_scratch[t]` sums the
     /// `sps` differences starting at the slowest lane's cursor plus `t`.
     sums_scratch: Vec<f32>,
+    /// Scratch for the signs of `sums_scratch`, 64 per word.
+    signs_scratch: Vec<u64>,
     /// Scratch for one lane's fresh sync hits before the armed filter.
     hits_scratch: Vec<PatternMatch>,
     /// Absolute bit index of local bit 0 (same for every lane).
@@ -150,6 +153,7 @@ impl<R: RawFskRadio> WazaBeeRx<R> {
             samples: IqBuf::new(),
             diffs: Vec::new(),
             sums_scratch: Vec::new(),
+            signs_scratch: Vec::new(),
             hits_scratch: Vec::new(),
             base_bits: 0,
             lanes,
@@ -216,6 +220,7 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
         self.samples.clear();
         self.diffs.clear();
         self.sums_scratch.clear();
+        self.signs_scratch.clear();
         self.hits_scratch.clear();
         self.base_bits = 0;
         self.armed = 0;
@@ -263,8 +268,8 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
             // Lane `o`'s next window starts at difference `o + bits·sps`, so
             // every complete window start at or past the slowest lane's
             // cursor belongs to exactly one lane: one contiguous all-phase
-            // pass computes them all, then each lane packs the signs of
-            // every `sps`-th sum into its bit words 64 at a time.
+            // pass computes them all, one vector pass turns their signs into
+            // words, and a de-interleave hands each lane every `sps`-th bit.
             let from = self
                 .lanes
                 .iter()
@@ -275,19 +280,26 @@ impl<R: RawFskRadio> StreamingRx<'_, R> {
             let sums = &mut self.sums_scratch;
             sums.clear();
             simd::sliding_sums_into(self.diffs.get(from..).unwrap_or(&[]), sps, sums);
-            for (offset, lane) in self.lanes.iter_mut().enumerate() {
-                let cursor = offset + lane.bits.len() * sps - from;
-                let fresh = sums.get(cursor..).unwrap_or(&[]);
-                for block in fresh.chunks(64 * sps) {
-                    let mut word = 0u64;
-                    let mut count = 0;
-                    for &sum in block.iter().step_by(sps) {
-                        word |= u64::from(sum >= 0.0) << count;
-                        count += 1;
-                    }
-                    lane.bits.extend_from_word(word, count);
-                }
-            }
+            let signs = &mut self.signs_scratch;
+            signs.clear();
+            simd::sign_words_into(sums, signs);
+            // Every ingest consumes each lane's sums to the end, so the
+            // cursors relative to `from` are a permutation of 0..sps: lane
+            // `o`'s cursor is `(o − from) mod sps`, and phase `c` of the
+            // sign words belongs to lane `(c + from) mod sps`.
+            debug_assert!(
+                self.lanes
+                    .iter()
+                    .enumerate()
+                    .all(|(o, l)| o + l.bits.len() * sps - from < sps),
+                "lane cursors must be a permutation of 0..sps"
+            );
+            let lanes = &mut self.lanes;
+            packed::deinterleave(signs, sums.len(), sps, |phase, word, count| {
+                lanes[(phase + from) % sps]
+                    .bits
+                    .extend_from_word(word, count);
+            });
         }
         let _s = wazabee_telemetry::scope!("stream.correlate");
         let armed = self.armed;

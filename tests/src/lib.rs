@@ -5,6 +5,25 @@
 //! consumer side: a small recursive-descent JSON parser the tests use to
 //! round-trip snapshot, report, time-series and writer output. It accepts
 //! standard JSON (RFC 8259) minus escapes beyond `\" \\ / \n \r \t \uXXXX`.
+//! [`has_avx2`] gates the AVX2 arms of the kernel parity tests.
+
+/// Whether the AVX2 arms of the kernel parity tests run. On a host without
+/// AVX2 it says once, on stderr past the test harness's capture, that they
+/// are skipped.
+pub fn has_avx2() -> bool {
+    let avx2 = wazabee_dsp::simd::avx2_detected();
+    if !avx2 {
+        static NOTICE: std::sync::Once = std::sync::Once::new();
+        NOTICE.call_once(|| {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "this host has no AVX2: skipping the AVX2 variant arms of the parity tests"
+            );
+        });
+    }
+    avx2
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

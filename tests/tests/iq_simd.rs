@@ -3,7 +3,12 @@
 //! Every explicit-width kernel in `wazabee_dsp::simd` keeps a `*_scalar`
 //! twin written with the identical per-element expression and accumulation
 //! order, so the two must agree **bitwise** — not merely within a tolerance —
-//! on arbitrary lengths, including tails shorter than the lane width. On top
+//! on arbitrary lengths, including tails shorter than the lane width. Each
+//! kernel dispatched at run time is also checked variant by variant: its
+//! portable body and, on hosts with AVX2, its AVX2 variant, each called by
+//! name. The receive engine's lane packing (sign words, then a
+//! de-interleave) is checked against the per-lane `step_by` loop it
+//! replaced. On top
 //! of the kernel-level checks, two golden decodes pin that moving sample
 //! storage from interleaved `f64` to planar `f32` changed no decoded frame:
 //! the streaming fixture and a Table III-style office-link fixture must
@@ -19,13 +24,21 @@ use wazabee_chips::nrf52832;
 use wazabee_dot154::msk::frame_chips_to_msk;
 use wazabee_dot154::pn::pn_sequence;
 use wazabee_dot154::{fcs::append_fcs, Dot154Channel, Dot154Modem, MacFrame, Ppdu, ReceivedPpdu};
+use wazabee_dsp::packed::deinterleave;
 use wazabee_dsp::simd::{
     accumulate_interleaved_at, accumulate_interleaved_at_scalar, axpy, axpy_scalar,
-    discriminate_planar_into, discriminate_planar_scalar_into, fir_planar_into,
-    fir_planar_scalar_into, fir_real_into, fir_real_scalar_into, nrz_hard_bits_into,
-    sliding_sums_into, sliding_sums_scalar_into, window_sums_into, window_sums_scalar_into, LANES,
+    discriminate_planar_into, discriminate_planar_portable_into, discriminate_planar_scalar_into,
+    fir_planar_into, fir_planar_scalar_into, fir_real_into, fir_real_scalar_into,
+    nrz_hard_bits_into, sign_words_into, sign_words_portable_into, sign_words_scalar_into,
+    sliding_sums_into, sliding_sums_portable_into, sliding_sums_scalar_into, window_sums_into,
+    window_sums_scalar_into, LANES,
 };
-use wazabee_dsp::{Iq, IqBuf};
+#[cfg(target_arch = "x86_64")]
+use wazabee_dsp::simd::{
+    discriminate_planar_avx2_into, sign_words_avx2_into, sliding_sums_avx2_into,
+};
+use wazabee_dsp::{Iq, IqBuf, PackedBits};
+use wazabee_integration::has_avx2;
 use wazabee_radio::{Link, LinkConfig, RfFrame, WifiChannel, WifiInterferer};
 
 /// Bit patterns of an `f32` slice, for exact (not approximate) comparison.
@@ -58,14 +71,25 @@ proptest! {
         salt_non_finite(seed ^ 0xA5A5, salt, &mut q);
         let mut fast = vec![0.5f32; 3]; // non-empty: the kernels append
         let mut slow = fast.clone();
+        let mut portable = fast.clone();
         discriminate_planar_into(&i, &q, &mut fast);
         discriminate_planar_scalar_into(&i, &q, &mut slow);
         prop_assert_eq!(bits_of(&fast), bits_of(&slow));
         prop_assert_eq!(fast.len(), 3 + n.saturating_sub(1));
+
+        discriminate_planar_portable_into(&i, &q, &mut portable);
+        prop_assert_eq!(bits_of(&portable), bits_of(&slow));
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut avx2 = vec![0.5f32; 3];
+            // SAFETY: has_avx2() detected AVX2 on this host.
+            unsafe { discriminate_planar_avx2_into(&i, &q, &mut avx2) };
+            prop_assert_eq!(bits_of(&avx2), bits_of(&slow));
+        }
     }
 
-    /// Blocked window sums equal the scalar twin bitwise; trailing partial
-    /// windows are dropped by both.
+    /// Window sums equal the scalar twin bitwise; trailing partial windows
+    /// are dropped by both.
     #[test]
     fn prop_window_sums_match_scalar(
         n in 0usize..MAX_LEN,
@@ -73,12 +97,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (x, _) = random_rails(seed, n);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
+        let mut fast = vec![0.75f32]; // non-empty: the kernels append
+        let mut slow = fast.clone();
         window_sums_into(&x, window, &mut fast);
         window_sums_scalar_into(&x, window, &mut slow);
         prop_assert_eq!(bits_of(&fast), bits_of(&slow));
-        prop_assert_eq!(fast.len(), n / window);
+        prop_assert_eq!(fast.len(), 1 + n / window);
     }
 
     /// The all-phase sliding sums equal the scalar twin bitwise, one sum per
@@ -93,10 +117,21 @@ proptest! {
         let (x, _) = random_rails(seed, n);
         let mut fast = vec![0.25f32]; // non-empty: the kernels append
         let mut slow = fast.clone();
+        let mut portable = fast.clone();
         sliding_sums_into(&x, window, &mut fast);
         sliding_sums_scalar_into(&x, window, &mut slow);
         prop_assert_eq!(bits_of(&fast), bits_of(&slow));
         prop_assert_eq!(fast.len(), 1 + (n + 1).saturating_sub(window));
+
+        sliding_sums_portable_into(&x, window, &mut portable);
+        prop_assert_eq!(bits_of(&portable), bits_of(&slow));
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut avx2 = vec![0.25f32];
+            // SAFETY: has_avx2() detected AVX2 on this host.
+            unsafe { sliding_sums_avx2_into(&x, window, &mut avx2) };
+            prop_assert_eq!(bits_of(&avx2), bits_of(&slow));
+        }
 
         for phase in 0..window.min(n) {
             let mut disjoint = Vec::new();
@@ -189,6 +224,86 @@ proptest! {
         prop_assert_eq!(buf_bits(&fast_iq), buf_bits(&slow_iq));
     }
 
+    /// Sign words equal their scalar twin in every variant, on values
+    /// salted with NaN, ±Inf and signed zeros: `-0.0` packs as 1 and NaN as
+    /// 0, exactly as `x >= 0.0` decides.
+    #[test]
+    fn prop_sign_words_match_scalar(
+        n in 0usize..SIGN_MAX_LEN,
+        seed in any::<u64>(),
+        salt in 0u32..4,
+    ) {
+        let (mut x, _) = random_rails(seed, n);
+        salt_non_finite(seed ^ 0x5160, salt, &mut x);
+        let mut slow = vec![u64::MAX]; // non-empty: the kernels append
+        let mut fast = slow.clone();
+        let mut portable = slow.clone();
+        sign_words_scalar_into(&x, &mut slow);
+        prop_assert_eq!(slow.len(), 1 + n.div_ceil(64));
+        for (k, &v) in x.iter().enumerate() {
+            prop_assert_eq!((slow[1 + k / 64] >> (k % 64)) & 1, u64::from(v >= 0.0));
+        }
+        sign_words_into(&x, &mut fast);
+        prop_assert_eq!(&fast, &slow);
+        sign_words_portable_into(&x, &mut portable);
+        prop_assert_eq!(&portable, &slow);
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut avx2 = vec![u64::MAX];
+            // SAFETY: has_avx2() detected AVX2 on this host.
+            unsafe { sign_words_avx2_into(&x, &mut avx2) };
+            prop_assert_eq!(&avx2, &slow);
+        }
+    }
+
+    /// The receive engine's lane packing — sign words, then a stride-`sps`
+    /// de-interleave — appends to every lane exactly the bits the per-lane
+    /// `step_by(sps)` loop it replaced appended, for every `sps` in 1..=16,
+    /// ragged tails and every starting fill of the lanes' last words, on
+    /// sums salted with NaN, ±Inf and signed zeros.
+    #[test]
+    fn prop_lane_packing_matches_step_by_loop(
+        n in 0usize..1400,
+        fills in proptest::array::uniform16(0usize..200),
+        seed in any::<u64>(),
+        salt in 0u32..4,
+    ) {
+        let (mut sums, _) = random_rails(seed, n);
+        salt_non_finite(seed ^ 0x1A7E, salt, &mut sums);
+        let mut signs = Vec::new();
+        sign_words_into(&sums, &mut signs);
+        for sps in 1..=16 {
+            let lanes: Vec<PackedBits> = fills[..sps]
+                .iter()
+                .enumerate()
+                .map(|(c, &fill)| {
+                    let (bits, _) = random_rails(seed ^ c as u64, fill);
+                    let bits: Vec<u8> = bits.iter().map(|&v| u8::from(v >= 0.0)).collect();
+                    PackedBits::from_bits(&bits)
+                })
+                .collect();
+
+            let mut want = lanes.clone();
+            for (c, lane) in want.iter_mut().enumerate() {
+                for block in sums.get(c..).unwrap_or(&[]).chunks(64 * sps) {
+                    let mut word = 0u64;
+                    let mut count = 0;
+                    for &sum in block.iter().step_by(sps) {
+                        word |= u64::from(sum >= 0.0) << count;
+                        count += 1;
+                    }
+                    lane.extend_from_word(word, count);
+                }
+            }
+
+            let mut got = lanes;
+            deinterleave(&signs, sums.len(), sps, |c, word, count| {
+                got[c].extend_from_word(word, count);
+            });
+            prop_assert_eq!(got, want, "sps {}", sps);
+        }
+    }
+
     /// `IqBuf` round-trips interleaved samples through arbitrary slicing and
     /// front-draining without disturbing the retained lanes.
     #[test]
@@ -213,6 +328,10 @@ proptest! {
         prop_assert_eq!(bits_of(buf.q()), bits_of(&q[kept..]));
     }
 }
+
+/// Lengths for the sign-word kernels: several 64-value words, so every tail
+/// length and the AVX2 variant's whole-word path are hit.
+const SIGN_MAX_LEN: usize = 5 * 64 + 2;
 
 /// Deterministic pseudo-random `f32` rails, avoiding proptest vector
 /// generation overhead at large lengths.

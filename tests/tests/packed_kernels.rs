@@ -13,8 +13,11 @@ use wazabee_bench::table3::{render_table, run_primitive, Primitive, Table3Config
 use wazabee_chips::{cc1352r1, nrf52832};
 use wazabee_dot154::Dot154Modem;
 use wazabee_dsp::correlate::find_pattern_scalar;
-use wazabee_dsp::packed::find_pattern_packed;
+#[cfg(target_arch = "x86_64")]
+use wazabee_dsp::packed::nearest_row_avx2;
+use wazabee_dsp::packed::{find_pattern_packed, nearest_row, nearest_row_portable};
 use wazabee_dsp::{PackedBits, StreamCorrelator};
+use wazabee_integration::has_avx2;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -123,6 +126,34 @@ proptest! {
             wazabee::msk::despread_msk_block_packed(packed),
             wazabee::msk::despread_msk_block_scalar(&bits)
         );
+    }
+
+    /// The despreading kernel's portable body and, on hosts with AVX2, its
+    /// AVX2 variant, each called by name, pick the same row as a plain
+    /// first-minimum scan, on any block and table (duplicate rows included,
+    /// so ties are exercised).
+    #[test]
+    fn prop_nearest_row_variants_match_scalar(
+        x in any::<u32>(),
+        rows in proptest::array::uniform16(any::<u32>()),
+        dup in 0usize..16,
+    ) {
+        let mut table = rows;
+        table[dup] = table[15 - dup];
+        let mut want = (0u8, usize::MAX);
+        for (s, &row) in table.iter().enumerate() {
+            let d = (x ^ row).count_ones() as usize;
+            if d < want.1 {
+                want = (s as u8, d);
+            }
+        }
+        prop_assert_eq!(nearest_row(&table, x), want);
+        prop_assert_eq!(nearest_row_portable(&table, x), want);
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: has_avx2() detected AVX2 on this host.
+            prop_assert_eq!(unsafe { nearest_row_avx2(&table, x) }, want);
+        }
     }
 
     /// Packed waveform-table despreading equals its scalar reference on any
