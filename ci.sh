@@ -12,12 +12,13 @@
 #   6. flight-recorder smoke: WAZABEE_CAPTURE_DIR produces PCAP + JSONL
 #      artifacts; run from an empty directory with the variable unset, the
 #      same example leaves that directory empty
-#   7. packed-kernel micro-bench smoke: packed-vs-scalar despread/correlate
-#      bench compiles and runs in test mode
+#   7. packed-kernel and modem micro-bench smoke: the packed-vs-scalar
+#      despread/correlate bench and the modem (transmit/receive) bench
+#      compile and run in test mode
 #   8. iq-kernel micro-bench smoke: the planar SIMD sample-domain kernels
-#      run in test mode, and every kernel's scalar reference is still
-#      exercised (bench cases plus the bitwise parity proptests in
-#      tests/tests/iq_simd.rs)
+#      and the table-driven transmit kernels run in test mode, and every
+#      kernel's scalar reference is still exercised (bench cases plus the
+#      bitwise parity proptests in tests/tests/iq_simd.rs)
 #   9. rx-throughput smoke: the bin emits a well-formed
 #      BENCH_rx_throughput.json, the packed despreading kernel is at
 #      least 3x faster than the scalar reference, and the planar
@@ -127,15 +128,17 @@ fi
 echo "flight recorder off by default: no artifacts written"
 
 run cargo bench -p wazabee-bench --bench packed_kernels --offline -- --test
+run cargo bench -p wazabee-bench --bench modem_throughput --offline -- --test
 
-# The planar SIMD kernels must run, and the scalar
-# references they are parity-pinned to must still be exercised: the bench
+# The planar SIMD kernels and the table-driven transmit kernels must run,
+# and the scalar references they are parity-pinned to must still be
+# exercised: the bench
 # carries one *_scalar case per kernel, and the integration suite carries the
 # bitwise scalar-parity proptests.
 iq_bench_log="$capture_dir/iq_kernels_bench.log"
 run cargo bench -p wazabee-bench --bench iq_kernels --offline -- --test 2>&1 | tee "$iq_bench_log"
 for kernel in discriminate_scalar window_sums_scalar sliding_sums_scalar sign_words_scalar \
-    lane_packing_scalar axpy_scalar superpose_accumulate_scalar fir_planar_scalar; do
+    lane_packing_scalar oqpsk_modulate_scalar superpose_accumulate_scalar gaussian_shape_scalar; do
     if ! grep -q "$kernel" "$iq_bench_log"; then
         echo "ci.sh: iq_kernels bench no longer exercises $kernel" >&2
         exit 1

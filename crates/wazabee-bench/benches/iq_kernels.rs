@@ -8,7 +8,9 @@
 //! the `_portable` rows the baseline-target variant by name. The
 //! `lane_packing` rows split all-phase sums into 8 lane bit streams: sign
 //! words plus the 8×8 transpose (dispatched and portable), against the
-//! per-lane `step_by` loop it replaced.
+//! per-lane `step_by` loop it replaced. The `_table` rows are the
+//! table-driven `f64` transmit kernels (O-QPSK modulation, Gaussian shaping)
+//! against the accumulating loops they replaced.
 //!
 //! ```sh
 //! cargo bench -p wazabee-bench --bench iq_kernels
@@ -17,13 +19,15 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use wazabee_dot154::oqpsk::{modulate_chips, modulate_chips_scalar};
+use wazabee_dsp::gaussian::{shape_nrz, shape_nrz_scalar};
 use wazabee_dsp::packed::deinterleave;
 use wazabee_dsp::simd::{
-    accumulate_interleaved_at, accumulate_interleaved_at_scalar, axpy, axpy_scalar,
-    discriminate_planar_into, discriminate_planar_portable_into, discriminate_planar_scalar_into,
-    fir_planar_into, fir_planar_scalar_into, sign_words_into, sign_words_portable_into,
-    sign_words_scalar_into, sliding_sums_into, sliding_sums_portable_into,
-    sliding_sums_scalar_into, window_sums_into, window_sums_scalar_into,
+    accumulate_interleaved_at, accumulate_interleaved_at_scalar, discriminate_planar_into,
+    discriminate_planar_portable_into, discriminate_planar_scalar_into, sign_words_into,
+    sign_words_portable_into, sign_words_scalar_into, sliding_sums_into,
+    sliding_sums_portable_into, sliding_sums_scalar_into, window_sums_into,
+    window_sums_scalar_into,
 };
 use wazabee_dsp::{Iq, IqBuf, PackedBits};
 
@@ -53,9 +57,6 @@ fn bench_iq_kernels(c: &mut Criterion) {
         .zip(&q)
         .map(|(&a, &b)| Iq::new(f64::from(a), f64::from(b)))
         .collect();
-    let mut planar = IqBuf::new();
-    planar.extend_interleaved(&interleaved);
-    let taps: Vec<f32> = (0..25).map(|k| ((k as f32) - 12.0) / 144.0).collect();
 
     let mut g = c.benchmark_group("iq_kernels");
     g.throughput(Throughput::Elements(N as u64));
@@ -181,14 +182,6 @@ fn bench_iq_kernels(c: &mut Criterion) {
         })
     });
 
-    let mut dst = vec![0.0f32; N];
-    g.bench_function("axpy_simd", |b| {
-        b.iter(|| axpy(&mut dst, std::hint::black_box(&i), 0.75))
-    });
-    g.bench_function("axpy_scalar", |b| {
-        b.iter(|| axpy_scalar(&mut dst, std::hint::black_box(&i), 0.75))
-    });
-
     let mut acc = IqBuf::new();
     acc.resize(N + 64);
     g.bench_function("superpose_accumulate_simd", |b| {
@@ -200,14 +193,25 @@ fn bench_iq_kernels(c: &mut Criterion) {
         })
     });
 
-    let mut fir_out = IqBuf::new();
-    g.bench_function("fir_planar_simd", |b| {
-        b.iter(|| fir_planar_into(&taps, std::hint::black_box(planar.as_slice()), &mut fir_out))
+    // The transmit kernels fill `f64` waveforms from per-call tables; their
+    // `_scalar` twins are the accumulating loops they replaced. Both take
+    // N / SPS chips or symbols, so they write about N samples.
+    let chips: Vec<u8> = i[..N / SPS].iter().map(|&v| u8::from(v >= 0.0)).collect();
+    let nrz: Vec<f64> = chips
+        .iter()
+        .map(|&c| if c == 1 { 1.0 } else { -1.0 })
+        .collect();
+    g.bench_function("oqpsk_modulate_table", |b| {
+        b.iter(|| modulate_chips(std::hint::black_box(&chips), SPS))
     });
-    g.bench_function("fir_planar_scalar", |b| {
-        b.iter(|| {
-            fir_planar_scalar_into(&taps, std::hint::black_box(planar.as_slice()), &mut fir_out)
-        })
+    g.bench_function("oqpsk_modulate_scalar", |b| {
+        b.iter(|| modulate_chips_scalar(std::hint::black_box(&chips), SPS))
+    });
+    g.bench_function("gaussian_shape_table", |b| {
+        b.iter(|| shape_nrz(std::hint::black_box(&nrz), 0.5, SPS, 3))
+    });
+    g.bench_function("gaussian_shape_scalar", |b| {
+        b.iter(|| shape_nrz_scalar(std::hint::black_box(&nrz), 0.5, SPS, 3))
     });
 
     g.finish();

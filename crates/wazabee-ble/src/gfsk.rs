@@ -114,13 +114,12 @@ pub fn modulate(params: &GfskParams, bits: &[u8]) -> Vec<Iq> {
     // Phase step per sample at full deviation: π·h / sps.
     let step = std::f64::consts::PI * params.modulation_index / params.samples_per_symbol as f64;
     let mut phase = 0.0f64;
-    let mut out: Vec<Iq> = shaped
-        .iter()
-        .map(|&s| {
-            phase += s * step;
-            Iq::from_polar(1.0, phase)
-        })
-        .collect();
+    // Room for the ramp-down tail too, so it never reallocates the waveform.
+    let mut out = Vec::with_capacity(shaped.len() + params.samples_per_symbol);
+    out.extend(shaped.iter().map(|&s| {
+        phase += s * step;
+        Iq::from_polar(1.0, phase)
+    }));
     // Ramp-down tail: hold the final instantaneous frequency for one more
     // symbol, as real PAs do, so the discriminator can observe the last
     // symbol completely.

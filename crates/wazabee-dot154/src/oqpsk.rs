@@ -6,21 +6,68 @@
 //! resulting waveform has a constant envelope and a continuous phase that
 //! moves by exactly ±π/2 per chip period — i.e. it *is* MSK, which is the
 //! entire basis of the WazaBee attack.
+//!
+//! ## Modulation from two pulse tables
+//!
+//! Pulses on one rail start `2·Tb` apart and last `2·Tb`, so they never
+//! overlap: every rail sample is either untouched (`0.0`) or exactly one
+//! `0.0 + v·p` with `v = ±1` and `p` a pulse sample. [`modulate_chips`]
+//! therefore builds the `+pulse` and `−pulse` tables once per call with that
+//! same expression (which keeps `+0.0` where `−1.0·0.0` alone would give
+//! `−0.0`) and writes each output sample once: half-chip period `s` is the
+//! first half of chip `s`'s pulse on one rail and the second half of chip
+//! `s − 1`'s on the other. [`modulate_chips_scalar`] keeps the accumulating
+//! loop it replaced, and the parity proptests pin the two bit for bit.
 
-use wazabee_dsp::halfsine::{half_sine_pulse, half_sine_pulse_f32};
+use wazabee_dsp::halfsine::half_sine_pulse;
 use wazabee_dsp::iq::Iq;
-use wazabee_dsp::IqBuf;
 
 /// Modulates a chip stream (0/1 values) to complex baseband at
 /// `samples_per_chip` oversampling.
 ///
 /// Output spans `(chips.len() + 1) · samples_per_chip` samples: the final
 /// odd-rail pulse extends one chip period past the last chip boundary.
+/// Bit-identical to [`modulate_chips_scalar`].
 ///
 /// # Panics
 ///
 /// Panics if `samples_per_chip` is zero.
 pub fn modulate_chips(chips: &[u8], samples_per_chip: usize) -> Vec<Iq> {
+    assert!(samples_per_chip > 0, "need at least one sample per chip");
+    let spc = samples_per_chip;
+    let pulse = half_sine_pulse(spc);
+    // The one value each rail sample takes: `0.0 + v·p`, as accumulated into
+    // a zeroed rail.
+    let table = |v: f64| -> Vec<f64> { pulse.iter().map(|&p| 0.0 + v * p).collect() };
+    let (plus, minus) = (table(1.0), table(-1.0));
+    let silent = vec![0.0f64; spc];
+    let pulse_of = |k: Option<usize>| -> Option<&[f64]> {
+        let c = chips.get(k?)?;
+        Some(if c & 1 == 1 { &plus } else { &minus })
+    };
+    let mut out = Vec::with_capacity((chips.len() + 1) * spc);
+    for s in 0..=chips.len() {
+        // Half-chip period `s`: chip `s` opens its pulse on rail `s % 2`,
+        // chip `s − 1` closes its pulse on the other rail.
+        let head = pulse_of(Some(s)).map_or(&silent[..], |p| &p[..spc]);
+        let tail = pulse_of(s.checked_sub(1)).map_or(&silent[..], |p| &p[spc..]);
+        let (i, q) = if s % 2 == 0 {
+            (head, tail)
+        } else {
+            (tail, head)
+        };
+        out.extend(i.iter().zip(q).map(|(&i, &q)| Iq::new(i, q)));
+    }
+    out
+}
+
+/// Scalar reference for [`modulate_chips`]: accumulates every pulse into
+/// zeroed `f64` rails, then interleaves them — bit-identical output.
+///
+/// # Panics
+///
+/// Panics if `samples_per_chip` is zero.
+pub fn modulate_chips_scalar(chips: &[u8], samples_per_chip: usize) -> Vec<Iq> {
     assert!(samples_per_chip > 0, "need at least one sample per chip");
     let spc = samples_per_chip;
     let pulse = half_sine_pulse(spc);
@@ -42,36 +89,6 @@ pub fn modulate_chips(chips: &[u8], samples_per_chip: usize) -> Vec<Iq> {
         .zip(q_rail)
         .map(|(i, q)| Iq::new(i, q))
         .collect()
-}
-
-/// Planar form of [`modulate_chips`]: the even/odd chip rails *are* the I/Q
-/// rails of an [`IqBuf`], so O-QPSK modulation is naturally planar — each
-/// half-sine pulse placement is one SIMD [`wazabee_dsp::simd::axpy`] on a
-/// single rail and the two rails never interleave.
-///
-/// The default transmit path stays `f64` (the committed waveform artifacts
-/// pin it); this is the kernel the planar pipeline benchmarks and the parity
-/// tests exercise.
-///
-/// # Panics
-///
-/// Panics if `samples_per_chip` is zero.
-pub fn modulate_chips_planar(chips: &[u8], samples_per_chip: usize) -> IqBuf {
-    assert!(samples_per_chip > 0, "need at least one sample per chip");
-    let spc = samples_per_chip;
-    let pulse = half_sine_pulse_f32(spc);
-    let n = (chips.len() + 1) * spc;
-    let mut buf = IqBuf::new();
-    buf.resize(n);
-    let (i_rail, q_rail) = buf.rails_mut();
-    for (k, &c) in chips.iter().enumerate() {
-        let v = if c & 1 == 1 { 1.0f32 } else { -1.0f32 };
-        let rail: &mut [f32] = if k % 2 == 0 { i_rail } else { q_rail };
-        let base = k * spc;
-        let span = pulse.len().min(n - base);
-        wazabee_dsp::simd::axpy(&mut rail[base..base + span], &pulse[..span], v);
-    }
-    buf
 }
 
 /// Time-domain traces of one O-QPSK modulation — the data behind paper
@@ -343,24 +360,5 @@ mod tests {
     fn modulate_output_length() {
         assert_eq!(modulate_chips(&[1, 0, 1], 4).len(), 16);
         assert!(modulate_chips(&[], 4).len() == 4);
-    }
-
-    #[test]
-    fn planar_modulation_tracks_interleaved() {
-        let chips = spread_bytes(&[0xA5, 0x3C, 0xF0]);
-        for spc in [1, 4, 8] {
-            let f64_wave = modulate_chips(&chips, spc);
-            let planar = modulate_chips_planar(&chips, spc);
-            assert_eq!(planar.len(), f64_wave.len());
-            for (k, s) in f64_wave.iter().enumerate() {
-                let (pi, pq) = planar.get(k);
-                assert!(
-                    (pi as f64 - s.i).abs() < 1e-6 && (pq as f64 - s.q).abs() < 1e-6,
-                    "spc {spc} sample {k}: planar ({pi}, {pq}) vs f64 ({}, {})",
-                    s.i,
-                    s.q
-                );
-            }
-        }
     }
 }

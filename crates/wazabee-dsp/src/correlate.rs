@@ -1,4 +1,4 @@
-//! Pattern correlation over bit streams and soft-decision sequences.
+//! Pattern correlation over bit streams.
 //!
 //! Radio receivers find the start of a frame by correlating the incoming bit
 //! stream against a known pattern (BLE: the access address; 802.15.4: the
@@ -6,8 +6,8 @@
 //! so the simulator exposes it as a first-class operation. The search every
 //! receive path runs is word-packed ([`crate::packed::find_pattern_packed`]
 //! and its streaming form [`crate::stream::StreamCorrelator`]); this module
-//! keeps the match type, soft correlation, and the byte-per-bit oracle that
-//! search is tested against.
+//! keeps the match type and the byte-per-bit oracle that search is tested
+//! against.
 
 use crate::bits::hamming;
 
@@ -40,39 +40,6 @@ pub fn find_pattern_scalar(
         }
     }
     None
-}
-
-/// Soft correlation of a bipolar template against a soft-decision stream:
-/// returns the normalised dot product at every alignment (range ≈ [−1, 1] for
-/// matched amplitudes).
-pub fn soft_correlate(stream: &[f64], template: &[f64]) -> Vec<f64> {
-    if template.is_empty() || stream.len() < template.len() {
-        return Vec::new();
-    }
-    let energy: f64 = template.iter().map(|t| t * t).sum();
-    if energy == 0.0 {
-        return vec![0.0; stream.len() - template.len() + 1];
-    }
-    (0..=stream.len() - template.len())
-        .map(|k| {
-            stream[k..k + template.len()]
-                .iter()
-                .zip(template)
-                .map(|(s, t)| s * t)
-                .sum::<f64>()
-                / energy
-        })
-        .collect()
-}
-
-/// Index of the maximum of a slice (`None` for an empty slice; ties take the
-/// earliest index).
-pub fn argmax(values: &[f64]) -> Option<usize> {
-    values
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(k, _)| k)
 }
 
 #[cfg(test)]
@@ -138,31 +105,5 @@ mod tests {
         assert!(find_pattern(&[1, 0], &[1, 0, 1], 0, 3).is_none());
         assert!(find_pattern(&[], &[1], 0, 0).is_none());
         assert!(find_pattern(&[1], &[], 0, 0).is_none());
-    }
-
-    #[test]
-    fn soft_correlation_peaks_at_alignment() {
-        let template = [1.0, -1.0, 1.0, 1.0];
-        let mut stream = vec![0.1, -0.2, 0.0];
-        stream.extend_from_slice(&template);
-        stream.push(0.3);
-        let c = soft_correlate(&stream, &template);
-        assert_eq!(argmax(&c), Some(3));
-        assert!((c[3] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soft_correlation_of_inverted_template_is_minus_one() {
-        let template = [1.0, -1.0, 1.0];
-        let stream: Vec<f64> = template.iter().map(|x| -x).collect();
-        let c = soft_correlate(&stream, &template);
-        assert!((c[0] + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn argmax_handles_edges() {
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[2.0]), Some(0));
-        assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1)); // earliest tie wins
     }
 }

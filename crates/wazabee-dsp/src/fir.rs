@@ -1,7 +1,4 @@
-//! Finite impulse response filtering for real-valued modulating signals and
-//! complex baseband buffers.
-
-use crate::iq::Iq;
+//! Finite impulse response filtering for real-valued modulating signals.
 
 /// A real-coefficient FIR filter.
 ///
@@ -30,42 +27,6 @@ impl Fir {
         Fir { taps }
     }
 
-    /// Windowed-sinc low-pass design (Hamming window).
-    ///
-    /// `cutoff_hz` is the −6 dB cutoff, `num_taps` the filter length (odd
-    /// lengths give integral group delay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_taps` is zero or the cutoff is not in `(0, fs/2)`.
-    pub fn low_pass(cutoff_hz: f64, sample_rate_hz: f64, num_taps: usize) -> Self {
-        assert!(num_taps > 0, "FIR filter needs at least one tap");
-        assert!(
-            cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0,
-            "cutoff must lie in (0, fs/2)"
-        );
-        let fc = cutoff_hz / sample_rate_hz;
-        let mid = (num_taps - 1) as f64 / 2.0;
-        let mut taps = Vec::with_capacity(num_taps);
-        for n in 0..num_taps {
-            let x = n as f64 - mid;
-            let sinc = if x.abs() < 1e-12 {
-                2.0 * fc
-            } else {
-                (std::f64::consts::TAU * fc * x).sin() / (std::f64::consts::PI * x)
-            };
-            let window = 0.54
-                - 0.46 * (std::f64::consts::TAU * n as f64 / (num_taps - 1).max(1) as f64).cos();
-            taps.push(sinc * window);
-        }
-        // Normalise to unit DC gain.
-        let sum: f64 = taps.iter().sum();
-        for t in &mut taps {
-            *t /= sum;
-        }
-        Fir { taps }
-    }
-
     /// The filter's impulse response.
     pub fn taps(&self) -> &[f64] {
         &self.taps
@@ -88,26 +49,6 @@ impl Fir {
             }
             for (j, &t) in self.taps.iter().enumerate() {
                 out[k + j] += xv * t;
-            }
-        }
-    }
-
-    /// Full convolution with a complex signal.
-    pub fn filter_iq(&self, x: &[Iq]) -> Vec<Iq> {
-        let mut y = Vec::new();
-        self.filter_iq_into(x, &mut y);
-        y
-    }
-
-    /// Scratch-buffer form of [`Fir::filter_iq`]: overwrites `out` instead of
-    /// allocating a fresh vector per call.
-    pub fn filter_iq_into(&self, x: &[Iq], out: &mut Vec<Iq>) {
-        let _s = wazabee_telemetry::scope!("dsp.fir_iq", samples = x.len(), taps = self.taps.len());
-        out.clear();
-        out.resize(x.len() + self.taps.len() - 1, Iq::ZERO);
-        for (k, &xv) in x.iter().enumerate() {
-            for (j, &t) in self.taps.iter().enumerate() {
-                out[k + j] += xv.scale(t);
             }
         }
     }
@@ -142,7 +83,7 @@ pub fn integrate_and_dump(x: &[f64], window: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::osc::Nco;
+    use crate::gaussian::gaussian_filter;
 
     #[test]
     fn moving_average_impulse_response() {
@@ -155,7 +96,8 @@ mod tests {
 
     #[test]
     fn low_pass_passes_dc() {
-        let f = Fir::low_pass(1.0e6, 8.0e6, 31);
+        // The Gaussian shaping filter is a unit-DC-gain low-pass.
+        let f = gaussian_filter(0.5, 8, 3);
         let (mut scratch, mut y) = (Vec::new(), Vec::new());
         f.filter_real_same_into(&[1.0; 128], &mut scratch, &mut y);
         // Middle of the output should sit at the DC gain of 1.
@@ -164,13 +106,16 @@ mod tests {
 
     #[test]
     fn low_pass_attenuates_high_tone() {
-        let fs = 8.0e6;
-        let f = Fir::low_pass(0.5e6, fs, 63);
-        let mut nco = Nco::new(3.0e6, fs);
-        let tone: Vec<Iq> = (0..512).map(|_| nco.next_sample()).collect();
-        let filtered = f.filter_iq(&tone);
-        let input_power = crate::iq::mean_power(&tone);
-        let out_power = crate::iq::mean_power(&filtered[100..400]);
+        // A tone at 3/8 of the sample rate, far above the BT = 0.5 Gaussian
+        // filter's 1/16-cycle-per-sample bandwidth at 8 samples per symbol.
+        let f = gaussian_filter(0.5, 8, 3);
+        let tone: Vec<f64> = (0..512)
+            .map(|k| (std::f64::consts::TAU * 3.0 / 8.0 * k as f64).cos())
+            .collect();
+        let mut filtered = Vec::new();
+        f.filter_real_into(&tone, &mut filtered);
+        let power = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64;
+        let (input_power, out_power) = (power(&tone), power(&filtered[100..400]));
         assert!(
             out_power < input_power * 0.01,
             "stopband leak: {out_power} vs {input_power}"
@@ -179,27 +124,22 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_forms() {
-        let f = Fir::low_pass(1.0e6, 8.0e6, 31);
+        let f = gaussian_filter(0.5, 8, 3);
         let x: Vec<f64> = (0..100).map(|k| ((k * 7) % 13) as f64 - 6.0).collect();
-        let mut nco = Nco::new(1.0e6, 8.0e6);
-        let tone: Vec<Iq> = (0..64).map(|_| nco.next_sample()).collect();
-        let mut out_iq = Vec::new();
-        f.filter_iq_into(&tone, &mut out_iq);
-        assert_eq!(out_iq, f.filter_iq(&tone));
         // The same-size form is the full convolution, delay-compensated,
         // and overwrites stale contents of its buffers.
         let mut full = vec![99.0; 3];
         f.filter_real_into(&x, &mut full);
-        assert_eq!(full.len(), x.len() + 30);
+        assert_eq!(full.len(), x.len() + 24);
         let (mut scratch, mut same) = (vec![99.0; 3], vec![99.0; 3]);
         f.filter_real_same_into(&x, &mut scratch, &mut same);
-        assert_eq!(same, full[15..15 + x.len()]);
+        assert_eq!(same, full[12..12 + x.len()]);
     }
 
     #[test]
     fn group_delay_of_symmetric_filter() {
-        let f = Fir::low_pass(1.0e6, 8.0e6, 31);
-        assert_eq!(f.group_delay(), 15.0);
+        let f = gaussian_filter(0.5, 8, 3);
+        assert_eq!(f.group_delay(), 12.0);
     }
 
     #[test]
@@ -218,11 +158,5 @@ mod tests {
     #[should_panic(expected = "at least one tap")]
     fn empty_taps_rejected() {
         let _ = Fir::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cutoff")]
-    fn cutoff_above_nyquist_rejected() {
-        let _ = Fir::low_pass(5.0e6, 8.0e6, 31);
     }
 }

@@ -65,7 +65,20 @@ pub fn gaussian_filter(bt: f64, samples_per_symbol: usize, span_symbols: usize) 
 ///
 /// Output length is `symbols.len() * samples_per_symbol` — the filter's group
 /// delay is compensated so sample `k*sps .. (k+1)*sps` corresponds to symbol
-/// `k`.
+/// `k`. Bit-identical to [`shape_nrz_scalar`], the scatter FIR it replaced.
+///
+/// A sample whose filter window lies wholly inside the signal is fixed by the
+/// `span + 1` symbols under the window and its phase within the symbol, so
+/// those samples are copied from a per-call table of `2^(span+1) × sps`
+/// entries, each summed in the scatter FIR's order (ascending input index,
+/// from `0.0`). The ≤ `taps − 1` samples at the edges, and every sample when
+/// the table would have more rows than the signal has full windows, are
+/// summed directly in that same order.
+///
+/// # Panics
+///
+/// Panics if a symbol is not exactly `1.0` or `-1.0`, or if `bt`,
+/// `samples_per_symbol` or `span_symbols` is zero/non-positive.
 pub fn shape_nrz(
     symbols: &[f64],
     bt: f64,
@@ -73,6 +86,83 @@ pub fn shape_nrz(
     span_symbols: usize,
 ) -> Vec<f64> {
     let _s = wazabee_telemetry::scope!("dsp.gaussian_shape");
+    assert!(
+        symbols.iter().all(|&s| s == 1.0 || s == -1.0),
+        "shape_nrz takes ±1 NRZ symbols"
+    );
+    let filter = gaussian_filter(bt, samples_per_symbol, span_symbols);
+    let (h, sps, span) = (filter.taps(), samples_per_symbol, span_symbols);
+    let len = symbols.len() * sps;
+    // Output `t` is sample `t + delay` of the full convolution.
+    let delay = (h.len() - 1) / 2;
+    let direct = |t: usize| full_sample(symbols, h, sps, t + delay);
+    let mut out = Vec::with_capacity(len);
+    let full_windows = symbols.len().saturating_sub(span);
+    let rows = u32::try_from(span + 1)
+        .ok()
+        .and_then(|bits| 1usize.checked_shl(bits))
+        .unwrap_or(usize::MAX);
+    if rows > full_windows {
+        out.extend((0..len).map(direct));
+        return out;
+    }
+    // Entry `pattern · sps + r` is the full-window sample at phase `r` whose
+    // window covers the symbols of `pattern`, oldest in bit 0. Window input
+    // `k` is symbol `(r + k) / sps` of the pattern and meets tap
+    // `taps − 1 − k`.
+    let mut table = Vec::with_capacity(rows * sps);
+    for pattern in 0..rows {
+        for r in 0..sps {
+            let mut acc = 0.0;
+            for (k, &tap) in h.iter().rev().enumerate() {
+                let x = if pattern >> ((r + k) / sps) & 1 == 1 {
+                    1.0
+                } else {
+                    -1.0
+                };
+                acc += x * tap;
+            }
+            table.push(acc);
+        }
+    }
+    // The window of full convolution sample `m` is whole from `m = span·sps`.
+    let first_full = span * sps - delay;
+    out.extend((0..first_full).map(direct));
+    let bit = |s: f64| usize::from(s > 0.0);
+    let mut pattern = symbols[..span]
+        .iter()
+        .enumerate()
+        .fold(0, |p, (k, &s)| p | bit(s) << (k + 1));
+    for &s in &symbols[span..] {
+        pattern = pattern >> 1 | bit(s) << span;
+        out.extend_from_slice(&table[pattern * sps..(pattern + 1) * sps]);
+    }
+    out.extend((len - delay..len).map(direct));
+    out
+}
+
+/// Sample `m` of the full convolution of `h` with the `sps`-fold
+/// rectangular image of `symbols`, summed as the scatter FIR sums it:
+/// inputs in ascending order, starting from `0.0`.
+fn full_sample(symbols: &[f64], h: &[f64], sps: usize, m: usize) -> f64 {
+    let lo = (m + 1).saturating_sub(h.len());
+    let hi = (m + 1).min(symbols.len() * sps);
+    let mut acc = 0.0;
+    for k in lo..hi {
+        acc += symbols[k / sps] * h[m - k];
+    }
+    acc
+}
+
+/// Scalar reference for [`shape_nrz`]: the rectangular image of the symbols
+/// through the scatter-form [`Fir::filter_real_same_into`] — bit-identical
+/// output on ±1 symbols.
+pub fn shape_nrz_scalar(
+    symbols: &[f64],
+    bt: f64,
+    samples_per_symbol: usize,
+    span_symbols: usize,
+) -> Vec<f64> {
     let rect: Vec<f64> = symbols
         .iter()
         .flat_map(|&s| std::iter::repeat_n(s, samples_per_symbol))
@@ -81,35 +171,6 @@ pub fn shape_nrz(
     let (mut scratch, mut out) = (Vec::new(), Vec::new());
     filter.filter_real_same_into(&rect, &mut scratch, &mut out);
     out
-}
-
-/// `f32` counterpart of [`shape_nrz`], running the Gaussian FIR through the
-/// explicit-width kernel in [`crate::simd`].
-///
-/// Taps are designed in `f64` (the design math is not hot) and narrowed once;
-/// the convolution itself is the SIMD `f32` scatter kernel. Used by the
-/// planar modulation paths where waveform fidelity is bounded by channel
-/// noise, not by `f32` rounding.
-pub fn shape_nrz_f32(
-    symbols: &[f32],
-    bt: f64,
-    samples_per_symbol: usize,
-    span_symbols: usize,
-) -> Vec<f32> {
-    let _s = wazabee_telemetry::scope!("dsp.gaussian_shape");
-    let rect: Vec<f32> = symbols
-        .iter()
-        .flat_map(|&s| std::iter::repeat_n(s, samples_per_symbol))
-        .collect();
-    let taps: Vec<f32> = gaussian_filter(bt, samples_per_symbol, span_symbols)
-        .taps()
-        .iter()
-        .map(|&t| t as f32)
-        .collect();
-    let mut full = Vec::new();
-    crate::simd::fir_real_into(&taps, &rect, &mut full);
-    let start = (taps.len() - 1) / 2;
-    full[start..start + rect.len()].to_vec()
 }
 
 /// Rectangular (unfiltered) oversampling of an NRZ stream — the MSK limit the
@@ -183,19 +244,5 @@ mod tests {
     fn output_length_matches_symbols() {
         let shaped = shape_nrz(&[1.0, -1.0, 1.0, 1.0], 0.5, 8, 3);
         assert_eq!(shaped.len(), 4 * 8);
-    }
-
-    #[test]
-    fn f32_shape_tracks_f64_shape() {
-        let symbols: Vec<f64> = (0..40)
-            .map(|k| if k % 3 == 0 { -1.0 } else { 1.0 })
-            .collect();
-        let want = shape_nrz(&symbols, 0.5, 8, 3);
-        let sym32: Vec<f32> = symbols.iter().map(|&s| s as f32).collect();
-        let got = shape_nrz_f32(&sym32, 0.5, 8, 3);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((f64::from(*g) - w).abs() < 1e-5, "{g} vs {w}");
-        }
     }
 }

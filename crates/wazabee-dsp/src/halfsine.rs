@@ -30,51 +30,6 @@ pub fn half_sine_pulse(samples_per_chip: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Shapes a bipolar chip stream (±1) into a half-sine pulse train.
-///
-/// Chip `k` contributes a pulse starting at sample `k * 2 * samples_per_chip`.
-/// Consecutive chips on the same rail are spaced `2·Tc` apart, so their pulses
-/// abut without overlapping. Output length is
-/// `(chips.len() + …tail) * 2 * samples_per_chip` — precisely
-/// `chips.len() * 2 * spc` since pulses do not overlap on one rail.
-pub fn shape_half_sine(chips: &[f64], samples_per_chip: usize) -> Vec<f64> {
-    let pulse = half_sine_pulse(samples_per_chip);
-    let stride = 2 * samples_per_chip;
-    let mut out = vec![0.0; chips.len() * stride];
-    for (k, &c) in chips.iter().enumerate() {
-        let base = k * stride;
-        for (j, &p) in pulse.iter().enumerate() {
-            out[base + j] += c * p;
-        }
-    }
-    out
-}
-
-/// [`half_sine_pulse`] narrowed to `f32` for the planar modulation path.
-///
-/// # Panics
-///
-/// Panics if `samples_per_chip` is zero.
-pub fn half_sine_pulse_f32(samples_per_chip: usize) -> Vec<f32> {
-    half_sine_pulse(samples_per_chip)
-        .into_iter()
-        .map(|p| p as f32)
-        .collect()
-}
-
-/// `f32` counterpart of [`shape_half_sine`]: each pulse placement is one
-/// [`crate::simd::axpy`] over the pulse span.
-pub fn shape_half_sine_f32(chips: &[f32], samples_per_chip: usize) -> Vec<f32> {
-    let pulse = half_sine_pulse_f32(samples_per_chip);
-    let stride = 2 * samples_per_chip;
-    let mut out = vec![0.0f32; chips.len() * stride];
-    for (k, &c) in chips.iter().enumerate() {
-        let base = k * stride;
-        crate::simd::axpy(&mut out[base..base + pulse.len()], &pulse, c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,38 +52,8 @@ mod tests {
     }
 
     #[test]
-    fn shaping_respects_chip_sign() {
-        let y = shape_half_sine(&[1.0, -1.0], 4);
-        assert_eq!(y.len(), 16);
-        assert!(y[4] > 0.9); // positive pulse peak
-        assert!(y[12] < -0.9); // negative pulse peak
-    }
-
-    #[test]
-    fn shaped_train_has_no_rail_overlap() {
-        // Pulses on one rail abut: energy of the train equals the sum of
-        // individual pulse energies.
-        let single: f64 = half_sine_pulse(8).iter().map(|x| x * x).sum();
-        let train = shape_half_sine(&[1.0, 1.0, -1.0, 1.0], 8);
-        let total: f64 = train.iter().map(|x| x * x).sum();
-        assert!((total - 4.0 * single).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_oversampling_rejected() {
         let _ = half_sine_pulse(0);
-    }
-
-    #[test]
-    fn f32_train_tracks_f64_train() {
-        let chips = [1.0, -1.0, -1.0, 1.0];
-        let want = shape_half_sine(&chips, 8);
-        let chips32: Vec<f32> = chips.iter().map(|&c| c as f32).collect();
-        let got = shape_half_sine_f32(&chips32, 8);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert!((f64::from(*g) - w).abs() < 1e-6);
-        }
     }
 }

@@ -15,13 +15,15 @@
 //! * [`IqBuf`]/[`IqSlice`] — planar (separate-rail) `f32` buffers and
 //!   zero-copy views, the storage the receive hot path runs on,
 //! * [`simd`] — explicit-width `f32x8`-style kernels (discriminator, window
-//!   sums, FIR, superposition) with bit-identical `*_scalar` references,
+//!   and sliding sums, sign words, superposition) with bit-identical
+//!   `*_scalar` references,
 //! * [`Nco`] — oscillators for carrier offsets and channel shifts,
-//! * [`Fir`] and [`gaussian`]/[`halfsine`] — pulse shaping for GFSK and O-QPSK,
+//! * [`Fir`] and [`gaussian`]/[`halfsine`] — pulse shaping for GFSK and
+//!   O-QPSK ([`gaussian::shape_nrz`] fills its output from a per-call table),
 //! * [`discriminator`] — FM discrimination (the receiver side of FSK),
 //! * [`AwgnSource`] — deterministic, seedable channel noise,
-//! * [`correlate`] — match type, soft correlation and the byte-per-bit
-//!   sync-search oracle,
+//! * [`correlate`] — the match type and the byte-per-bit sync-search
+//!   oracle,
 //! * [`io`] — shared IQ sample-format codecs (`.cf32`, RTL-SDR u8
 //!   offset-128) used by the flight recorder and the serve ingest plane,
 //! * [`bits`] — LSB-first bit packing shared by both protocols,

@@ -10,16 +10,23 @@
 //! in its loop keeps a bounds check and nothing grows the output inside the
 //! loop. An index like `i[k + l + 1]` keeps one check per element, and a
 //! block pushed with `extend_from_slice` keeps a capacity check per block;
-//! either one leaves the loop scalar on any target. The receive kernels
+//! either one leaves the loop scalar on any target. The kernels here
 //! therefore follow one rule:
 //!
 //! * resize the output once per call and write through a view of it;
 //! * read the input through views whose lengths prove every index in range:
 //!   [`discriminate_planar_into`] slices the current and next sample once to
-//!   the loop's own length, and [`sliding_sums_into`] reads each block of
+//!   the loop's own length, [`sliding_sums_into`] reads each block of
 //!   outputs through fixed-size `&[f32; W]` views and writes it through a
-//!   `&mut [f32; W]`;
+//!   `&mut [f32; W]`, and [`accumulate_interleaved_at`] (the simulator's
+//!   superposition) zips exact-length views of both rails with its source;
 //! * keep the per-element body free of branches (selects only).
+//!
+//! Transmit waveforms are not built here. They stay `f64` (the committed
+//! waveform artifacts pin them) and come from small per-call tables that
+//! write each sample once: `wazabee_dot154::oqpsk::modulate_chips` and
+//! [`crate::gaussian::shape_nrz`]. There is no `f32` transmit path: nothing
+//! outside tests and benches used one.
 //!
 //! The discriminator is a flat loop rather than `LANES`-wide blocks because
 //! its per-element body is too large for the compiler to unroll an 8-lane
@@ -459,40 +466,6 @@ fn sign_word(x: &[f32]) -> u64 {
     word
 }
 
-/// `dst[k] += gain · src[k]` over f32 slices (the superposition/pulse-placement
-/// primitive).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(dst: &mut [f32], src: &[f32], gain: f32) {
-    assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    let n = dst.len();
-    let mut k = 0;
-    while k + LANES <= n {
-        for l in 0..LANES {
-            dst[k + l] += gain * src[k + l];
-        }
-        k += LANES;
-    }
-    while k < n {
-        dst[k] += gain * src[k];
-        k += 1;
-    }
-}
-
-/// Scalar reference for [`axpy`] — bit-identical output.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy_scalar(dst: &mut [f32], src: &[f32], gain: f32) {
-    assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += gain * s;
-    }
-}
-
 /// Superposes an interleaved `f64` waveform into a planar accumulator:
 /// `dst[offset + k] += gain · src[k]`, growing `dst` as needed.
 ///
@@ -505,19 +478,12 @@ pub fn accumulate_interleaved_at(dst: &mut IqBuf, src: &[Iq], offset: usize, gai
         dst.resize(end);
     }
     let (di, dq) = dst.rails_mut();
-    let n = src.len();
-    let mut k = 0;
-    while k + LANES <= n {
-        for l in 0..LANES {
-            di[offset + k + l] += (src[k + l].i * gain) as f32;
-            dq[offset + k + l] += (src[k + l].q * gain) as f32;
-        }
-        k += LANES;
-    }
-    while k < n {
-        di[offset + k] += (src[k].i * gain) as f32;
-        dq[offset + k] += (src[k].q * gain) as f32;
-        k += 1;
+    // Exact-length views of both rails, zipped with the source: no index is
+    // checked inside the loop.
+    let rails = di[offset..end].iter_mut().zip(&mut dq[offset..end]);
+    for ((i, q), s) in rails.zip(src) {
+        *i += (s.i * gain) as f32;
+        *q += (s.q * gain) as f32;
     }
 }
 
@@ -531,116 +497,6 @@ pub fn accumulate_interleaved_at_scalar(dst: &mut IqBuf, src: &[Iq], offset: usi
     for (k, s) in src.iter().enumerate() {
         di[offset + k] += (s.i * gain) as f32;
         dq[offset + k] += (s.q * gain) as f32;
-    }
-}
-
-/// Full f32 convolution of `x` with `taps`, overwriting `out` (scatter form:
-/// output length `x.len() + taps.len() − 1`).
-///
-/// Exact zeros in `x` are skipped in both variants — pulse-shaped inputs are
-/// mostly padding, and the skip must match for the `−0.0` corner to stay
-/// bit-identical.
-///
-/// # Panics
-///
-/// Panics if `taps` is empty.
-pub fn fir_real_into(taps: &[f32], x: &[f32], out: &mut Vec<f32>) {
-    assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-    out.clear();
-    out.resize(x.len() + taps.len() - 1, 0.0);
-    for (k, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let y = &mut out[k..k + taps.len()];
-        let mut j = 0;
-        while j + LANES <= taps.len() {
-            for l in 0..LANES {
-                y[j + l] += xv * taps[j + l];
-            }
-            j += LANES;
-        }
-        while j < taps.len() {
-            y[j] += xv * taps[j];
-            j += 1;
-        }
-    }
-}
-
-/// Scalar reference for [`fir_real_into`] — bit-identical output.
-///
-/// # Panics
-///
-/// Panics if `taps` is empty.
-pub fn fir_real_scalar_into(taps: &[f32], x: &[f32], out: &mut Vec<f32>) {
-    assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-    out.clear();
-    out.resize(x.len() + taps.len() - 1, 0.0);
-    for (k, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        for (j, &t) in taps.iter().enumerate() {
-            out[k + j] += xv * t;
-        }
-    }
-}
-
-/// Full planar-IQ convolution with real `f32` taps, overwriting `out`.
-///
-/// Both rails convolve with the same taps (linear-phase channel filters), so
-/// one pass streams I and Q together.
-///
-/// # Panics
-///
-/// Panics if `taps` is empty or the rails of `x` differ in length.
-pub fn fir_planar_into(taps: &[f32], x: crate::iqbuf::IqSlice<'_>, out: &mut IqBuf) {
-    assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-    out.clear();
-    out.resize(x.len() + taps.len() - 1);
-    let (oi, oq) = out.rails_mut();
-    let (xi, xq) = (x.i(), x.q());
-    for k in 0..xi.len() {
-        let (vi, vq) = (xi[k], xq[k]);
-        if vi == 0.0 && vq == 0.0 {
-            continue;
-        }
-        let mut j = 0;
-        while j + LANES <= taps.len() {
-            for l in 0..LANES {
-                oi[k + j + l] += vi * taps[j + l];
-                oq[k + j + l] += vq * taps[j + l];
-            }
-            j += LANES;
-        }
-        while j < taps.len() {
-            oi[k + j] += vi * taps[j];
-            oq[k + j] += vq * taps[j];
-            j += 1;
-        }
-    }
-}
-
-/// Scalar reference for [`fir_planar_into`] — bit-identical output.
-///
-/// # Panics
-///
-/// Panics if `taps` is empty or the rails of `x` differ in length.
-pub fn fir_planar_scalar_into(taps: &[f32], x: crate::iqbuf::IqSlice<'_>, out: &mut IqBuf) {
-    assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-    out.clear();
-    out.resize(x.len() + taps.len() - 1);
-    let (oi, oq) = out.rails_mut();
-    let (xi, xq) = (x.i(), x.q());
-    for k in 0..xi.len() {
-        let (vi, vq) = (xi[k], xq[k]);
-        if vi == 0.0 && vq == 0.0 {
-            continue;
-        }
-        for (j, &t) in taps.iter().enumerate() {
-            oi[k + j] += vi * t;
-            oq[k + j] += vq * t;
-        }
     }
 }
 
@@ -730,14 +586,6 @@ mod tests {
             let b: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "window {w}");
         }
-    }
-
-    #[test]
-    fn fir_real_matches_fir_crate_shape() {
-        // 2-tap moving average, mirroring the Fir doctest.
-        let mut y = Vec::new();
-        fir_real_into(&[0.5, 0.5], &[1.0, 1.0, 0.0], &mut y);
-        assert_eq!(y, vec![0.5, 1.0, 0.5, 0.0]);
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Parity suite for the planar SIMD sample-domain kernels.
+//! Parity suite for the planar SIMD sample-domain kernels and the
+//! table-driven transmit kernels.
 //!
 //! Every explicit-width kernel in `wazabee_dsp::simd` keeps a `*_scalar`
 //! twin written with the identical per-element expression and accumulation
 //! order, so the two must agree **bitwise** — not merely within a tolerance —
-//! on arbitrary lengths, including tails shorter than the lane width. Each
+//! on arbitrary lengths, including tails shorter than the lane width. The
+//! O-QPSK modulator and the Gaussian shaper, which fill their `f64` output
+//! from per-call tables, are pinned the same way to the accumulating loops
+//! they replaced. Each
 //! kernel dispatched at run time is also checked variant by variant: its
 //! portable body and, on hosts with AVX2, its AVX2 variant, each called by
 //! name. The receive engine's lane packing (sign words, then a
@@ -22,15 +26,16 @@ use wazabee::{WazaBeeError, WazaBeeRx};
 use wazabee_ble::{BleModem, BlePhy};
 use wazabee_chips::nrf52832;
 use wazabee_dot154::msk::frame_chips_to_msk;
+use wazabee_dot154::oqpsk::{modulate_chips, modulate_chips_scalar};
 use wazabee_dot154::pn::pn_sequence;
 use wazabee_dot154::{fcs::append_fcs, Dot154Channel, Dot154Modem, MacFrame, Ppdu, ReceivedPpdu};
+use wazabee_dsp::gaussian::{shape_nrz, shape_nrz_scalar};
 use wazabee_dsp::packed::deinterleave;
 use wazabee_dsp::simd::{
-    accumulate_interleaved_at, accumulate_interleaved_at_scalar, axpy, axpy_scalar,
-    discriminate_planar_into, discriminate_planar_portable_into, discriminate_planar_scalar_into,
-    fir_planar_into, fir_planar_scalar_into, fir_real_into, fir_real_scalar_into,
-    nrz_hard_bits_into, sign_words_into, sign_words_portable_into, sign_words_scalar_into,
-    sliding_sums_into, sliding_sums_portable_into, sliding_sums_scalar_into, window_sums_into,
+    accumulate_interleaved_at, accumulate_interleaved_at_scalar, discriminate_planar_into,
+    discriminate_planar_portable_into, discriminate_planar_scalar_into, nrz_hard_bits_into,
+    sign_words_into, sign_words_portable_into, sign_words_scalar_into, sliding_sums_into,
+    sliding_sums_portable_into, sliding_sums_scalar_into, window_sums_into,
     window_sums_scalar_into, LANES,
 };
 #[cfg(target_arch = "x86_64")]
@@ -142,25 +147,19 @@ proptest! {
         }
     }
 
-    /// The fused scale-and-add equals its scalar twin bitwise, and hard
-    /// slicing of any soft vector is sign-stable (`-0.0` slices as 1, like
-    /// `+0.0` — both are `>= 0.0`).
+    /// Hard slicing of any soft vector is sign-stable (`-0.0` slices as 1,
+    /// like `+0.0` — both are `>= 0.0`; NaN slices as 0).
     #[test]
-    fn prop_axpy_and_slicing_match_scalar(
+    fn prop_hard_slicing_matches_sign_rule(
         n in 0usize..MAX_LEN,
-        gain in -4.0f64..4.0,
         seed in any::<u64>(),
+        salt in 0u32..4,
     ) {
-        let (src, base) = random_rails(seed, n);
-        let mut fast = base.clone();
-        let mut slow = base;
-        axpy(&mut fast, &src, gain as f32);
-        axpy_scalar(&mut slow, &src, gain as f32);
-        prop_assert_eq!(bits_of(&fast), bits_of(&slow));
-
+        let (mut soft, _) = random_rails(seed, n);
+        salt_non_finite(seed ^ 0x51CE, salt, &mut soft);
         let mut sliced = Vec::new();
-        nrz_hard_bits_into(&fast, &mut sliced);
-        let expect: Vec<u8> = fast.iter().map(|&s| u8::from(s >= 0.0)).collect();
+        nrz_hard_bits_into(&soft, &mut sliced);
+        let expect: Vec<u8> = soft.iter().map(|&s| u8::from(s >= 0.0)).collect();
         prop_assert_eq!(sliced, expect);
     }
 
@@ -190,38 +189,46 @@ proptest! {
         prop_assert_eq!(buf_bits(&fast), buf_bits(&slow));
     }
 
-    /// Scatter-form FIR filtering — real-rail and planar both-rail — matches
-    /// the scalar twins bitwise, with zero taps exercising the skip path.
+    /// The table-driven O-QPSK modulator equals the accumulating rail loop
+    /// bit for bit (sign of zero included) at every oversampling in 1..=16,
+    /// for empty, odd and even chip counts up to 2048.
     #[test]
-    fn prop_fir_kernels_match_scalar(
-        n in 0usize..MAX_LEN,
-        n_taps in 1usize..24,
-        zero_mask in any::<u32>(),
+    fn prop_oqpsk_modulate_matches_scalar(
+        spc in 1usize..=16,
+        n in 0usize..=2048,
         seed in any::<u64>(),
     ) {
-        let (x, q) = random_rails(seed, n);
-        let (raw_taps, _) = random_rails(seed ^ 0x7A95, n_taps);
-        let taps: Vec<f32> = raw_taps
+        let chips = random_bits(seed, n);
+        let fast = modulate_chips(&chips, spc);
+        let slow = modulate_chips_scalar(&chips, spc);
+        prop_assert_eq!(fast.len(), (n + 1) * spc);
+        prop_assert_eq!(iq_bits(&fast), iq_bits(&slow));
+    }
+
+    /// The table-driven Gaussian shaper equals the scatter FIR over the
+    /// rectangular image bit for bit, for sps 2..=16, spans 1..=6, BT 0.3–1.0
+    /// and symbol counts from empty through shorter than the filter to long
+    /// enough for every table size.
+    #[test]
+    fn prop_gaussian_shape_matches_scalar(
+        sps in 2usize..=16,
+        span in 1usize..=6,
+        bt in 0.3f64..1.0,
+        short in 0usize..=8,
+        long in 0usize..=400,
+        pick_short in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = if pick_short { short } else { long };
+        let nrz: Vec<f64> = random_bits(seed, n)
             .iter()
-            .enumerate()
-            .map(|(k, &t)| if zero_mask >> (k % 32) & 1 == 1 { 0.0 } else { t })
+            .map(|&b| if b == 1 { 1.0 } else { -1.0 })
             .collect();
-
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        fir_real_into(&taps, &x, &mut fast);
-        fir_real_scalar_into(&taps, &x, &mut slow);
-        prop_assert_eq!(bits_of(&fast), bits_of(&slow));
-
-        let mut planar = IqBuf::new();
-        for (&a, &b) in x.iter().zip(&q) {
-            planar.push(a, b);
-        }
-        let mut fast_iq = IqBuf::new();
-        let mut slow_iq = IqBuf::new();
-        fir_planar_into(&taps, planar.as_slice(), &mut fast_iq);
-        fir_planar_scalar_into(&taps, planar.as_slice(), &mut slow_iq);
-        prop_assert_eq!(buf_bits(&fast_iq), buf_bits(&slow_iq));
+        let fast = shape_nrz(&nrz, bt, sps, span);
+        let slow = shape_nrz_scalar(&nrz, bt, sps, span);
+        prop_assert_eq!(fast.len(), n * sps);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&fast), bits(&slow));
     }
 
     /// Sign words equal their scalar twin in every variant, on values
@@ -332,6 +339,18 @@ proptest! {
 /// Lengths for the sign-word kernels: several 64-value words, so every tail
 /// length and the AVX2 variant's whole-word path are hit.
 const SIGN_MAX_LEN: usize = 5 * 64 + 2;
+
+/// Bit patterns of both rails of an `f64` waveform.
+fn iq_bits(x: &[Iq]) -> Vec<(u64, u64)> {
+    x.iter().map(|s| (s.i.to_bits(), s.q.to_bits())).collect()
+}
+
+/// Deterministic pseudo-random 0/1 values.
+fn random_bits(seed: u64, n: usize) -> Vec<u8> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    (0..n).map(|_| rng.gen_range(0..2u8)).collect()
+}
 
 /// Deterministic pseudo-random `f32` rails, avoiding proptest vector
 /// generation overhead at large lengths.
