@@ -45,7 +45,8 @@
 #      answer 503 with the collisions rule latched (and the delivery-ratio
 #      rule armed), /trace must serve live Chrome Trace JSON, and the
 #      WAZABEE_TRACE_OUT dump must hold rx.decode spans with frame args and
-#      resolvable parents, only M/X/i phases and otherData.evicted_records;
+#      resolvable parents, only M/X/i phases, distinct span ids and
+#      otherData.evicted_records;
 #      a --no-attacker run must answer /healthz 200;
 #      the run with the variables unset must write no trace file
 #  14. shard-equivalence gate: a 256-node / 8-channel attacked cell is run
@@ -342,8 +343,12 @@ assert events, "WAZABEE_TRACE_OUT dump is empty"
 phases = {e.get("ph") for e in events}
 assert phases <= {"M", "X", "i"}, f"unexpected trace phases {sorted(map(str, phases))}"
 assert "evicted_records" in doc.get("otherData", {}), "trace dump lacks otherData.evicted_records"
-spans = {e["args"]["span_id"] for e in events
-         if e.get("args", {}).get("span_id") is not None}
+span_ids = [e["args"]["span_id"] for e in events
+            if e.get("args", {}).get("span_id") is not None]
+spans = set(span_ids)
+# Ids come from per-thread blocks but stay process-unique.
+assert len(spans) == len(span_ids), (
+    f"{len(span_ids) - len(spans)} duplicate span ids in the trace dump")
 decodes = [e for e in events if e.get("name") == "rx.decode"]
 assert decodes, "no rx.decode spans in the trace dump"
 for d in decodes:

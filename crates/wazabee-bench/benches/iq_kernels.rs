@@ -46,6 +46,13 @@ fn rails(seed: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
 }
 
 fn bench_iq_kernels(c: &mut Criterion) {
+    // Rows whose kernel allocates 128 KiB or more per call (the O-QPSK
+    // rails, the transmit waveforms) would otherwise time glibc's dynamic
+    // mmap threshold: until a chunk that large has been freed, each such
+    // allocation maps and faults in fresh pages. Freeing one 1 MiB buffer
+    // first raises the threshold past every row's size, whatever order
+    // the rows run in.
+    drop(std::hint::black_box(vec![0u8; 1 << 20]));
     let (i, q) = rails(7, N);
     let diffs = {
         let mut d = Vec::new();

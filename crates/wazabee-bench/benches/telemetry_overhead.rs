@@ -10,16 +10,22 @@
 //! `iq_kernels` and `packed_kernels` benches and the `rx_throughput` bin.
 //! `artifacts/TELEMETRY_OVERHEAD.md` keeps the figures.
 //!
+//! The scope rows run detached (no trace consumer, the default when no
+//! trace variable is set): a scope then writes only its own thread's
+//! memory. `scope_enter_drop_attached` and `trace_ring_append` run with the
+//! trace attached, so each also appends a record to the shared ring.
+//!
 //! `scope_enter_drop_contended` pins the measuring thread and a rival
 //! scope loop to two different allowed CPUs, so every run measures two
-//! threads contending for the trace-ring lock. With fewer than two CPUs
-//! the row is skipped.
+//! threads running scopes at once. With fewer than two CPUs the row is
+//! skipped.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_probes(c: &mut Criterion) {
+    wazabee_telemetry::set_trace_attached(false);
     let mut p = c.benchmark_group("telemetry_primitives");
     p.bench_function("counter_inc", |b| {
         b.iter(|| wazabee_telemetry::counter!("bench.counter").inc())
@@ -50,20 +56,21 @@ fn bench_probes(c: &mut Criterion) {
                 .record(17.0)
         })
     });
-    // One timing probe: two clock reads, the thread-local child-time and
-    // current-span swaps, four relaxed atomic adds and one trace-ring
-    // append (the completed span, pushed when it closes).
+    // One timing probe: two clock reads, the thread-local child-time,
+    // span-id and current-span cells, and four relaxed load + store pairs
+    // on the thread's own profile tally.
     p.bench_function("scope_enter_drop", |b| {
         b.iter(|| {
             let _s = wazabee_telemetry::scope!("bench.scope");
             std::hint::black_box(());
         })
     });
-    // The same probe while a second thread runs scopes in a loop, so both
-    // contend for the one trace-ring lock — as netsim's shard threads and
-    // serve's workers do. Each thread is pinned to its own CPU: a rival
-    // sharing the measuring thread's CPU only runs when it is preempted,
-    // and the row would read the uncontended cost.
+    // The same probe while a second thread runs scopes in a loop, as
+    // netsim's shard threads and serve's workers do. Detached, with
+    // per-thread tallies and id blocks, the two write no shared cache
+    // line. Each thread is pinned to its own CPU: a rival sharing the
+    // measuring thread's CPU only runs when it is preempted, and the row
+    // would not test sharing.
     let cpus = affinity::allowed_cpus();
     if cpus.len() < 2 {
         eprintln!(
@@ -117,13 +124,24 @@ fn bench_probes(c: &mut Criterion) {
     p.bench_function("wall_series_record", |b| {
         b.iter(|| wazabee_telemetry::timeseries!("bench.series", std::hint::black_box(1.0)))
     });
-    // One trace-ring append alone (instant event with args), isolating the
-    // ring's mutex + VecDeque push from the span stack machinery.
+    // With a trace consumer attached, a scope also appends its record to
+    // the trace ring (its mutex and a VecDeque push).
+    wazabee_telemetry::set_trace_attached(true);
+    p.bench_function("scope_enter_drop_attached", |b| {
+        b.iter(|| {
+            let _s = wazabee_telemetry::scope!("bench.scope.attached");
+            std::hint::black_box(());
+        })
+    });
+    // One ring append alone (instant event with args), isolating it from
+    // the span machinery.
     p.bench_function("trace_ring_append", |b| {
         b.iter(|| {
             wazabee_telemetry::event!("bench.instant", seq = std::hint::black_box(3u64));
         })
     });
+    wazabee_telemetry::set_trace_attached(false);
+    wazabee_telemetry::drain_trace();
     // One watchdog tick over a single armed rule: registry scan, counter
     // sum, compare, latch check.
     p.bench_function("health_rule_evaluate", |b| {

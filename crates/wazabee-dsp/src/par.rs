@@ -28,7 +28,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Maps `f` over `items` on `threads` worker threads (`None` means
-/// [`default_threads`]), returning results in input order.
+/// [`default_threads`]), returning results in input order. The calling
+/// thread is one of the workers, so it spawns at most `threads - 1`.
 ///
 /// Work is distributed dynamically — an atomic cursor hands the next index to
 /// whichever worker is free — but each result is stored at its item's index,
@@ -57,30 +58,32 @@ where
         .map(|t| std::sync::Mutex::new(Some(t)))
         .collect();
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
+            }
+            let item = cells[k]
+                .lock()
+                .expect("cell lock")
+                .take()
+                .expect("cell taken once");
+            done.push((k, f(item)));
+        }
+        done
+    };
     let mut buckets: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        let item = cells[k]
-                            .lock()
-                            .expect("cell lock")
-                            .take()
-                            .expect("cell taken once");
-                        done.push((k, f(item)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+        // The calling thread is one of the workers: it spawns one fewer.
+        let handles: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(work)).collect();
+        let mine = work();
+        std::iter::once(mine)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked")),
+            )
             .collect()
     });
 

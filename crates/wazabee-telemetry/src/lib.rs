@@ -20,7 +20,10 @@
 //! (count, self/total time, log₂ buckets, p50/p99) and, with one
 //! completed-span record per closed scope, the bounded causal trace ring
 //! that [`event!`] instants share; [`health_rule!`] arms alerts and
-//! [`timeseries!`] samples wall-clock series.
+//! [`timeseries!`] samples wall-clock series. While no trace consumer is
+//! attached, opening and closing a scope writes only the calling thread's
+//! memory: per-thread profile tallies and per-thread blocks of span ids.
+//! An attached consumer adds one push to the shared ring per close.
 //!
 //! Sinks: the console [`summary`] (with derived sync-success / CRC / FCS /
 //! PER rates), JSONL ([`write_jsonl`], [`dump_from_env`] for
@@ -33,9 +36,12 @@
 //! The probes are always compiled in and always count: there is one build.
 //! Nothing leaves the process unless asked for — no file is written, no
 //! socket bound and no trace dumped unless `WAZABEE_TELEMETRY_OUT`,
-//! `WAZABEE_TELEMETRY_ADDR` or `WAZABEE_TRACE_OUT` is set. What a probe
-//! costs is measured per kind by the `telemetry_overhead` bench in
-//! `wazabee-bench`.
+//! `WAZABEE_TELEMETRY_ADDR` or `WAZABEE_TRACE_OUT` is set. The trace is
+//! recorded only for those consumers: the three variables are read once,
+//! on first use, and with none set (and no [`set_trace_attached`] call)
+//! scopes and events keep no trace records, while the profile, counters and
+//! [`current_span_id`] stay exact. What a probe costs is measured per kind
+//! by the `telemetry_overhead` bench in `wazabee-bench`.
 //!
 //! ## Example
 //!
@@ -77,8 +83,8 @@ pub use profile::{profile_report, profile_summary, Scope, ScopeGuard, StageRow};
 pub use server::{serve, serve_from_env, ENV_ADDR};
 pub use sink::{dump_from_env, dump_jsonl_to, snapshot_json, summary, write_jsonl, ENV_OUT};
 pub use span::{
-    current_span_id, drain_trace, event_with, ArgValue, SpanArgs, TraceEvent, TraceKind,
-    MAX_SPAN_ARGS, TRACE_CAPACITY,
+    current_span_id, drain_trace, event_with, set_trace_attached, trace_attached, ArgValue,
+    SpanArgs, TraceEvent, TraceKind, MAX_SPAN_ARGS, TRACE_CAPACITY,
 };
 pub use timeseries::{Point, Series, SeriesSet, WallSeries, SERIES_CAPACITY};
 pub use trace_export::{dump_trace_from_env, dump_trace_to, trace_chrome_json, ENV_TRACE_OUT};
@@ -91,7 +97,9 @@ pub use trace_export::{dump_trace_from_env, dump_trace_to, trace_chrome_json, EN
 /// independent phases (the parallel sweep driver resets between cells).
 /// Statics stay registered; only their values reset. Cached handles remain
 /// valid: cells are zeroed in place (gauges read as unset), never dropped.
-/// Latched health alerts unlatch; armed rules stay armed.
+/// Latched health alerts unlatch; armed rules stay armed. Call it while no
+/// scope closes on another thread: a close racing the reset can write back
+/// that thread's pre-reset profile tally.
 pub fn reset() {
     registry::reset();
     drain_trace();
@@ -143,10 +151,11 @@ macro_rules! histogram {
 /// when the returned [`ScopeGuard`] drops.
 ///
 /// One probe feeds every timing view: the profile row (count, self/total
-/// time, log₂ duration buckets — see [`profile_report`]) and one
-/// completed-span record, pushed to the causal trace ring when the scope
-/// closes. Scopes nest per thread: each one's parent is the scope open on
-/// the same thread, and its total is billed to that parent's child time.
+/// time, log₂ duration buckets — see [`profile_report`]) and, while a trace
+/// consumer is attached ([`trace_attached`]), one completed-span record
+/// pushed to the causal trace ring when the scope closes. Scopes nest per
+/// thread: each one's parent is the scope open on the same thread, and its
+/// total is billed to that parent's child time.
 /// Up to [`MAX_SPAN_ARGS`] static key/value arguments ride along into the
 /// trace:
 ///
@@ -170,7 +179,8 @@ macro_rules! scope {
 
 /// Records an instantaneous trace event, optionally with a numeric value
 /// and/or up to [`MAX_SPAN_ARGS`] static key/value arguments
-/// (`event!("rx.resync", offset = bit)`).
+/// (`event!("rx.resync", offset = bit)`), while a trace consumer is
+/// attached ([`trace_attached`]); otherwise it does nothing.
 #[macro_export]
 macro_rules! event {
     ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {
@@ -227,8 +237,9 @@ macro_rules! timeseries {
     }};
 }
 
-/// Serializes tests that touch the global registry or trace ring: `reset()`
-/// and `drain_trace()` in one test would otherwise corrupt another's counts.
+/// Serializes tests that touch the global registry, the trace ring or the
+/// attach state: `reset()`, `drain_trace()` and `set_trace_attached()` in
+/// one test would otherwise corrupt another's counts.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -5,45 +5,216 @@
 //! `sim.superpose`, `ble.gfsk.modulate_ns`, …). Opening and closing each
 //! read the clock once, and those two readings feed three views:
 //!
-//! * the **profile** — per call site a static [`Scope`] holds relaxed-atomic
-//!   count, total (inclusive) and self (exclusive) nanoseconds, and 64 log₂
-//!   duration buckets, so every row reports exact counts plus p50/p99
-//!   without locks. Self time comes from a thread-local child-time cell:
-//!   each closing scope bills its total to the enclosing one, and a caller
-//!   whose total is large but whose self is small is just a caller;
+//! * the **profile** — per call site a count, total (inclusive) and self
+//!   (exclusive) nanoseconds, and 64 log₂ duration buckets, so every row
+//!   reports exact counts plus p50/p99 without locks. Self time comes from
+//!   a thread-local child-time cell: each closing scope bills its total to
+//!   the enclosing one, and a caller whose total is large but whose self is
+//!   small is just a caller;
 //! * the **trace** — one completed-span record (start and duration) pushed
-//!   to the bounded causal ring when the scope closes (see
-//!   [`crate::drain_trace`]), carrying the span id, the parent span open on
-//!   the same thread and up to [`crate::MAX_SPAN_ARGS`] arguments;
+//!   to the bounded trace ring while a trace consumer is attached (see
+//!   [`crate::trace_attached`] and [`crate::drain_trace`]),
+//!   carrying the span id, the parent span open on the same thread and up
+//!   to [`crate::MAX_SPAN_ARGS`] arguments;
 //! * the **current span** — the thread-local id events and the flight
 //!   recorder attach to ([`crate::current_span_id`]).
 //!
-//! The ring is bounded and evicts the oldest records; the profile is exact
-//! no matter how many records the ring dropped.
+//! The profile is kept per thread: each thread owns one tally per call
+//! site, which only it writes, with a plain relaxed load and store — no
+//! locked read-modify-write and no cache line shared with another core.
+//! [`profile_report`] sums the live threads' tallies with each [`Scope`]'s
+//! own atomics, into which a thread folds its tallies when it exits, so
+//! counts stay exact for threads joined before the report. The ring is
+//! bounded and evicts the oldest records; the profile is exact no matter
+//! how many records it dropped.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::hist::{log2_bucket, log2_quantile_ns};
-use crate::span::SpanArgs;
+use crate::span::{lock, SpanArgs};
 use crate::HIST_BUCKETS;
 
-/// Per-call-site timing store, declared statically by [`crate::scope!`].
+/// One call site's count, total and self nanoseconds and log₂ duration
+/// buckets.
 #[derive(Debug)]
-pub struct Scope {
-    name: &'static str,
+struct Tally {
     count: AtomicU64,
     total_ns: AtomicU64,
     self_ns: AtomicU64,
     buckets: [AtomicU64; HIST_BUCKETS],
-    registered: AtomicBool,
+}
+
+/// Adds `v` to a cell only the calling thread writes: a relaxed load and
+/// store, which readers on other threads see whole.
+#[inline]
+fn bump(cell: &AtomicU64, v: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(v),
+        Ordering::Relaxed,
+    );
+}
+
+impl Tally {
+    const fn new() -> Self {
+        Tally {
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            self_ns: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+        }
+    }
+
+    /// Records one close on a tally the calling thread owns.
+    #[inline]
+    fn record_owned(&self, total: u64, self_ns: u64) {
+        bump(&self.count, 1);
+        bump(&self.total_ns, total);
+        bump(&self.self_ns, self_ns);
+        bump(&self.buckets[log2_bucket(total)], 1);
+    }
+
+    /// Records one close on a tally any thread may write.
+    fn record_shared(&self, total: u64, self_ns: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(total, Ordering::Relaxed);
+        self.self_ns.fetch_add(self_ns, Ordering::Relaxed);
+        self.buckets[log2_bucket(total)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `other` into this shared tally.
+    fn fold(&self, other: &Tally) {
+        let pairs = [
+            (&self.count, &other.count),
+            (&self.total_ns, &other.total_ns),
+            (&self.self_ns, &other.self_ns),
+        ];
+        for (dst, src) in pairs
+            .into_iter()
+            .chain(self.buckets.iter().zip(&other.buckets))
+        {
+            let v = src.load(Ordering::Relaxed);
+            if v != 0 {
+                dst.fetch_add(v, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn add_to(&self, row: &mut StageRow) {
+        row.count += self.count.load(Ordering::Relaxed);
+        row.total_ns += self.total_ns.load(Ordering::Relaxed);
+        row.self_ns += self.self_ns.load(Ordering::Relaxed);
+        for (dst, src) in row.buckets.iter_mut().zip(&self.buckets) {
+            *dst += src.load(Ordering::Relaxed);
+        }
+    }
+
+    fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.total_ns.store(0, Ordering::Relaxed);
+        self.self_ns.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Call sites per lazily allocated block of a thread's tallies.
+const CHUNK: usize = 32;
+/// Blocks per thread: room for 4096 call sites. A scope registered past
+/// that records into its shared atomics instead.
+const MAX_CHUNKS: usize = 128;
+
+/// One thread's tallies, indexed by the scope's registration index. Only
+/// the owning thread writes them; [`profile_report`] and [`reset`] read
+/// and zero them from any thread.
+struct ThreadTallies {
+    chunks: [OnceLock<Box<[Tally; CHUNK]>>; MAX_CHUNKS],
+}
+
+impl ThreadTallies {
+    /// The tally for scope `index`, allocating its block on first use;
+    /// `None` past the last block.
+    #[inline]
+    fn tally(&self, index: usize) -> Option<&Tally> {
+        let chunk = self.chunks.get(index / CHUNK)?;
+        Some(&chunk.get_or_init(|| Box::new([const { Tally::new() }; CHUNK]))[index % CHUNK])
+    }
+
+    /// The tally for scope `index` if its block is allocated.
+    fn tally_if_allocated(&self, index: usize) -> Option<&Tally> {
+        Some(&self.chunks.get(index / CHUNK)?.get()?[index % CHUNK])
+    }
+
+    /// The allocated tallies with their scope indices.
+    fn allocated(&self) -> impl Iterator<Item = (usize, &Tally)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((c, chunk.get()?)))
+            .flat_map(|(c, block)| {
+                block
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, t)| (c * CHUNK + k, t))
+            })
+    }
+}
+
+/// The live threads' tallies. Held while a thread folds its tallies on
+/// exit, while [`profile_report`] sums and while [`reset`] zeroes, so each
+/// close counts exactly once.
+static LIVE: Mutex<Vec<Arc<ThreadTallies>>> = Mutex::new(Vec::new());
+
+/// The calling thread's tallies, registered in [`LIVE`] on the thread's
+/// first close and folded into the scopes' atomics when it exits.
+struct LocalTallies(Arc<ThreadTallies>);
+
+impl LocalTallies {
+    fn new() -> Self {
+        let tallies = Arc::new(ThreadTallies {
+            chunks: [const { OnceLock::new() }; MAX_CHUNKS],
+        });
+        lock(&LIVE).push(Arc::clone(&tallies));
+        LocalTallies(tallies)
+    }
+}
+
+impl Drop for LocalTallies {
+    fn drop(&mut self) {
+        let mut live = lock(&LIVE);
+        live.retain(|t| !Arc::ptr_eq(t, &self.0));
+        let scopes = lock(&crate::registry::registry().scopes);
+        for (index, tally) in self.0.allocated() {
+            if let Some(scope) = scopes.get(index) {
+                scope.folded.fold(tally);
+            }
+        }
+    }
 }
 
 thread_local! {
     /// Nanoseconds consumed by already-closed child scopes of the innermost
     /// open scope on this thread.
     static CHILD_NS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's profile tallies.
+    static TALLIES: LocalTallies = LocalTallies::new();
+}
+
+/// Per-call-site timing store, declared statically by [`crate::scope!`].
+#[derive(Debug)]
+pub struct Scope {
+    name: &'static str,
+    /// Position in the registry's scope list, which indexes every thread's
+    /// tallies; `usize::MAX` until the first open registers the scope.
+    /// Stored under the registry lock, which every reader that maps an
+    /// index back to its scope takes too.
+    index: AtomicUsize,
+    /// Tallies of threads that exited, and closes made where no thread
+    /// tally was available.
+    folded: Tally,
 }
 
 impl Scope {
@@ -52,11 +223,8 @@ impl Scope {
     pub const fn new(name: &'static str) -> Self {
         Scope {
             name,
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            self_ns: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            registered: AtomicBool::new(false),
+            index: AtomicUsize::new(usize::MAX),
+            folded: Tally::new(),
         }
     }
 
@@ -67,11 +235,11 @@ impl Scope {
     }
 
     /// Opens the scope: profile bookkeeping, and this scope becomes the
-    /// thread's current span. Its trace record is pushed when it closes.
+    /// thread's current span. Its trace record is made when it closes.
     #[inline]
     #[must_use = "the scope closes when the guard drops; binding it to _ drops immediately"]
     pub fn enter(&'static self, args: SpanArgs) -> ScopeGuard {
-        if !self.registered.load(Ordering::Relaxed) {
+        if self.index.load(Ordering::Relaxed) == usize::MAX {
             self.register_slow();
         }
         let start_ns = crate::span::now_ns();
@@ -92,22 +260,45 @@ impl Scope {
 
     #[cold]
     fn register_slow(&'static self) {
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            crate::registry::registry()
-                .scopes
-                .lock()
-                .unwrap()
-                .push(self);
+        let mut scopes = lock(&crate::registry::registry().scopes);
+        if self.index.load(Ordering::Relaxed) == usize::MAX {
+            self.index.store(scopes.len(), Ordering::Relaxed);
+            scopes.push(self);
         }
     }
 
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.self_ns.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+    /// Records one close of `total` nanoseconds, `self_ns` of them its own,
+    /// in the calling thread's tally.
+    #[inline]
+    fn record(&self, total: u64, self_ns: u64) {
+        let index = self.index.load(Ordering::Relaxed);
+        let owned = TALLIES
+            .try_with(|t| t.0.tally(index).map(|t| t.record_owned(total, self_ns)))
+            .ok()
+            .flatten();
+        if owned.is_none() {
+            // Past the last tally block, or a close made from another
+            // thread-local's destructor after this thread's tallies folded.
+            self.folded.record_shared(total, self_ns);
         }
+    }
+}
+
+/// Zeroes the profile: every scope's folded tallies and every live
+/// thread's.
+///
+/// Call it only while no scope closes on another thread. An owner updates
+/// its tally with a plain load and store, so a close racing the zeroing can
+/// store back the thread's whole pre-reset tally, and the four fields of a
+/// tally can mix pre- and post-reset values. The workspace's callers (tests
+/// and benchmark phases) reset between phases, while no scope is open.
+pub(crate) fn reset() {
+    let live = lock(&LIVE);
+    for scope in lock(&crate::registry::registry().scopes).iter() {
+        scope.folded.reset();
+    }
+    for (_, tally) in live.iter().flat_map(|t| t.allocated()) {
+        tally.reset();
     }
 }
 
@@ -150,11 +341,7 @@ impl Drop for ScopeGuard {
         // bill it our whole total.
         let child = CHILD_NS.with(|c| c.replace(self.parent_child_ns + total));
         let s = self.scope;
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.total_ns.fetch_add(total, Ordering::Relaxed);
-        s.self_ns
-            .fetch_add(total.saturating_sub(child), Ordering::Relaxed);
-        s.buckets[log2_bucket(total)].fetch_add(1, Ordering::Relaxed);
+        s.record(total, total.saturating_sub(child));
         crate::span::close(
             s.name,
             self.start_ns,
@@ -195,7 +382,8 @@ pub struct StageRow {
 pub fn profile_report() -> Vec<StageRow> {
     use std::collections::BTreeMap;
     let mut rows: BTreeMap<&'static str, StageRow> = BTreeMap::new();
-    for s in crate::registry::registry().scopes.lock().unwrap().iter() {
+    let live = lock(&LIVE);
+    for (index, s) in lock(&crate::registry::registry().scopes).iter().enumerate() {
         let row = rows.entry(s.name).or_insert(StageRow {
             name: s.name,
             count: 0,
@@ -205,13 +393,12 @@ pub fn profile_report() -> Vec<StageRow> {
             p99_ns: 0,
             buckets: [0; HIST_BUCKETS],
         });
-        row.count += s.count.load(Ordering::Relaxed);
-        row.total_ns += s.total_ns.load(Ordering::Relaxed);
-        row.self_ns += s.self_ns.load(Ordering::Relaxed);
-        for (dst, src) in row.buckets.iter_mut().zip(&s.buckets) {
-            *dst += src.load(Ordering::Relaxed);
+        s.folded.add_to(row);
+        for tally in live.iter().filter_map(|t| t.tally_if_allocated(index)) {
+            tally.add_to(row);
         }
     }
+    drop(live);
     let mut out: Vec<StageRow> = rows.into_values().filter(|r| r.count > 0).collect();
     for r in &mut out {
         r.p50_ns = log2_quantile_ns(&r.buckets, 0.5);
@@ -360,6 +547,7 @@ mod tests {
     #[test]
     fn scope_guard_records_once() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::reset();
         {
             let _g = crate::scope!("profile.test.once");
@@ -385,6 +573,7 @@ mod tests {
     #[test]
     fn profile_is_exact_while_the_ring_evicts() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::reset();
         let n = TRACE_CAPACITY + 1000;
         for _ in 0..n {
@@ -439,5 +628,72 @@ mod tests {
         );
         assert_eq!(ce.parent_id, parent_id);
         assert_eq!(pe.args.pairs().len(), 1);
+    }
+
+    /// Counts, buckets and self + child = total stay exact over threads
+    /// that exited before the report (folded into the scope's atomics) and
+    /// threads still alive (summed from their own tallies); `reset`
+    /// zeroes both.
+    #[test]
+    fn profile_is_exact_across_threads() {
+        use std::sync::Barrier;
+        const THREADS: usize = 2;
+        const CALLS: u64 = 1000;
+        let _lock = crate::test_lock();
+        crate::set_trace_attached(false);
+        crate::reset();
+        let work = || {
+            for _ in 0..CALLS {
+                let _o = crate::scope!("profile.test.threads.outer");
+                let _i = crate::scope!("profile.test.threads.inner");
+            }
+        };
+        let rows = || {
+            profile_report()
+                .into_iter()
+                .filter(|r| r.name.starts_with("profile.test.threads."))
+                .collect::<Vec<_>>()
+        };
+        let check = |rows: &[StageRow], calls: u64| {
+            let find = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
+            let (outer, inner) = (
+                find("profile.test.threads.outer"),
+                find("profile.test.threads.inner"),
+            );
+            assert_eq!((outer.count, inner.count), (calls, calls));
+            assert_eq!(outer.buckets.iter().sum::<u64>(), calls);
+            assert_eq!(inner.buckets.iter().sum::<u64>(), calls);
+            assert_eq!(outer.self_ns + inner.total_ns, outer.total_ns);
+        };
+
+        let exited: Vec<_> = (0..THREADS).map(|_| std::thread::spawn(work)).collect();
+        for h in exited {
+            h.join().unwrap();
+        }
+        check(&rows(), THREADS as u64 * CALLS);
+
+        // Read while the workers are parked, assert once they are released:
+        // a failed assertion must not leave them waiting on the barrier.
+        let worked = Barrier::new(THREADS + 1);
+        let reported = Barrier::new(THREADS + 1);
+        let (live, after_reset) = std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    work();
+                    worked.wait();
+                    reported.wait();
+                });
+            }
+            worked.wait();
+            let live = rows();
+            crate::reset();
+            let after_reset = rows();
+            reported.wait();
+            (live, after_reset)
+        });
+        check(&live, 2 * THREADS as u64 * CALLS);
+        assert!(after_reset.is_empty(), "{after_reset:?}");
+        // The reset threads exited with zeroed tallies: nothing folds back.
+        assert!(rows().is_empty());
     }
 }

@@ -39,7 +39,7 @@ pub(crate) fn reset() {
     listed(&r.counters).iter().for_each(|c| c.reset());
     listed(&r.gauges).iter().for_each(|g| g.reset());
     listed(&r.histograms).iter().for_each(|h| h.reset());
-    listed(&r.scopes).iter().for_each(|s| s.reset());
+    crate::profile::reset();
     listed(&r.wall_series).iter().for_each(|s| s.reset());
     listed(&r.health_rules).iter().for_each(|r| r.reset_state());
 }

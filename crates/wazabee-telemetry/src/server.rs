@@ -17,7 +17,10 @@
 //!   has, body [`crate::health_json`] either way — a CI gate or service
 //!   supervisor needs only the status line;
 //! * `/trace` — the causal trace ring as Chrome Trace Event JSON
-//!   ([`crate::trace_chrome_json`]), loadable in Perfetto.
+//!   ([`crate::trace_chrome_json`]), loadable in Perfetto. Setting
+//!   `WAZABEE_TELEMETRY_ADDR` attaches the trace consumer, so the ring
+//!   records; a program calling [`serve`] itself attaches with
+//!   [`crate::set_trace_attached`].
 //!
 //! Anything else is a `404` with a JSON error body.
 //!

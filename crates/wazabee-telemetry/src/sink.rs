@@ -1,10 +1,11 @@
 //! Output sinks: end-of-run console summary and JSONL export.
 //!
 //! Both sinks read the global registry (every counter/histogram touched this
-//! run) and the trace ring. The summary derives the headline figures of the
-//! paper's evaluation — sync-hit rate, CRC-24/FCS pass rates, PER — from
-//! counter naming conventions: any `*.hit`/`*.miss` or `*.ok`/`*.fail` pair
-//! yields a rate line, and `*frames_tx` vs `*frames_ok` totals yield PER.
+//! run); the JSONL dump also reads the trace ring. The summary derives the
+//! headline figures of the paper's evaluation — sync-hit rate, CRC-24/FCS
+//! pass rates, PER — from counter naming conventions: any
+//! `*.hit`/`*.miss` or `*.ok`/`*.fail` pair yields a rate line, and
+//! `*frames_tx` vs `*frames_ok` totals yield PER.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -35,8 +36,7 @@ fn merged_counters() -> BTreeMap<&'static str, u64> {
 ///
 /// Sections: derived rates (sync success, CRC/FCS pass, PER), counters,
 /// labeled cells and gauges, empty-label histogram cells
-/// (count/mean/p50/p99), instant events
-/// still in the trace ring, alerts, and the scope profile
+/// (count/mean/p50/p99), alerts, and the scope profile
 /// (count/self/total/p50/p99).
 #[must_use]
 pub fn summary() -> String {
@@ -142,20 +142,6 @@ pub fn summary() -> String {
                 format!("  {}", stats_line(h.name(), &s))
             }
         }),
-    );
-
-    // Instant events still buffered in the trace ring, by name. Span
-    // timing lives in the exact profile table below, not in the ring.
-    let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for ev in snapshot_trace().0 {
-        if let TraceKind::Instant { .. } = ev.kind {
-            *events.entry(ev.name).or_insert(0) += 1;
-        }
-    }
-    section(
-        &mut out,
-        "events",
-        events.iter().map(|(name, n)| format!("  {name:<40} n={n}")),
     );
 
     // Health rules: one watchdog tick, then every armed rule with its
@@ -403,8 +389,10 @@ fn write_line(
 /// `counter`, `value_histogram` (empty-label histogram cells),
 /// `labeled_counter`, `gauge`, `labeled_histogram`, `stage`, `wall_series`,
 /// `trace`. A `trace` line's `kind` is `span` (one per closed span: `ts_ns`
-/// its start, `dur_ns` its duration) or `instant`. The trace ring is *not*
-/// drained — records stay available to [`summary`].
+/// its start, `dur_ns` its duration) or `instant`; there are trace lines
+/// only while a trace consumer is attached ([`crate::trace_attached`]),
+/// as it is whenever `WAZABEE_TELEMETRY_OUT` is set. The trace ring is
+/// *not* drained.
 pub fn write_jsonl(out: &mut dyn Write) -> io::Result<()> {
     let mut line = String::new();
     for (name, value) in merged_counters() {
@@ -566,6 +554,7 @@ mod tests {
     #[test]
     fn jsonl_lines_are_well_formed() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::counter!("sink.test.jsonl.count").add(2);
         crate::histogram!("sink.test.jsonl.vals", 0.0, 8.0).record(3.0);
         crate::event!("sink.test.jsonl.ev", 1.25);
@@ -600,6 +589,7 @@ mod tests {
     #[test]
     fn jsonl_span_line_brackets_the_work() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::reset();
         let now = crate::span::now_ns;
         let before = now();

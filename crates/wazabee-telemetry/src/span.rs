@@ -13,14 +13,21 @@
 //! Spans are the trace side of [`crate::scope!`]: opening one only hands
 //! out its id and makes it the thread's current span; closing it pushes
 //! one completed record (start, duration, ids, args). A closed parent is
-//! therefore always newer in the ring than its children. Each thread keeps
-//! its own current-span cell, so nesting is tracked per thread without any
-//! cross-thread locking beyond the one ring push.
+//! therefore always newer in the ring than its children.
+//!
+//! The ring records only while a trace consumer is attached (see
+//! [`trace_attached`]); nothing reads the trace otherwise, so a detached
+//! close pushes nothing and takes no lock. Opening a span touches only the
+//! calling thread's memory: its id comes from a per-thread block of
+//! `ID_BLOCK` ids, claimed from one shared counter when the last block runs
+//! out, so ids stay process-unique and one thread still counts 1, 2, 3, …
+//! after [`crate::reset`]; and each thread keeps its own current-span cell,
+//! so nesting is tracked per thread.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Maximum trace records retained (oldest evicted beyond this).
@@ -189,6 +196,15 @@ static RING: Mutex<Ring> = Mutex::new(Ring {
     dropped: 0,
 });
 
+/// Locks a trace or profile mutex. A panic while one was held cannot leave
+/// its data half-updated (a ring push is a pop plus a push on a
+/// `VecDeque`; the profile lists see pushes, removals and atomic stores),
+/// so a poisoned lock is taken as is: telemetry must not turn one panic
+/// into many.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -198,16 +214,35 @@ pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Next span id to hand out; 0 is reserved for "no span".
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+/// Span ids are handed out in blocks of this many, one block per thread
+/// at a time, so opening a span takes no shared read-modify-write.
+const ID_BLOCK: u64 = 1024;
+
+/// First id of the next unclaimed block; 0 is reserved for "no span".
+static NEXT_ID_BLOCK: AtomicU64 = AtomicU64::new(1);
+
+/// Bumped by [`reset_ids`]: a thread holding a block from an older epoch
+/// claims a fresh one.
+static ID_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// Next thread id to hand out (thread ids are dense and 1-based; they are
 /// *not* reset by [`crate::reset`] — a thread keeps its id for its lifetime).
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
+const ATTACH_UNREAD: u8 = 0;
+const DETACHED: u8 = 1;
+const ATTACHED: u8 = 2;
+
+/// Whether the ring records: unread until the first check reads the
+/// consumer variables, or until [`set_trace_attached`].
+static ATTACH: AtomicU8 = AtomicU8::new(ATTACH_UNREAD);
+
 thread_local! {
     /// Id of the innermost span currently open on this thread (0 = none).
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
+    /// This thread's id block: `(epoch, next, end)`; empty until the
+    /// thread's first span.
+    static IDS: Cell<(u64, u64, u64)> = const { Cell::new((u64::MAX, 0, 0)) };
     /// This thread's dense trace id, assigned on first use.
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
 }
@@ -227,15 +262,73 @@ pub fn current_span_id() -> u64 {
     CURRENT_SPAN.with(Cell::get)
 }
 
+/// Whether the trace ring records. It does once a consumer is attached:
+/// `WAZABEE_TRACE_OUT`, `WAZABEE_TELEMETRY_ADDR` (its `/trace` route) or
+/// `WAZABEE_TELEMETRY_OUT` (its JSONL holds trace lines) set to a non-empty
+/// value, read once on the first check, or [`set_trace_attached`]. With
+/// none, scopes and events leave the ring empty; the profile and
+/// [`current_span_id`] are exact either way.
+#[inline]
+#[must_use]
+pub fn trace_attached() -> bool {
+    match ATTACH.load(Ordering::Relaxed) {
+        ATTACHED => true,
+        DETACHED => false,
+        _ => attach_from_env(),
+    }
+}
+
+#[cold]
+fn attach_from_env() -> bool {
+    let set = |key: &str| std::env::var_os(key).is_some_and(|v| !v.is_empty());
+    let state = if [crate::ENV_TRACE_OUT, crate::ENV_ADDR, crate::ENV_OUT]
+        .into_iter()
+        .any(set)
+    {
+        ATTACHED
+    } else {
+        DETACHED
+    };
+    // An explicit attach that raced this read wins.
+    let _ = ATTACH.compare_exchange(ATTACH_UNREAD, state, Ordering::Relaxed, Ordering::Relaxed);
+    ATTACH.load(Ordering::Relaxed) == ATTACHED
+}
+
+/// Attaches (`true`) or detaches the trace consumer explicitly, overriding
+/// the environment: for tests and programs that read the trace in
+/// process. Records already in the ring stay until drained.
+pub fn set_trace_attached(on: bool) {
+    ATTACH.store(if on { ATTACHED } else { DETACHED }, Ordering::Relaxed);
+}
+
 /// Restarts the span-id sequence at 1. Called by [`crate::reset`] so sweep
 /// cells and tests see deterministic ids; live guards keep the ids they
 /// already captured.
 pub(crate) fn reset_ids() {
-    NEXT_SPAN_ID.store(1, Ordering::Relaxed);
+    NEXT_ID_BLOCK.store(1, Ordering::Relaxed);
+    // Release: a thread that sees the new epoch claims from the restarted
+    // sequence.
+    ID_EPOCH.fetch_add(1, Ordering::Release);
+}
+
+/// The next id of this thread's block, claiming a new block when it is
+/// used up or predates the last [`reset_ids`].
+fn next_span_id() -> u64 {
+    let epoch = ID_EPOCH.load(Ordering::Acquire);
+    IDS.with(|ids| {
+        let (held, next, end) = ids.get();
+        if held == epoch && next < end {
+            ids.set((held, next + 1, end));
+            return next;
+        }
+        let first = NEXT_ID_BLOCK.fetch_add(ID_BLOCK, Ordering::Relaxed);
+        ids.set((epoch, first + 1, first + ID_BLOCK));
+        first
+    })
 }
 
 fn push(ev: TraceEvent) {
-    let mut ring = RING.lock().unwrap();
+    let mut ring = lock(&RING);
     if ring.buf.len() == TRACE_CAPACITY {
         ring.buf.pop_front();
         ring.dropped += 1;
@@ -244,11 +337,15 @@ fn push(ev: TraceEvent) {
 }
 
 /// Records an instantaneous event carrying an optional value and key/value
-/// arguments (see the [`crate::event!`] macro).
+/// arguments (see the [`crate::event!`] macro), while a trace consumer is
+/// attached ([`trace_attached`]).
 ///
 /// The event is parented to the span currently open on this thread.
 #[inline]
 pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
+    if !trace_attached() {
+        return;
+    }
     push(TraceEvent {
         ts_ns: now_ns(),
         name,
@@ -263,7 +360,7 @@ pub fn event_with(name: &'static str, value: Option<f64>, args: SpanArgs) {
 /// Takes every buffered trace record (and the evicted-record count),
 /// emptying the ring.
 pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
-    let mut ring = RING.lock().unwrap();
+    let mut ring = lock(&RING);
     let events = ring.buf.drain(..).collect();
     let dropped = ring.dropped;
     ring.dropped = 0;
@@ -275,21 +372,21 @@ pub fn drain_trace() -> (Vec<TraceEvent>, u64) {
 /// count describes exactly these records.
 #[must_use]
 pub(crate) fn snapshot_trace() -> (Vec<TraceEvent>, u64) {
-    let ring = RING.lock().unwrap();
+    let ring = lock(&RING);
     (ring.buf.iter().copied().collect(), ring.dropped)
 }
 
 /// Opens a span: hands out its id and makes it the thread's current span.
 /// Nothing is recorded until [`close`]. Returns `(span_id, parent_id)`.
 pub(crate) fn open() -> (u64, u64) {
-    let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let span_id = next_span_id();
     let parent_id = CURRENT_SPAN.with(|c| c.replace(span_id));
     (span_id, parent_id)
 }
 
 /// Closes a span opened by [`open`] at `start_ns` and lasting `dur_ns`:
-/// restores the parent as the thread's current span and records the span's
-/// one completed record.
+/// restores the parent as the thread's current span and, while a trace
+/// consumer is attached, records the span's one completed record.
 pub(crate) fn close(
     name: &'static str,
     start_ns: u64,
@@ -299,15 +396,17 @@ pub(crate) fn close(
     args: SpanArgs,
 ) {
     CURRENT_SPAN.with(|c| c.set(parent_id));
-    push(TraceEvent {
-        ts_ns: start_ns,
-        name,
-        kind: TraceKind::Span { dur_ns },
-        span_id,
-        parent_id,
-        thread_id: thread_trace_id(),
-        args,
-    });
+    if trace_attached() {
+        push(TraceEvent {
+            ts_ns: start_ns,
+            name,
+            kind: TraceKind::Span { dur_ns },
+            span_id,
+            parent_id,
+            thread_id: thread_trace_id(),
+            args,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +416,7 @@ mod tests {
     #[test]
     fn spans_nest_and_drain() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         {
             let _outer = crate::scope!("span.test.outer");
@@ -350,6 +450,7 @@ mod tests {
     #[test]
     fn causal_links_connect_parent_child_and_events() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         {
             let outer = crate::scope!("span.test.causal.outer");
@@ -382,6 +483,7 @@ mod tests {
     #[test]
     fn args_are_recorded_and_capped() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         {
             let _s = crate::scope!(
@@ -406,6 +508,7 @@ mod tests {
     #[test]
     fn threads_get_distinct_ids_and_independent_stacks() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         let here = thread_trace_id();
         let (there, there_parent) = std::thread::spawn(|| {
@@ -423,6 +526,7 @@ mod tests {
     #[test]
     fn reset_ids_restarts_span_sequence() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         let before = crate::scope!("span.test.seq").id();
         assert_ne!(before, 0);
@@ -437,6 +541,7 @@ mod tests {
     #[test]
     fn parent_closed_after_a_flood_of_children_stays_in_the_ring() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         let n = TRACE_CAPACITY + 10;
         let parent_id = {
@@ -456,9 +561,114 @@ mod tests {
         assert!(children.iter().all(|c| c.parent_id == parent_id));
     }
 
+    /// Detached, scopes and events keep no records, while span ids,
+    /// nesting and the profile stay exact.
+    #[test]
+    fn detached_scopes_leave_the_ring_empty() {
+        let _lock = crate::test_lock();
+        crate::reset();
+        set_trace_attached(false);
+        assert!(!trace_attached());
+        for _ in 0..3 {
+            let outer = crate::scope!("span.test.detached.outer");
+            assert_eq!(current_span_id(), outer.id());
+            {
+                let inner = crate::scope!("span.test.detached.inner");
+                assert_eq!(current_span_id(), inner.id());
+                assert_ne!(inner.id(), outer.id());
+                crate::event!("span.test.detached.mark");
+            }
+            assert_eq!(current_span_id(), outer.id());
+        }
+        assert_eq!(current_span_id(), 0);
+        assert_eq!(drain_trace(), (Vec::new(), 0));
+        let rows = crate::profile_report();
+        let row = |name: &str| rows.iter().find(|r| r.name == name).unwrap().clone();
+        let (outer, inner) = (
+            row("span.test.detached.outer"),
+            row("span.test.detached.inner"),
+        );
+        assert_eq!((outer.count, inner.count), (3, 3));
+        assert_eq!(outer.self_ns + inner.total_ns, outer.total_ns);
+        crate::reset();
+    }
+
+    /// Ids from per-thread blocks are distinct across threads, and after a
+    /// reset one thread counts 1, 2, 3, … again.
+    #[test]
+    fn span_ids_are_unique_across_threads_and_restart_after_reset() {
+        let _lock = crate::test_lock();
+        set_trace_attached(false);
+        let per_thread = 10_000;
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    (0..per_thread)
+                        .map(|_| crate::scope!("span.test.ids").id())
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut ids: Vec<u64> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4 * per_thread);
+        assert!(!ids.contains(&0));
+
+        crate::reset();
+        let after: Vec<u64> = (0..3 * ID_BLOCK)
+            .map(|_| crate::scope!("span.test.ids").id())
+            .collect();
+        assert_eq!(after, (1..=3 * ID_BLOCK).collect::<Vec<_>>());
+        crate::reset();
+    }
+
+    /// Attached, threads flooding the ring together leave it bounded,
+    /// every eviction is counted, and each thread's records keep their
+    /// close order.
+    #[test]
+    fn threads_flooding_the_ring_keep_it_bounded_and_count_every_eviction() {
+        const THREADS: usize = 3;
+        let _lock = crate::test_lock();
+        set_trace_attached(true);
+        crate::reset();
+        let per_thread = TRACE_CAPACITY + 100;
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    for k in 0..per_thread {
+                        let _s = crate::scope!("span.test.flood.threads", k = k);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let (events, dropped) = drain_trace();
+        assert_eq!(events.len(), TRACE_CAPACITY);
+        assert_eq!(dropped, (THREADS * per_thread - TRACE_CAPACITY) as u64);
+        let mut last_k = std::collections::HashMap::new();
+        for e in &events {
+            assert_eq!(e.name, "span.test.flood.threads");
+            let k = match e.args.pairs()[0].1 {
+                ArgValue::U64(k) => k,
+                other => panic!("unexpected arg {other:?}"),
+            };
+            if let Some(prev) = last_k.insert(e.thread_id, k) {
+                assert!(prev < k, "thread {} out of close order", e.thread_id);
+            }
+        }
+        crate::reset();
+    }
+
     #[test]
     fn ring_evicts_oldest() {
         let _lock = crate::test_lock();
+        set_trace_attached(true);
         drain_trace();
         for _ in 0..TRACE_CAPACITY + 10 {
             crate::event!("span.test.flood");

@@ -18,9 +18,11 @@
 //! newer than its children's, so that marker means the parent is still
 //! open or the ring was drained since.
 //!
-//! Set `WAZABEE_TRACE_OUT=PATH` and the bench binaries / example session
-//! guard call [`dump_trace_from_env`] on exit; [`dump_trace_to`] writes the
-//! same document anywhere on demand.
+//! Set `WAZABEE_TRACE_OUT=PATH` and the ring records from the start; the
+//! bench binaries / example session guard call [`dump_trace_from_env`] on
+//! exit. [`dump_trace_to`] writes the same document anywhere on demand; it
+//! holds records only while a consumer is attached
+//! ([`crate::trace_attached`]).
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -37,8 +39,7 @@ pub const ENV_TRACE_OUT: &str = "WAZABEE_TRACE_OUT";
 
 /// Renders the current trace ring as a Chrome Trace Event JSON document.
 ///
-/// The ring is only peeked — records stay available to [`crate::summary`]
-/// and later exports.
+/// The ring is only peeked — records stay available to later exports.
 #[must_use]
 pub fn trace_chrome_json() -> String {
     let mut out = String::new();
@@ -162,6 +163,7 @@ mod tests {
     #[test]
     fn complete_spans_render_as_x_events_with_causal_args() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::reset();
         {
             let _outer = crate::scope!("export.test.outer", chan = 15u8);
@@ -196,6 +198,7 @@ mod tests {
     #[test]
     fn open_span_appears_once_it_closes() {
         let _lock = crate::test_lock();
+        crate::set_trace_attached(true);
         crate::reset();
         let child = "\"name\":\"export.test.open.child\"";
         let guard = crate::scope!("export.test.open");

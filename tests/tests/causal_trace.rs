@@ -3,7 +3,9 @@
 //! with the in-repo JSON parser the same way Perfetto would consume it.
 //!
 //! The trace ring is process-global, so every test takes the file-local
-//! lock and resets telemetry on entry and exit.
+//! lock and resets telemetry on entry and exit. Each test that reads the
+//! trace attaches the consumer explicitly: with no trace variable set, the
+//! ring records nothing.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -35,6 +37,7 @@ fn span(events: &[TraceEvent], id: u64) -> &TraceEvent {
 #[test]
 fn span_nesting_is_per_thread_and_parents_resolve() {
     let _l = lock();
+    wazabee_telemetry::set_trace_attached(true);
     wazabee_telemetry::reset();
 
     // Two threads build the same two-level nesting concurrently. Each
@@ -83,6 +86,7 @@ fn span_nesting_is_per_thread_and_parents_resolve() {
 #[test]
 fn eviction_marks_orphans_instead_of_inventing_roots() {
     let _l = lock();
+    wazabee_telemetry::set_trace_attached(true);
     wazabee_telemetry::reset();
 
     // One long-lived parent, then more children than the ring holds (one
@@ -146,6 +150,7 @@ fn eviction_marks_orphans_instead_of_inventing_roots() {
 #[test]
 fn decode_spans_export_with_frame_args_and_resolvable_parents() {
     let _l = lock();
+    wazabee_telemetry::set_trace_attached(true);
     wazabee_telemetry::reset();
 
     // Stream one genuine frame through the receiver under an enclosing

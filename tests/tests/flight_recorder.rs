@@ -354,3 +354,35 @@ fn failure_counters_reach_telemetry_summary() {
     assert!(s.contains("rx.fail.no_sync"), "summary:\n{s}");
     assert!(s.contains("wazabee.rx.fail.no_sync"), "summary:\n{s}");
 }
+
+/// A decode's flight-recorder trace names the `rx.decode` span that covered
+/// it whether or not a telemetry trace consumer is attached; attached, that
+/// id resolves to the span's record in the telemetry trace, and detached
+/// the trace keeps no records at all.
+#[test]
+fn span_join_holds_with_the_trace_attached_or_not() {
+    let _l = lock();
+    let dir = temp_dir("span-join");
+    fr::FlightRecorder::builder().install().unwrap();
+    let air = Dot154Modem::new(8).transmit(&ppdu(&[0x01, 0x08, 0x42]));
+    for attached in [false, true] {
+        wazabee_telemetry::set_trace_attached(attached);
+        wazabee_telemetry::drain_trace();
+        ble_rx().try_receive(&air).unwrap();
+        let span_id = fr::recent_traces()
+            .last()
+            .and_then(|t| t.span_id)
+            .expect("the decode linked its span");
+        let (events, _) = wazabee_telemetry::drain_trace();
+        if attached {
+            let record = events
+                .iter()
+                .find(|e| e.span_id == span_id)
+                .expect("the linked span has a trace record");
+            assert_eq!(record.name, "rx.decode");
+        } else {
+            assert!(events.is_empty(), "detached trace recorded {events:?}");
+        }
+    }
+    cleanup(&dir);
+}

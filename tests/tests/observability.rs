@@ -442,6 +442,28 @@ proptest! {
     }
 }
 
+/// Scopes closed on `par_map_with` workers count exactly in the next
+/// report, though a scoped worker's thread-locals may still be tearing down
+/// (folding its profile tallies) when the map returns.
+#[test]
+fn profile_counts_par_map_workers_exactly() {
+    let _l = lock();
+    wazabee_telemetry::reset();
+    for round in 1..=20u64 {
+        par_map_with(Some(4), (0..64u32).collect(), |k| {
+            let _s = wazabee_telemetry::scope!("obs.par.item");
+            k
+        });
+        let row = wazabee_telemetry::profile_report()
+            .into_iter()
+            .find(|r| r.name == "obs.par.item")
+            .expect("par_map scopes profiled");
+        assert_eq!(row.count, round * 64);
+        assert_eq!(row.buckets.iter().sum::<u64>(), round * 64);
+    }
+    wazabee_telemetry::reset();
+}
+
 // ---------------------------------------------------------------------------
 // reset() and sweep-cell isolation
 // ---------------------------------------------------------------------------
@@ -449,6 +471,7 @@ proptest! {
 #[test]
 fn reset_clears_every_observability_surface() {
     let _l = lock();
+    wazabee_telemetry::set_trace_attached(true);
     wazabee_telemetry::reset();
     populate_metrics();
     wazabee_telemetry::event!("obs.test.trace", 1.0);
